@@ -8,9 +8,11 @@ digits, '.' decimals, and '\\n' line endings.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -413,63 +415,55 @@ SUITES = {
 # --- figures ------------------------------------------------------------------
 
 
-def _four_measures(out: DensityState) -> tuple[float, float, float, float]:
-    return (
-        mz.mutual_information(out),
-        mz.mutual_l1(out),
-        mz.sre_alpha(out, 2.0),  # table convention: global SRE of the output
-        mz.mutual_mana(out),
-    )
+P_GRID = np.linspace(0.0, 1.0, 101)
+LAMBDA_AXIS = ("lambda", np.linspace(0.0, 1.0 / math.sqrt(2.0), 101))
+THETA_AXIS = ("theta", np.linspace(0.0, math.pi / 2.0, 101))
+CURVES = ("I", "m_l1", "m_sre2", "m_mana")
+
+
+class Figure(NamedTuple):
+    """One figure's sweep; its CSV columns are the swept axes, then the measures."""
+
+    p_axis: np.ndarray | None  # None: noiseless inputs, p = 1
+    family: tuple[str, np.ndarray] | None  # (column, values) of the input family's parameter
+    state: str  # named input family, or a table column label (S, N, T, H)
+    measures: tuple[str, ...]  # table rows (oracles.TABLE_MEASURES), in column order
+
+
+FIGURES = {
+    "fig1": Figure(P_GRID, LAMBDA_AXIS, "phi_lambda", ("m_mana",)),
+    "fig2": Figure(P_GRID, THETA_AXIS, "psi_theta", ("m_mana",)),
+    "fig3a": Figure(None, LAMBDA_AXIS, "phi_lambda", CURVES),
+    "fig3b": Figure(None, THETA_AXIS, "psi_theta", CURVES),
+    "fig4a": Figure(P_GRID, None, "S", CURVES),
+    "fig4b": Figure(P_GRID, None, "N", CURVES),
+    "fig4c": Figure(P_GRID, None, "T", CURVES),
+    "fig4d": Figure(P_GRID, None, "H", CURVES),
+}
 
 
 def figure_rows(figure_id: str) -> tuple[list[str], list[list[float]]]:
-    grid = np.linspace(0.0, 1.0, 101)
-    if figure_id == "fig1":
-        lam_axis = np.linspace(0.0, 1.0 / math.sqrt(2.0), 101)
-        rows = []
-        for p in grid:
-            for lam in lam_axis:
-                out = oracles.csum_output("phi_lambda", float(p), params=(float(lam),))
-                rows.append([p, lam, mz.mutual_mana(out)])
-        return ["p", "lambda", "m_mana"], rows
-    if figure_id == "fig2":
-        th_axis = np.linspace(0.0, math.pi / 2.0, 101)
-        rows = []
-        for p in grid:
-            for th in th_axis:
-                out = oracles.csum_output("psi_theta", float(p), params=(float(th),))
-                rows.append([p, th, mz.mutual_mana(out)])
-        return ["p", "theta", "m_mana"], rows
-    if figure_id == "fig3a":
-        lam_axis = np.linspace(0.0, 1.0 / math.sqrt(2.0), 101)
-        rows = []
-        for lam in lam_axis:
-            out = oracles.csum_output("phi_lambda", 1.0, params=(float(lam),))
-            i, l1, sre, mm = _four_measures(out)
-            rows.append([lam, i, l1, sre, mm])
-        return ["lambda", "I", "m_l1", "m_sre2", "m_mana"], rows
-    if figure_id == "fig3b":
-        th_axis = np.linspace(0.0, math.pi / 2.0, 101)
-        rows = []
-        for th in th_axis:
-            out = oracles.csum_output("psi_theta", 1.0, params=(float(th),))
-            i, l1, sre, mm = _four_measures(out)
-            rows.append([th, i, l1, sre, mm])
-        return ["theta", "I", "m_l1", "m_sre2", "m_mana"], rows
-    if figure_id in ("fig4a", "fig4b", "fig4c", "fig4d"):
-        label = {"fig4a": "S", "fig4b": "N", "fig4c": "T", "fig4d": "H"}[figure_id]
-        rows = []
-        for p in grid:
-            name = oracles._table_state_name("I", label)
-            out = oracles.csum_output(name, float(p))
-            i, l1, sre, _ = _four_measures(out)
-            # the mana curve follows the table's state variant for this column
-            mana_name = oracles._table_state_name("m_mana", label)
-            mana_out = out if mana_name == name else oracles.csum_output(mana_name, float(p))
-            mm = mz.mutual_mana(mana_out)
-            rows.append([p, i, l1, sre, mm])
-        return ["p", "I", "m_l1", "m_sre2", "m_mana"], rows
-    raise ValueError(f"unknown figure id {figure_id!r}")
+    fig = FIGURES.get(figure_id)
+    if fig is None:
+        raise ValueError(f"unknown figure id {figure_id!r}")
+    axes = ([("p", fig.p_axis)] if fig.p_axis is not None else []) + ([fig.family] if fig.family else [])
+    # (input state, measure function) per column; a table column label picks
+    # each measure's state variant
+    columns = [
+        (
+            oracles._table_state_name(m, fig.state) if fig.state in oracles.TABLE_STATES else fig.state,
+            oracles.row_measure(m),
+        )
+        for m in fig.measures
+    ]
+    inputs = dict.fromkeys(state for state, _ in columns)
+    rows = []
+    for point in itertools.product(*(values for _, values in axes)):
+        p = float(point[0]) if fig.p_axis is not None else 1.0
+        params = (float(point[-1]),) if fig.family else ()
+        outs = {state: oracles.csum_output(state, p, params=params) for state in inputs}
+        rows.append([*point, *(fn(outs[state]) for state, fn in columns)])
+    return [name for name, _ in axes] + list(fig.measures), rows
 
 
 def write_figure_csv(figure_id: str, path: str | None):
@@ -514,12 +508,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fn = SUITES.get(args.suite)
-    if fn is None:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
-        return 2
-    checks = fn(args.trials, args.seed, args.tol)
-    return _print_checks(checks)
+    return _print_checks(SUITES[args.suite](args.trials, args.seed, args.tol))
 
 
 def cmd_figure(args) -> int:
@@ -555,6 +544,13 @@ def cmd_maximize(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="manalab",
@@ -578,14 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("figure", parents=[common], help="emit figure data as CSV")
-    p.add_argument(
-        "figure",
-        choices=["fig1", "fig2", "fig3a", "fig3b", "fig4a", "fig4b", "fig4c", "fig4d"],
-    )
+    p.add_argument("figure", choices=list(FIGURES))
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("maximize", parents=[common], help="search coherent phases for maximal mana")

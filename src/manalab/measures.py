@@ -318,8 +318,33 @@ def nonlocal_mana_upper(
 
 # --- reports ----------------------------------------------------------------
 
-SINGLE_MEASURES = ("mana", "sum_negativity", "purity_bound", "l1", "log_l1", "sre2", "entropy")
-BIPARTITE_MEASURES = ("mutual_mana", "mutual_information", "mutual_l1", "mutual_sre2")
+
+def log_l1(rho: DensityState) -> float:
+    return math.log(l1_magic(rho))
+
+
+def sre2(rho: DensityState) -> float:
+    return sre_alpha(rho, 2.0)
+
+
+def mutual_sre2(rho_ab: DensityState) -> float:
+    return mutual_sre(rho_ab, 2.0)
+
+
+# name -> (function, log-valued); log-valued measures are converted to the display base
+MEASURES = {
+    "mana": (mana, True),
+    "sum_negativity": (sum_negativity, False),
+    "purity_bound": (purity_bound, True),
+    "l1": (l1_magic, False),
+    "log_l1": (log_l1, True),
+    "sre2": (sre2, True),
+    "entropy": (von_neumann_entropy, True),
+    "mutual_mana": (mutual_mana, True),
+    "mutual_information": (mutual_information, True),
+    "mutual_l1": (mutual_l1, True),
+    "mutual_sre2": (mutual_sre2, True),
+}
 
 
 def measure_report(rho: DensityState, names, base: LogBase | str = "e", state_id: str = "state") -> MeasureReport:
@@ -327,28 +352,8 @@ def measure_report(rho: DensityState, names, base: LogBase | str = "e", state_id
     base = base if isinstance(base, LogBase) else LogBase(str(base))
     values: dict[str, float] = {}
     for name in names:
-        if name == "mana":
-            values[name] = base.convert(mana(rho))
-        elif name == "sum_negativity":
-            values[name] = sum_negativity(rho)
-        elif name == "purity_bound":
-            values[name] = base.convert(purity_bound(rho))
-        elif name == "l1":
-            values[name] = l1_magic(rho)
-        elif name == "log_l1":
-            values[name] = base.convert(math.log(l1_magic(rho)))
-        elif name == "sre2":
-            values[name] = base.convert(sre_alpha(rho, 2.0))
-        elif name == "entropy":
-            values[name] = base.convert(von_neumann_entropy(rho))
-        elif name == "mutual_mana":
-            values[name] = base.convert(mutual_mana(rho))
-        elif name == "mutual_information":
-            values[name] = base.convert(mutual_information(rho))
-        elif name == "mutual_l1":
-            values[name] = base.convert(mutual_l1(rho))
-        elif name == "mutual_sre2":
-            values[name] = base.convert(mutual_sre(rho, 2.0))
-        else:
+        if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
+        fn, logarithmic = MEASURES[name]
+        values[name] = base.convert(fn(rho)) if logarithmic else fn(rho)
     return MeasureReport(state_id, base, values)

@@ -28,7 +28,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import measures as mz
+from .circuits import apply_beamsplitter, csum_spec
 from .errors import BadParams
+from .states import DensityState, PureVector, named_state, noisy_mix, tensor
 
 SQRT3 = math.sqrt(3.0)
 
@@ -357,6 +362,26 @@ def closed_form(oid: OracleId) -> float:
 H_VARIANT_BY_MEASURE = {"I": "h", "m_mana": "h_fourier", "m_l1": "h", "m_sre2": "h"}
 STATE_NAMES = {"S": "strange", "N": "norrell", "T": "t"}
 
+# Table row -> measure registry name.  The m_sre2 row pairs with the GLOBAL
+# sre2 of the output, not mutual_sre2 (see module docstring).
+TABLE_ROW_MEASURES = {
+    "I": "mutual_information",
+    "m_mana": "mutual_mana",
+    "m_l1": "mutual_l1",
+    "m_sre2": "sre2",
+}
+
+# Input family each example sweeps; its last parameter (if any) is the noise p.
+EXAMPLE_FAMILIES = {
+    "ex2": "max_coherent",
+    "ex3": "phi_lambda",
+    "ex4": "psi_theta",
+    "ex5_set": "phi_lambda",
+    "ex6_set": "psi_theta",
+}
+# The long H-column closed forms -> their table row.
+H_FORMS = {"ml1_h": "m_l1", "msre2_h": "m_sre2"}
+
 
 def _table_state_name(measure: str, state: str) -> str:
     if state == "H":
@@ -364,93 +389,53 @@ def _table_state_name(measure: str, state: str) -> str:
     return STATE_NAMES[state]
 
 
-def csum_output(psi_name: str, p: float, params=()):
-    """noisy named state, pushed through the qutrit controlled-SUM."""
-    from .circuits import apply_beamsplitter, csum_spec
-    from .states import DensityState, named_state, noisy_mix, tensor
+def row_measure(measure: str):
+    """The registry function a table row's closed forms are paired with."""
+    if measure not in TABLE_ROW_MEASURES:
+        raise BadParams(f"unknown measure {measure!r}")
+    return mz.MEASURES[TABLE_ROW_MEASURES[measure]][0]
 
-    psi = named_state(psi_name, params)
+
+def csum_output(psi: str | PureVector, p: float, params=()) -> DensityState:
+    """Noisy input (a named state or a vector), pushed through the qutrit controlled-SUM."""
+    if not isinstance(psi, PureVector):
+        psi = named_state(psi, params)
     rho = noisy_mix(psi, p)
     vac = named_state("basis", [0], dim=3).density()
-    big = tensor(rho, vac)
-    out = apply_beamsplitter(csum_spec(3), big)
+    out = apply_beamsplitter(csum_spec(3), tensor(rho, vac))
     return DensityState((3, 3), out, validate=False)
+
+
+def _numeric_measure(measure: str, out: DensityState) -> tuple[float, str]:
+    return row_measure(measure)(out), TABLE_ROW_MEASURES[measure]
 
 
 def numeric_for(oid: OracleId) -> tuple[float, str]:
     """Numeric counterpart of a closed form: (value, pairing note)."""
-    from . import measures as mz
-
     name = oid.name
     if name == "ex1":
-        mu0, mu1, mu2, p = oid.params
-        import numpy as np
-
-        from .circuits import apply_beamsplitter, csum_spec
-        from .states import DensityState, PureVector, named_state, noisy_mix, tensor
-
-        psi = PureVector(3, np.array([mu0, mu1, mu2], dtype=complex))
-        out = apply_beamsplitter(
-            csum_spec(3), tensor(noisy_mix(psi, p), named_state("basis", [0]).density())
-        )
-        return mz.mutual_mana(DensityState((3, 3), out, validate=False)), "mutual mana"
-    if name == "ex2":
-        t1, t2, p = oid.params
-        out = csum_output("max_coherent", p, params=(t1, t2))
-        return mz.mutual_mana(out), "mutual mana"
-    if name == "ex3":
-        lam, p = oid.params
-        out = csum_output("phi_lambda", p, params=(lam,))
-        return mz.mutual_mana(out), "mutual mana"
-    if name == "ex4":
-        th, p = oid.params
-        out = csum_output("psi_theta", p, params=(th,))
-        return mz.mutual_mana(out), "mutual mana"
+        *mu, p = oid.params
+        return _numeric_measure("m_mana", csum_output(PureVector(3, np.array(mu, dtype=complex)), p))
+    if name in ("ex2", "ex3", "ex4"):
+        *head, p = oid.params
+        return _numeric_measure("m_mana", csum_output(EXAMPLE_FAMILIES[name], p, params=head))
     if name in ("ex5_set", "ex6_set"):
-        measure = oid.labels[0]
-        family = "phi_lambda" if name == "ex5_set" else "psi_theta"
-        out = csum_output(family, 1.0, params=(oid.params[0],))
-        return _numeric_measure(measure, out)
-    if name == "table1_cell":
-        measure, state = oid.labels
+        out = csum_output(EXAMPLE_FAMILIES[name], 1.0, params=oid.params[:1])
+        return _numeric_measure(oid.labels[0], out)
+    if name == "table1_cell" or name in H_FORMS:
+        measure, state = oid.labels if name == "table1_cell" else (H_FORMS[name], "H")
         out = csum_output(_table_state_name(measure, state), oid.params[0])
         return _numeric_measure(measure, out)
-    if name == "ml1_h":
-        out = csum_output("h", oid.params[0])
-        return mz.mutual_l1(out), "mutual L1 (printed-h variant)"
-    if name == "msre2_h":
-        out = csum_output("h", oid.params[0])
-        return mz.sre_alpha(out, 2.0), "global SRE2 (printed-h variant)"
     if name == "p_crit":
-        state = oid.labels[0]
-        psi_name = _table_state_name("m_mana", state)
-        return (
-            threshold_by_bisection(psi_name),
-            f"bisection threshold ({psi_name})",
-        )
+        psi_name = _table_state_name("m_mana", oid.labels[0])
+        return threshold_by_bisection(psi_name), f"bisection threshold ({psi_name})"
     raise BadParams(f"unknown oracle {name!r}")
-
-
-def _numeric_measure(measure: str, out) -> tuple[float, str]:
-    from . import measures as mz
-
-    if measure == "I":
-        return mz.mutual_information(out), "mutual information"
-    if measure == "m_mana":
-        return mz.mutual_mana(out), "mutual mana"
-    if measure == "m_l1":
-        return mz.mutual_l1(out), "mutual L1"
-    if measure == "m_sre2":
-        # the printed forms equal the global SRE of the output state
-        return mz.sre_alpha(out, 2.0), "global SRE2 (table convention)"
-    raise BadParams(f"unknown measure {measure!r}")
 
 
 def threshold_by_bisection(
     psi_name: str, level: float = 1e-9, iters: int = 60, params=()
 ) -> float:
     """Smallest p at which the output mutual mana exceeds `level`."""
-    from . import measures as mz
 
     def f(p):
         return mz.mutual_mana(csum_output(psi_name, p, params=params)) - level

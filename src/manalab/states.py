@@ -110,6 +110,8 @@ def maximally_mixed(dim, subsystems: int = 1) -> DensityState:
 
 
 _SQRT3 = math.sqrt(3.0)
+# named states defined only at d = 3 (max_coherent and basis take any odd prime)
+QUTRIT_STATES = ("strange", "norrell", "t", "h", "h_fourier", "phi_lambda", "psi_theta")
 
 
 def named_state(name: str, params=(), dim: int = 3) -> PureVector:
@@ -121,6 +123,8 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
         if len(params) != n:
             raise BadParamCount(f"{name} takes {n} parameter(s), got {len(params)}")
 
+    if name in QUTRIT_STATES and int(dim) != 3:
+        raise ParamOutOfRange(f"{name} is a qutrit state; dim={dim} is not 3")
     if name == "strange":
         need(0)
         amps = np.array([0.0, 1.0, -1.0], dtype=complex) / math.sqrt(2.0)
@@ -280,13 +284,24 @@ def state_to_json(state) -> str:
 def state_from_json(text: str) -> DensityState:
     """Parse the JSON state format; pure vectors are returned as projectors."""
     doc = json.loads(text)
-    dims = tuple(int(d) for d in doc["dims"])
+    if not isinstance(doc, dict):
+        raise ValueError("state file must hold a JSON object")
+    missing = [key for key in ("dims", "kind", "data") if key not in doc]
+    if missing:
+        raise ValueError(f"state file lacks key(s): {', '.join(missing)}")
     kind = doc["kind"]
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"unknown state kind {kind!r}")
+    try:
+        dims = tuple(int(d) for d in doc["dims"])
+        if kind == "pure":
+            data = np.array([complex(re, im) for re, im in doc["data"]])
+        else:
+            data = np.array([[complex(re, im) for re, im in row] for row in doc["data"]])
+    except TypeError as exc:
+        raise ValueError(f"malformed state file: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ValueError("state data holds a non-finite number (NaN or Infinity)")
     if kind == "pure":
-        amps = np.array([complex(re, im) for re, im in doc["data"]])
-        vec = PureVector(int(np.prod(dims)), amps)
-        return vec.density(dims)
-    if kind == "mixed":
-        mat = np.array([[complex(re, im) for re, im in row] for row in doc["data"]])
-        return DensityState(dims, mat)
-    raise ValueError(f"unknown state kind {kind!r}")
+        return PureVector(int(np.prod(dims)), data).density(dims)
+    return DensityState(dims, data)

@@ -194,3 +194,73 @@ def test_maximize_json_output(tmp_path, capsys):
     assert doc["grid"] == 16
     assert doc["best_value"] <= doc["bound"] + 1e-9
     assert all(len(v) == 2 for v in doc["argmax"])
+
+
+@pytest.mark.parametrize("measure", ["mutual_mana", "mutual_information", "mutual_l1", "mutual_sre2"])
+def test_measure_bipartite_names_on_single_qutrit(capsys, measure):
+    code, out, err = run(capsys, "measure", "--state", "strange", "--measures", measure)
+    assert code == 2 and "error:" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "state,params",
+    [("strange", None), ("norrell", None), ("t", None), ("h", None), ("h_fourier", None),
+     ("phi_lambda", "0.5"), ("psi_theta", "0.5")],
+)
+def test_measure_qutrit_state_rejects_other_dims(capsys, state, params):
+    argv = ["measure", "--state", state, "--measures", "mana"]
+    argv += ["--params", params] if params else []
+    code, _, _ = run(capsys, *argv, "--dim", "3")
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--dim", "5")
+    assert code == 2 and "error:" in err and out == ""
+
+
+def test_measure_max_coherent_takes_dim_from_phases(capsys):
+    code, out, _ = run(capsys, "measure", "--state", "max_coherent", "--params", "0.1,0.2,0.3,0.4",
+                       "--measures", "mana")
+    assert code == 0 and out.startswith("mana = ")
+
+
+@pytest.mark.parametrize("suite,trials", [("prop5", "0"), ("thm1", "-3")])
+def test_verify_trials_below_one_usage_error(capsys, suite, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--trials", trials])
+    assert exc.value.code == 2
+    assert "passed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["kind", "dims", "data"])
+def test_measure_state_file_missing_key(tmp_path, capsys, key):
+    doc = json.loads(state_to_json(named_state("basis", [0])))
+    del doc[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
+    assert code == 2 and "error:" in err and key in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_measure_state_file_non_finite_amplitude(tmp_path, capsys, token):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [3], "kind": "pure", "data": [[%s, 0], [0, 0], [0, 0]]}' % token)
+    code, _, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
+    assert code == 2 and "non-finite" in err
+    path.write_text(
+        '{"dims": [3], "kind": "mixed", "data": [[[1, 0], [0, 0], [0, 0]], '
+        '[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, %s]]]}' % token
+    )
+    code, _, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
+    assert code == 2 and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ['[1, 2]', '{"dims": 3, "kind": "pure", "data": [[1, 0], [0, 0], [0, 0]]}',
+     '{"dims": [3], "kind": "pure", "data": 5}', '{"dims": [3], "kind": "mixed", "data": [1, 2, 3]}'],
+)
+def test_measure_state_file_malformed_shape(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, _, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
+    assert code == 2 and "error:" in err
