@@ -538,6 +538,7 @@ def cmd_maximize(args) -> int:
             "argmax": [list(pv.thetas) for pv in result.argmax],
             "evaluations": result.evaluations,
             "grid": result.grid_resolution,
+            "refine_sweeps": result.refine_sweeps,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -548,6 +549,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -583,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", parents=[common], help="search coherent phases for maximal mana")
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--refine", type=int, default=200)
+    p.add_argument("--refine", type=_nonnegative_int, default=200)
     p.add_argument("--json", default=None, help="also write the result as JSON")
     p.set_defaults(fn=cmd_maximize)
     return parser

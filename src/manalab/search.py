@@ -9,9 +9,11 @@ integer for prime d.  The search therefore reports the best value found and
 never asserts attainment of the bound.
 
 Strategy: exhaustive evaluation on a uniform grid over [0, 2pi)^{d-1},
-local grid maxima refined by coordinate-wise golden-section ascent, then
-all refined optima within 1e-6 of the best are kept, deduplicated by
-angular distance, and returned sorted.
+then lockstep golden-section refinement of all candidates: the (at most
+128) local grid maxima climb by coordinate-wise golden-section ascent
+together, one batched objective call per golden step, each candidate taking
+exactly the steps it would take alone.  All refined optima within 1e-6 of
+the best are kept, deduplicated by angular distance, and returned sorted.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ class SearchResult:
     refine_sweeps: int
 
     def __post_init__(self):
-        d = self.argmax[0].dim if self.argmax else 3
+        if not self.argmax:
+            raise ValueError("a search result needs at least one argmax phase vector")
+        d = self.argmax[0].dim
         bound = 0.5 * math.log(d) + 1e-9
         if self.best_value > bound:
             raise ValueError(f"best value {self.best_value} exceeds the purity bound {bound}")
@@ -79,12 +83,7 @@ class _CoherentObjective:
         self.evaluations = 0
 
     def value(self, thetas: np.ndarray) -> float:
-        d = self.d
-        psi = np.concatenate([[1.0], np.exp(1j * np.asarray(thetas))]) / math.sqrt(d)
-        rho_flat = np.outer(psi, psi.conj()).reshape(-1)
-        w = rho_flat @ self.kernel / d
-        self.evaluations += 1
-        return float(np.log(np.abs(w).sum()))
+        return float(self.batch(np.asarray(thetas, dtype=float)[None, :])[0])
 
     def batch(self, theta_block: np.ndarray) -> np.ndarray:
         """Values for a block of phase vectors, shape (N, d-1)."""
@@ -95,50 +94,74 @@ class _CoherentObjective:
         psis[:, 1:] = np.exp(1j * theta_block)
         psis /= math.sqrt(d)
         rho = (psis[:, :, None] * psis.conj()[:, None, :]).reshape(n, d * d)
+        if n == 1:
+            # numpy sends a one-row product to gemv, which rounds unlike gemm;
+            # a doubled row keeps it on gemm, so a phase vector's value never
+            # depends on the batch it is evaluated in
+            rho = np.vstack([rho, rho])
         w = rho @ self.kernel / d
         self.evaluations += n
-        return np.log(np.abs(w).sum(axis=1))
+        return np.log(np.abs(w[:n]).sum(axis=1))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]."""
-    a, b = lo, hi
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-11):
+    """Golden-section maximization on [lo[k], hi[k]] for every row k at once.
+
+    `f(rows, points)` returns the objective of each listed row at its point.
+    Only rows whose bracket is still wider than `tol` are evaluated, so each
+    row takes exactly the steps and comparisons of a scalar golden section.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    rows = np.arange(a.size)
     c = b - GOLDEN * (b - a)
     d_ = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d_)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + GOLDEN * (b - a)
-            fd = f(d_)
+    fc, fd = f(rows, c), f(rows, d_)
+    run = np.flatnonzero(np.abs(b - a) > tol)
+    while run.size:
+        left = fc[run] > fd[run]
+        lr, rr = run[left], run[~left]
+        b[lr], d_[lr], fd[lr] = d_[lr], c[lr], fc[lr]
+        c[lr] = b[lr] - GOLDEN * (b[lr] - a[lr])
+        a[rr], c[rr], fc[rr] = c[rr], d_[rr], fd[rr]
+        d_[rr] = a[rr] + GOLDEN * (b[rr] - a[rr])
+        fnew = f(run, np.where(left, c[run], d_[run]))
+        fc[lr], fd[rr] = fnew[left], fnew[~left]
+        run = run[np.abs(b[run] - a[run]) > tol]
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(rows, x)
 
 
-def _refine(obj: _CoherentObjective, start: np.ndarray, step: float, max_sweeps: int):
-    x = np.array(start, dtype=float)
-    best = obj.value(x)
-    sweeps = 0
+def _refine(obj: _CoherentObjective, starts: np.ndarray, step: float, max_sweeps: int):
+    """Coordinate-wise golden-section ascent of every start row in lockstep.
+
+    A row stops once one sweep over its coordinates improved it by less
+    than 1e-13; returns the phases, values and sweep counts per row.
+    """
+    x = np.array(starts, dtype=float)
+    best = obj.batch(x)
+    sweeps = np.zeros(len(x), dtype=int)
+    active = np.arange(len(x))
     for sweep in range(max_sweeps):
-        improved = 0.0
-        for i in range(x.size):
-            def line(t, i=i):
-                y = x.copy()
-                y[i] = t
-                return obj.value(y)
-
-            xi, vi = _golden_max(line, x[i] - step, x[i] + step)
-            if vi > best:
-                improved += vi - best
-                best = vi
-                x[i] = xi
-        sweeps = sweep + 1
-        if improved < 1e-13:
+        if not active.size:
             break
+        improved = np.zeros(active.size)
+        for i in range(x.shape[1]):
+            base = x[active]
+
+            def line(rows, t, base=base, i=i):
+                y = base[rows]
+                y[:, i] = t
+                return obj.batch(y)
+
+            xi, vi = _golden_max(line, base[:, i] - step, base[:, i] + step)
+            prev = best[active]
+            up = vi > prev
+            improved[up] += vi[up] - prev[up]
+            best[active[up]] = vi[up]
+            x[active[up], i] = xi[up]
+        sweeps[active] = sweep + 1
+        active = active[improved >= 1e-13]
     return x % (2.0 * math.pi), best, sweeps
 
 
@@ -151,9 +174,10 @@ def _angular_distance(a, b) -> float:
 def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> SearchResult:
     """Exhaustive-then-refine search for the largest coherent-state mana.
 
-    Evaluates the full uniform grid, refines every local grid maximum by
-    coordinate-wise golden-section ascent, keeps all refined optima within
-    1e-6 of the best, and deduplicates by angular distance < 1e-3.
+    Evaluates the full uniform grid, refines the local grid maxima in
+    lockstep by coordinate-wise golden-section ascent, keeps all refined
+    optima within 1e-6 of the best, and deduplicates by angular distance
+    < 1e-3.
     """
     d = _dim(dim)
     if d > 7:
@@ -161,11 +185,12 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     grid = DEFAULT_GRIDS[d] if grid is None else int(grid)
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     obj = _CoherentObjective(d)
     naxes = d - 1
     axis = 2.0 * math.pi * np.arange(grid) / grid
 
-    values = np.empty((grid,) * naxes)
     mesh = np.stack(np.meshgrid(*([axis] * naxes), indexing="ij"), axis=-1).reshape(
         -1, naxes
     )
@@ -181,14 +206,8 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     order = np.argsort(cand_vals)[::-1]
     cand_idx = cand_idx[order][:128]
 
-    step = 2.0 * math.pi / grid
-    refined = []
-    total_sweeps = 0
-    for idx in cand_idx:
-        start = axis[idx]
-        x, v, sweeps = _refine(obj, start, step, refine_iters)
-        total_sweeps = max(total_sweeps, sweeps)
-        refined.append((v, tuple(x)))
+    xs, vs, sweeps = _refine(obj, axis[cand_idx], 2.0 * math.pi / grid, refine_iters)
+    refined = [(float(v), tuple(x)) for v, x in zip(vs, xs)]
 
     best = max(v for v, _ in refined)
     keep = [(v, x) for v, x in refined if best - v <= 1e-6]
@@ -198,7 +217,7 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
         if all(_angular_distance(x, u[1]) >= 1e-3 for u in unique):
             unique.append((v, x))
     argmax = tuple(PhaseVector(d, x) for _, x in unique)
-    return SearchResult(best, argmax, obj.evaluations, grid, total_sweeps)
+    return SearchResult(best, argmax, obj.evaluations, grid, int(sweeps.max()))
 
 
 def mutual_mana_coherent_equals_mana(dim, theta: PhaseVector, spec) -> tuple[float, float]:

@@ -264,3 +264,27 @@ def test_measure_state_file_malformed_shape(tmp_path, capsys, doc):
     path.write_text(doc)
     code, _, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
     assert code == 2 and "error:" in err
+
+
+def test_maximize_negative_refine_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["maximize", "--dim", "3", "--grid", "16", "--refine", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "best value" not in captured.out and "--refine" in captured.err
+
+
+def test_maximize_zero_refine_is_grid_only(capsys):
+    code, out, _ = run(capsys, "maximize", "--dim", "3", "--grid", "16", "--refine", "0")
+    assert code == 0
+    assert "refine sweeps = 0" in out
+
+
+def test_maximize_json_records_refine_sweeps(tmp_path, capsys):
+    jpath = tmp_path / "result.json"
+    code, out, _ = run(capsys, "maximize", "--dim", "3", "--grid", "16", "--refine", "30",
+                       "--json", str(jpath))
+    assert code == 0
+    doc = json.loads(jpath.read_text())
+    assert 1 <= doc["refine_sweeps"] <= 30
+    assert f"refine sweeps = {doc['refine_sweeps']}" in out
