@@ -40,7 +40,7 @@ from scipy.linalg import logm
 from scipy.optimize import minimize
 
 from .errors import AlphaOne, NegativeEigenvalue, NotBipartite
-from .phasespace import _kernel_transform, phase_point_stack, weyl_stack, wigner
+from .phasespace import _kernel_transform, char_function, phase_point_stack, wigner
 from .states import DensityState, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
@@ -93,11 +93,6 @@ def _abs_wigner_sum(mat: np.ndarray, dims) -> float:
     return float(np.abs(table).sum())
 
 
-def _char_abs(mat: np.ndarray, dims) -> np.ndarray:
-    stacks = [weyl_stack(d).reshape(d * d, d, d) for d in dims]
-    return np.abs(_kernel_transform(mat, tuple(dims), stacks))
-
-
 def mana(rho: DensityState) -> float:
     """log of the total absolute Wigner mass; 0 on stabilizer states."""
     table = wigner(rho)  # carries the imaginary-residue check
@@ -133,7 +128,7 @@ def mutual_mana(rho_ab: DensityState) -> float:
 def l1_magic(rho: DensityState) -> float:
     """Characteristic-function 1-norm; minimum 1 (maximally mixed), d for pure stabilizers."""
     mat, dims = _unpack(rho)
-    return float(_char_abs(mat, dims).sum())
+    return float(np.abs(char_function(mat, dims)).sum())
 
 
 def mutual_l1(rho_ab: DensityState) -> float:
@@ -157,7 +152,7 @@ def sre_alpha(rho: DensityState, alpha: float) -> float:
         raise AlphaOne("alpha = 1 is not admissible")
     mat, dims = _unpack(rho)
     total = float(np.prod(dims))
-    xi = _char_abs(mat, dims) ** 2 / total
+    xi = np.abs(char_function(mat, dims)) ** 2 / total
     s1 = float(xi.sum())  # equals tr rho^2
     s_alpha = float((xi**alpha).sum())
     return (math.log(s_alpha) - math.log(s1)) / (1.0 - alpha) - math.log(total)

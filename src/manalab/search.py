@@ -24,8 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import maximum_filter
 
+from .circuits import apply_beamsplitter
 from .errors import BetaDeltaZero, DimensionTooLarge
+from .measures import mana, mutual_mana
 from .phasespace import _dim, phase_point_stack
+from .states import DensityState, PureVector, named_state, tensor
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -227,10 +230,6 @@ def mutual_mana_coherent_equals_mana(dim, theta: PhaseVector, spec) -> tuple[flo
     vacuum ancilla, leaves both output marginals maximally mixed, so the two
     numbers agree for every theta.
     """
-    from .circuits import apply_beamsplitter
-    from .measures import mana, mutual_mana
-    from .states import DensityState, PureVector, named_state, tensor
-
     d = _dim(dim)
     if (spec.beta * spec.delta) % d == 0:
         raise BetaDeltaZero(f"beta*delta = 0 mod {d}")
