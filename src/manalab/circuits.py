@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import BetaDeltaZero, SingularG, UnknownGate
 from .phasespace import PhasePoint, _dim, _point, omega_power, tau_power, weyl_stack
+from .states import DensityState, conjugate, named_state, tensor
 
 
 @dataclass(frozen=True)
@@ -220,3 +221,9 @@ def apply_beamsplitter(spec: BeamsplitterSpec, rho_in) -> "np.ndarray":
     mat = np.asarray(rho_in.matrix if hasattr(rho_in, "matrix") else rho_in, dtype=complex)
     bmat = beamsplitter(spec)
     return bmat @ mat @ bmat.conj().T
+
+
+def beamsplitter_output(spec: BeamsplitterSpec, rho: DensityState) -> DensityState:
+    """B_G (rho x |0><0|) B_G^dag: a single-qudit input with the vacuum ancilla."""
+    vacuum = named_state("basis", [0], dim=spec.dim).density()
+    return conjugate(beamsplitter(spec), tensor(rho, vacuum))

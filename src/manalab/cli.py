@@ -24,7 +24,7 @@ from .errors import ManalabError
 from .measures import LogBase
 from .search import max_mana_coherent
 from .states import DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
-from .verify import SUITES, Check
+from .verify import IGNORED_FLAGS, SUITES, Check
 
 
 def fmt17(x: float) -> str:
@@ -149,8 +149,17 @@ def cmd_measure(args) -> int:
     return 0
 
 
+# applied when the flag is absent; a flag given to a suite that ignores it is an error
+VERIFY_DEFAULTS = {"trials": 100, "seed": 42, "tol": 1e-10}
+
+
 def cmd_verify(args) -> int:
-    return _print_checks(SUITES[args.suite](args.trials, args.seed, args.tol))
+    given = {flag: getattr(args, flag) for flag in VERIFY_DEFAULTS}
+    ignored = [f"--{flag}" for flag in IGNORED_FLAGS.get(args.suite, ()) if given[flag] is not None]
+    if ignored:
+        raise ValueError(f"suite {args.suite} ignores {', '.join(ignored)}")
+    trials, seed, tol = (VERIFY_DEFAULTS[f] if v is None else v for f, v in given.items())
+    return _print_checks(SUITES[args.suite](trials, seed, tol))
 
 
 def cmd_figure(args) -> int:
@@ -228,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10")
+    p.add_argument("--seed", type=int, default=None, help="default 42")
+    p.add_argument("--trials", type=_positive_int, default=None, help="default 100")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("figure", parents=[output], help="emit figure data as CSV")

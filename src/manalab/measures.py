@@ -106,23 +106,20 @@ def sum_negativity(rho: DensityState) -> float:
 
 def purity_bound(rho: DensityState) -> float:
     """(1/2) log(D tr rho^2): an upper bound on mana."""
-    mat, dims = _unpack(rho)
-    purity = float(np.trace(mat @ mat).real)
-    return 0.5 * math.log(np.prod(dims) * purity)
+    return 0.5 * math.log(np.prod(rho.dims) * rho.purity())
 
 
-def _require_bipartite(rho: DensityState):
-    if len(rho.dims) != 2:
-        raise NotBipartite(f"state has {len(rho.dims)} subsystems, need 2")
+def _mutual(measure, rho_ab: DensityState, *args) -> float:
+    """f(ab) - f(a) - f(b); partial_trace rejects a state that is not bipartite."""
+    return (
+        measure(rho_ab, *args)
+        - measure(partial_trace(rho_ab, 0), *args)
+        - measure(partial_trace(rho_ab, 1), *args)
+    )
 
 
 def mutual_mana(rho_ab: DensityState) -> float:
-    _require_bipartite(rho_ab)
-    return (
-        mana(rho_ab)
-        - mana(partial_trace(rho_ab, 0))
-        - mana(partial_trace(rho_ab, 1))
-    )
+    return _mutual(mana, rho_ab)
 
 
 def l1_magic(rho: DensityState) -> float:
@@ -131,13 +128,12 @@ def l1_magic(rho: DensityState) -> float:
     return float(np.abs(char_function(mat, dims)).sum())
 
 
+def log_l1(rho: DensityState) -> float:
+    return math.log(l1_magic(rho))
+
+
 def mutual_l1(rho_ab: DensityState) -> float:
-    _require_bipartite(rho_ab)
-    return (
-        math.log(l1_magic(rho_ab))
-        - math.log(l1_magic(partial_trace(rho_ab, 0)))
-        - math.log(l1_magic(partial_trace(rho_ab, 1)))
-    )
+    return _mutual(log_l1, rho_ab)
 
 
 def sre_alpha(rho: DensityState, alpha: float) -> float:
@@ -164,12 +160,7 @@ def mutual_sre(rho_ab: DensityState, alpha: float) -> float:
     Coincides with the comparison-table closed forms only where the output
     marginals are maximally mixed; see the module docstring.
     """
-    _require_bipartite(rho_ab)
-    return (
-        sre_alpha(rho_ab, alpha)
-        - sre_alpha(partial_trace(rho_ab, 0), alpha)
-        - sre_alpha(partial_trace(rho_ab, 1), alpha)
-    )
+    return _mutual(sre_alpha, rho_ab, alpha)
 
 
 def von_neumann_entropy(rho: DensityState) -> float:
@@ -185,7 +176,6 @@ def von_neumann_entropy(rho: DensityState) -> float:
 
 
 def mutual_information(rho_ab: DensityState) -> float:
-    _require_bipartite(rho_ab)
     return (
         von_neumann_entropy(partial_trace(rho_ab, 0))
         + von_neumann_entropy(partial_trace(rho_ab, 1))
@@ -228,6 +218,10 @@ def _params_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", basis, h))
 
 
+# nonlocal_mana_upper stops restarting once its best bound is this close to 0
+EXIT_TOL = 1e-12
+
+
 def _split_dims(dims):
     n = len(dims)
     if n % 2 != 0:
@@ -243,7 +237,6 @@ def nonlocal_mana_upper(
     restarts: int = 32,
     seed: int = 42,
     maxfev: int = 600,
-    exit_tol: float = 1e-12,
 ) -> float:
     """Certified upper bound on the local-unitary minimum of mana.
 
@@ -252,7 +245,7 @@ def nonlocal_mana_upper(
     pair are always in the candidate set, so the result never exceeds
     mana(rho_ab).  Deterministic given the seed (restart seeds are spawned
     from it); restarts are independent and stop early once the running best
-    drops below exit_tol (the objective is nonnegative up to roundoff).
+    drops below EXIT_TOL (the objective is nonnegative up to roundoff).
 
     For states with 2k subsystems the bipartition is first half vs second
     half of dims.
@@ -295,11 +288,11 @@ def nonlocal_mana_upper(
         starts.append(rng.normal(scale=math.pi / 2.0, size=nparams))
 
     for x0 in starts:
-        if best <= exit_tol:
+        if best <= EXIT_TOL:
             break
         val0 = objective(x0)
         best = min(best, val0)
-        if best <= exit_tol:
+        if best <= EXIT_TOL:
             break
         res = minimize(
             objective,
@@ -312,10 +305,6 @@ def nonlocal_mana_upper(
 
 
 # --- reports ----------------------------------------------------------------
-
-
-def log_l1(rho: DensityState) -> float:
-    return math.log(l1_magic(rho))
 
 
 def sre2(rho: DensityState) -> float:

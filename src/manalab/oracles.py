@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as mz
-from .circuits import apply_beamsplitter, csum_spec
+from .circuits import beamsplitter_output, csum_spec
 from .errors import BadParams
-from .states import DensityState, PureVector, named_state, noisy_mix, tensor
+from .states import DensityState, PureVector, named_state, noisy_mix
 
 SQRT3 = math.sqrt(3.0)
 
@@ -400,10 +400,7 @@ def csum_output(psi: str | PureVector, p: float, params=()) -> DensityState:
     """Noisy input (a named state or a vector), pushed through the qutrit controlled-SUM."""
     if not isinstance(psi, PureVector):
         psi = named_state(psi, params)
-    rho = noisy_mix(psi, p)
-    vac = named_state("basis", [0], dim=3).density()
-    out = apply_beamsplitter(csum_spec(3), tensor(rho, vac))
-    return DensityState((3, 3), out, validate=False)
+    return beamsplitter_output(csum_spec(3), noisy_mix(psi, p))
 
 
 def _numeric_measure(measure: str, out: DensityState) -> tuple[float, str]:
@@ -432,18 +429,16 @@ def numeric_for(oid: OracleId) -> tuple[float, str]:
     raise BadParams(f"unknown oracle {name!r}")
 
 
-def threshold_by_bisection(
-    psi_name: str, level: float = 1e-9, iters: int = 60, params=()
-) -> float:
-    """Smallest p at which the output mutual mana exceeds `level`."""
+def threshold_by_bisection(psi_name: str, level: float = 1e-9) -> float:
+    """Smallest p at which the output mutual mana exceeds `level`, to 60 halvings."""
 
     def f(p):
-        return mz.mutual_mana(csum_output(psi_name, p, params=params)) - level
+        return mz.mutual_mana(csum_output(psi_name, p)) - level
 
     lo, hi = 0.0, 1.0
     if f(lo) > 0:
         return lo
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             hi = mid

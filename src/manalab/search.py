@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import maximum_filter
 
-from .circuits import apply_beamsplitter
+from .circuits import beamsplitter_output
 from .errors import BetaDeltaZero, DimensionTooLarge
 from .measures import mana, mutual_mana
 from .phasespace import _dim, phase_point_stack
-from .states import DensityState, PureVector, named_state, tensor
+from .states import PureVector
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -235,7 +235,4 @@ def mutual_mana_coherent_equals_mana(dim, theta: PhaseVector, spec) -> tuple[flo
         raise BetaDeltaZero(f"beta*delta = 0 mod {d}")
     psi = PureVector(d, theta.amplitudes())
     rho_in = psi.density()
-    vac = named_state("basis", [0], dim=d).density()
-    out = apply_beamsplitter(spec, tensor(rho_in, vac))
-    out_state = DensityState((d, d), out, validate=False)
-    return mutual_mana(out_state), mana(rho_in)
+    return mutual_mana(beamsplitter_output(spec, rho_in)), mana(rho_in)

@@ -95,10 +95,6 @@ class DensityState:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -196,6 +192,11 @@ def noisy_mix(psi: PureVector, p: float) -> DensityState:
 def tensor(a: DensityState, b: DensityState) -> DensityState:
     """Kronecker product; subsystem a indexes the slower-varying axis."""
     return DensityState(a.dims + b.dims, np.kron(a.matrix, b.matrix), validate=False)
+
+
+def conjugate(u: np.ndarray, rho: DensityState) -> DensityState:
+    """Unitary image u rho u^dag with rho's dims; a unitary keeps the state valid."""
+    return DensityState(rho.dims, u @ rho.matrix @ u.conj().T, validate=False)
 
 
 def partial_trace(rho: DensityState, keep) -> DensityState:

@@ -1,0 +1,53 @@
+"""Layout rules checked on the source: where validation may be skipped, what the closed forms use."""
+
+import ast
+import builtins
+from pathlib import Path
+
+import manalab
+
+SRC = Path(manalab.__file__).parent
+
+
+def test_validate_false_only_inside_states():
+    # states.tensor and states.conjugate build unchecked results from valid
+    # inputs; every other module gets its unchecked states from them
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and path.stem != "states":
+                outside += [
+                    f"{path.name}:{node.lineno}"
+                    for kw in node.keywords
+                    if kw.arg == "validate" and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
+                ]
+    assert outside == []
+
+
+CLOSED_FORMS = {
+    "shannon_entropy", "_check_p", "example1", "example2", "example3", "example4",
+    "_example5_f", "example5", "example6", "ml1_h", "msre2_h", "table1_cell", "p_crit",
+    "closed_form",
+}
+ALLOWED_GLOBALS = {"math", "cmath", "SQRT3", "BadParams", "OracleId"} | CLOSED_FORMS
+
+
+def _free_names(func: ast.FunctionDef) -> set[str]:
+    """Names a function reads that it neither binds nor takes from builtins."""
+    bound, read = set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.FunctionDef):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name):
+            (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+    return read - bound - set(dir(builtins))
+
+
+def test_closed_forms_use_only_math():
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert CLOSED_FORMS <= set(funcs)
+    used = {name: _free_names(funcs[name]) - ALLOWED_GLOBALS for name in sorted(CLOSED_FORMS)}
+    assert used == {name: set() for name in sorted(CLOSED_FORMS)}

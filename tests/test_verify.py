@@ -64,3 +64,32 @@ def test_suites_draw_checks_from_worst(monkeypatch):
         made.clear()
         checks = verify.SUITES[name](1, 5, 1e-10)
         assert checks == made and all(c.ok for c in checks), name
+
+
+@pytest.mark.parametrize(
+    "argv", [["prop2", "--tol", "1"], ["table1", "--trials", "5"], ["appg", "--tol", "1"], ["oracles", "--tol", "0"]]
+)
+def test_flag_the_suite_ignores_is_a_usage_error(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ignores {argv[1]}" in captured.err
+
+
+def test_flag_the_suite_reads_is_applied(capsys):
+    assert main(["verify", "thm1", "--tol", "1e-9", "--trials", "2"]) == 0
+    assert "(tol 1.0e-09)" in capsys.readouterr().out
+
+
+def test_absent_flags_take_the_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setitem(verify.SUITES, "prop1", lambda *args: seen.append(args) or [Check.worst("c", [0.0], 0.0)])
+    assert main(["verify", "prop1"]) == 0
+    assert main(["verify", "prop1", "--seed", "7"]) == 0
+    assert seen == [(100, 42, 1e-10), (100, 7, 1e-10)]
+
+
+def test_table1_writes_nothing_itself(capsys):
+    checks = verify.SUITES["table1"](1, 0, 0.0)
+    assert capsys.readouterr().out == ""
+    note = {c.name: c.detail for c in checks}["table cell m_sre2/S on 101-point grid"]
+    assert "global=0.693147, mutual composition=0.117783, marginal offset=0.575364" in note
