@@ -149,15 +149,35 @@ def clifford_gate(dim, name: str) -> np.ndarray:
     raise UnknownGate(f"unknown gate {name!r}")
 
 
+def _weyl_image(spec: BeamsplitterSpec, k1, l1, k2, l2):
+    """(k1, l1, k2, l2) of B_G (D(k1,l1) x D(k2,l2)) B_G^dag, for ints or integer arrays."""
+    d = spec.dim
+    a, b, c, dl, g = spec.alpha, spec.beta, spec.gamma, spec.delta, spec.g
+    return (
+        (g * (dl * k1 - c * k2)) % d,
+        (a * l1 + b * l2) % d,
+        (g * (a * k2 - b * k1)) % d,
+        (dl * l2 + c * l1) % d,
+    )
+
+
 def conjugate_weyl(spec: BeamsplitterSpec, p1, p2) -> tuple[PhasePoint, PhasePoint]:
     """Index map of B_G (D_p1 x D_p2) B_G^dag; the phase is exactly 1."""
+    k1, l1, k2, l2 = _weyl_image(spec, *_point(p1, spec.dim), *_point(p2, spec.dim))
+    return PhasePoint(k1, l1), PhasePoint(k2, l2)
+
+
+def phase_permutation(spec: BeamsplitterSpec) -> np.ndarray:
+    """conjugate_weyl as a permutation of the d^4 flat two-qudit phase-space indices.
+
+    Index ((k1*d + l1)*d + k2)*d + l2 maps to the index of the image pair.
+    B_G is a Clifford permutation commuting with parity, so it maps D(p) to
+    D(Sp) and A(p) to A(Sp): an output table is its input table moved by
+    this map, out[perm] = in (Gross, J. Math. Phys. 47, 122107 (2006)).
+    """
     d = spec.dim
-    k1, l1 = _point(p1, d)
-    k2, l2 = _point(p2, d)
-    a, b, c, dl, g = spec.alpha, spec.beta, spec.gamma, spec.delta, spec.g
-    q1 = PhasePoint((g * (dl * k1 - c * k2)) % d, (a * l1 + b * l2) % d)
-    q2 = PhasePoint((g * (a * k2 - b * k1)) % d, (dl * l2 + c * l1) % d)
-    return q1, q2
+    k1, l1, k2, l2 = _weyl_image(spec, *np.indices((d, d, d, d)))
+    return (((k1 * d + l1) * d + k2) * d + l2).ravel()
 
 
 def heisenberg_pullback(spec: BeamsplitterSpec, side: str, pt) -> np.ndarray:
@@ -225,5 +245,7 @@ def apply_beamsplitter(spec: BeamsplitterSpec, rho_in) -> "np.ndarray":
 
 def beamsplitter_output(spec: BeamsplitterSpec, rho: DensityState) -> DensityState:
     """B_G (rho x |0><0|) B_G^dag: a single-qudit input with the vacuum ancilla."""
+    if rho.dims != (spec.dim,):
+        raise ValueError(f"B_G at d={spec.dim} takes a single {spec.dim}-level input, got dims {rho.dims}")
     vacuum = named_state("basis", [0], dim=spec.dim).density()
     return conjugate(beamsplitter(spec), tensor(rho, vacuum))

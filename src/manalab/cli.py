@@ -10,7 +10,6 @@ significant digits, '.' decimals, and '\\n' line endings.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -20,10 +19,11 @@ import numpy as np
 
 from . import measures as mz
 from . import oracles
+from .circuits import csum_spec
 from .errors import ManalabError
 from .measures import LogBase
 from .search import max_mana_coherent
-from .states import DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
+from .states import DensityState, maximally_mixed, named_state, noisy_matrices, noisy_mix, state_from_json
 from .verify import IGNORED_FLAGS, SUITES, Check
 
 
@@ -89,22 +89,32 @@ def figure_rows(figure_id: str) -> tuple[list[str], list[list[float]]]:
     if fig is None:
         raise ValueError(f"unknown figure id {figure_id!r}")
     axes = ([("p", fig.p_axis)] if fig.p_axis is not None else []) + ([fig.family] if fig.family else [])
-    # (input state, measure function) per column; a table column label picks
+    # (input state, registry measure) per column; a table column label picks
     # each measure's state variant
     columns = [
         (
             oracles._table_state_name(m, fig.state) if fig.state in oracles.TABLE_STATES else fig.state,
-            oracles.row_measure(m),
+            oracles.TABLE_ROW_MEASURES[m],
         )
         for m in fig.measures
     ]
-    inputs = dict.fromkeys(state for state, _ in columns)
+    family = fig.family[1] if fig.family else [None]
+    # amplitude rows of each state variant over the family axis
+    amplitudes = {
+        state: np.stack([named_state(state, () if x is None else (float(x),)).amplitudes for x in family])
+        for state in dict.fromkeys(state for state, _ in columns)
+    }
+    spec = csum_spec(3)
     rows = []
-    for point in itertools.product(*(values for _, values in axes)):
-        p = float(point[0]) if fig.p_axis is not None else 1.0
-        params = (float(point[-1]),) if fig.family else ()
-        outs = {state: oracles.csum_output(state, p, params=params) for state in inputs}
-        rows.append([*point, *(fn(outs[state]) for state, fn in columns)])
+    # one block of inputs per noise value keeps memory flat
+    for p in fig.p_axis if fig.p_axis is not None else [1.0]:
+        block = {
+            state: mz.output_measures(spec, noisy_matrices(amps, float(p)), [n for s, n in columns if s == state])
+            for state, amps in amplitudes.items()
+        }
+        lead = [p] if fig.p_axis is not None else []
+        for x, *values in zip(family, *(block[state][name].tolist() for state, name in columns)):
+            rows.append([*lead, *([x] if fig.family else []), *values])
     return [name for name, _ in axes] + list(fig.measures), rows
 
 

@@ -24,6 +24,11 @@ state rather than with the mutual composition above; the two agree exactly
 when the output marginals are maximally mixed.  The oracle layer documents
 and reports this split.
 
+output_measures evaluates mutual mana, mutual L1, SRE2 and I of beamsplitter
+outputs B_G (rho x |0><0|) B_G^dag for a block of inputs from permuted
+single-qudit tables, without forming the output state; the per-state
+functions above are its reference.
+
 nonlocal_mana_upper certifies upper bounds on the minimum of mana over
 local-unitary orbits by seeded random-restart Nelder-Mead descent over
 exp(i H_a) x exp(i H_b), with the identity and the marginal-diagonalizing
@@ -39,9 +44,18 @@ import numpy as np
 from scipy.linalg import logm
 from scipy.optimize import minimize
 
+from .circuits import BeamsplitterSpec, phase_permutation
 from .errors import AlphaOne, NegativeEigenvalue, NotBipartite
-from .phasespace import _kernel_transform, char_function, phase_point_stack, wigner
-from .states import DensityState, partial_trace
+from .phasespace import (
+    _char_values,
+    _from_wigner,
+    _kernel_transform,
+    _wigner_values,
+    char_function,
+    phase_point_stack,
+    wigner,
+)
+from .states import DensityState, check_density, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
 
@@ -147,11 +161,15 @@ def sre_alpha(rho: DensityState, alpha: float) -> float:
     if abs(alpha - 1.0) < 1e-12:
         raise AlphaOne("alpha = 1 is not admissible")
     mat, dims = _unpack(rho)
-    total = float(np.prod(dims))
-    xi = np.abs(char_function(mat, dims)) ** 2 / total
-    s1 = float(xi.sum())  # equals tr rho^2
-    s_alpha = float((xi**alpha).sum())
-    return (math.log(s_alpha) - math.log(s1)) / (1.0 - alpha) - math.log(total)
+    return float(_sre(char_function(mat, dims), float(np.prod(dims)), alpha))
+
+
+def _sre(chi: np.ndarray, total: float, alpha: float, axes=None) -> np.ndarray:
+    """SRE_alpha from characteristic values chi, reduced over `axes` (all by default)."""
+    xi = np.abs(chi) ** 2 / total
+    s1 = xi.sum(axis=axes)  # equals tr rho^2
+    s_alpha = (xi**alpha).sum(axis=axes)
+    return (np.log(s_alpha) - np.log(s1)) / (1.0 - alpha) - math.log(total)
 
 
 def mutual_sre(rho_ab: DensityState, alpha: float) -> float:
@@ -166,13 +184,17 @@ def mutual_sre(rho_ab: DensityState, alpha: float) -> float:
 def von_neumann_entropy(rho: DensityState) -> float:
     """-tr(rho log rho) with eigenvalues in [-1e-8, 0) clipped to zero."""
     mat, _ = _unpack(rho)
-    eigs = np.linalg.eigvalsh(mat)
+    return float(_entropies(mat))
+
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy of one matrix or of each matrix in a stack (..., D, D)."""
+    eigs = np.linalg.eigvalsh(mats)
     lo = float(eigs.min())
     if lo < -1e-8:
         raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below -1e-8")
     eigs = np.clip(eigs, 0.0, None)
-    pos = eigs[eigs > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return -(eigs * np.log(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)
 
 
 def mutual_information(rho_ab: DensityState) -> float:
@@ -329,6 +351,70 @@ MEASURES = {
     "mutual_l1": (mutual_l1, True),
     "mutual_sre2": (mutual_sre2, True),
 }
+
+
+# registry names output_measures evaluates without forming the d^2 x d^2 output
+OUTPUT_MEASURES = ("mutual_mana", "mutual_l1", "sre2", "mutual_information")
+
+
+def _output_table(perm: np.ndarray, table: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
+    """Two-qudit table of B_G (rho x |0><0|) B_G^dag: the product table moved by perm.
+
+    table has shape (n, d^2), vacuum (d^2,); the result (n, d^2, d^2) is
+    indexed [p_a, p_b] with p = k*d + l.
+    """
+    n, dd = table.shape
+    out = np.empty((n, dd * dd), dtype=table.dtype)
+    out[:, perm] = (table[:, :, None] * vacuum).reshape(n, dd * dd)
+    return out.reshape(n, dd, dd)
+
+
+def _log_abs_sum(values: np.ndarray, axes) -> np.ndarray:
+    return np.log(np.abs(values).sum(axis=axes))
+
+
+def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray]:
+    """Registry measures of B_G (rho x |0><0|) B_G^dag for each rho of an (n, d, d) stack.
+
+    No d^2 x d^2 output is formed.  The output's Wigner and characteristic
+    tables are the products of the input's and the vacuum's single-qudit
+    tables, moved by circuits.phase_permutation.  Marginal Wigner tables are
+    their sums over the other subsystem, marginal characteristic functions
+    the D(0) slices [:, 0] and [0, :].  For I, S(ab) = S(rho) because B_G is
+    unitary and the vacuum pure, and the marginal matrices are rebuilt from
+    the marginal Wigner tables.
+
+    The inputs get DensityState's checks (states.check_density).  names is
+    a subset of OUTPUT_MEASURES; each value is an array of n natural-log
+    values equal to MEASURES[name][0](beamsplitter_output(spec, rho)) up to
+    rounding.
+    """
+    d = spec.dim
+    mats = np.asarray(rhos, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (d, d):
+        raise ValueError(f"B_G at d={d} takes single {d}-level inputs, got an array of shape {mats.shape}")
+    unknown = [name for name in names if name not in OUTPUT_MEASURES]
+    if unknown:
+        raise ValueError(f"output_measures does not evaluate {unknown[0]!r}")
+    check_density(mats)
+    perm = phase_permutation(spec)
+    vacuum = np.zeros((d, d), dtype=complex)
+    vacuum[0, 0] = 1.0
+    values = {}
+    if {"mutual_mana", "mutual_information"} & set(names):
+        w = _output_table(perm, _wigner_values(mats, (d,)), _wigner_values(vacuum, (d,)))
+        w_a, w_b = w.sum(axis=2), w.sum(axis=1)
+        values["mutual_mana"] = _log_abs_sum(w, (1, 2)) - _log_abs_sum(w_a, 1) - _log_abs_sum(w_b, 1)
+    if {"mutual_l1", "sre2"} & set(names):
+        chi = _output_table(perm, _char_values(mats, (d,)), _char_values(vacuum, (d,)))
+        values["mutual_l1"] = (
+            _log_abs_sum(chi, (1, 2)) - _log_abs_sum(chi[:, :, 0], 1) - _log_abs_sum(chi[:, 0, :], 1)
+        )
+        values["sre2"] = _sre(chi, float(d * d), 2.0, (1, 2))
+    if "mutual_information" in names:
+        marginals = _entropies(_from_wigner(np.stack([w_a, w_b]), (d,)))
+        values["mutual_information"] = marginals.sum(axis=0) - _entropies(mats)
+    return {name: values[name] for name in names}
 
 
 def measure_report(rho: DensityState, names, base: LogBase | str = "e", state_id: str = "state") -> MeasureReport:

@@ -205,17 +205,56 @@ def _unpack_state(rho, dims):
 def _kernel_transform(mat: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
     """Contract rho against one operator stack per subsystem.
 
-    stacks[i] has shape (d_i^2, d_i, d_i) with entry [p] an operator O_p; the
-    result has one length-d_i^2 axis per subsystem holding tr(rho O_p1 x O_p2 ...).
+    mat is one D x D matrix or a stack of them, shape (..., D, D).  stacks[i]
+    has shape (d_i^2, d_i, d_i) with entry [p] an operator O_p; the result
+    keeps mat's leading axes, then has one length-d_i^2 axis per subsystem
+    holding tr(rho O_p1 x O_p2 ...).
     """
     n = len(dims)
-    t = mat.reshape(*(dims + dims))
-    # interleave to (r1, c1, r2, c2, ...)
-    t = t.transpose([x for i in range(n) for x in (i, n + i)])
+    nb = mat.ndim - 2
+    t = mat.reshape(mat.shape[:nb] + dims + dims)
+    # interleave to (batch..., r1, c1, r2, c2, ...)
+    t = t.transpose([*range(nb)] + [nb + x for i in range(n) for x in (i, n + i)])
+    axes = ([nb, nb + 1], [2, 1])  # t[..., r, c, rest...] with O[p, r', c']: tr picks O[c, r]
     for stack in stacks:
-        # t[r, c, rest...] with O[p, r', c']: tr picks O[c, r]
-        t = np.tensordot(t, stack, axes=([0, 1], [2, 1]))
+        t = np.tensordot(t, stack, axes=axes)
     return t
+
+
+def _wigner_values(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """tr(rho A_p1 x A_p2 ...) / D for one matrix or a stack (..., D, D).
+
+    Real array with the _kernel_transform axes; raises ImaginaryResidue if
+    any trace carries imaginary weight above 1e-8 (non-Hermitian input).
+    """
+    stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
+    table = _kernel_transform(mat, dims, stacks) / np.prod(dims)
+    worst = float(np.abs(table.imag).max())
+    if worst > REAL_ERROR_TOL:
+        raise ImaginaryResidue(f"max |Im tr(rho A)| = {worst:.3e} exceeds {REAL_ERROR_TOL}")
+    return table.real
+
+
+def _char_values(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """tr(rho D_p1 x D_p2 ...) for one matrix or a stack (..., D, D)."""
+    stacks = [weyl_stack(d).reshape(d * d, d, d) for d in dims]
+    return _kernel_transform(mat, dims, stacks)
+
+
+def _from_wigner(values: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _wigner_values: sum_p W(p) A_p1 x A_p2 ... as (..., D, D) matrices.
+
+    values has shape (..., d1^2, d2^2, ...).
+    """
+    n = len(dims)
+    nb = values.ndim - n
+    t = values
+    for d in dims:
+        # consumes the leading p axis and appends that subsystem's (r, c)
+        t = np.tensordot(t, phase_point_stack(d).reshape(d * d, d, d), axes=([nb], [0]))
+    t = t.transpose([*range(nb), *(nb + 2 * i for i in range(n)), *(nb + 2 * i + 1 for i in range(n))])
+    total = int(np.prod(dims))
+    return t.reshape(*values.shape[:nb], total, total)
 
 
 def wigner(rho, dims=None) -> WignerTable:
@@ -227,31 +266,16 @@ def wigner(rho, dims=None) -> WignerTable:
     below that are checked against 1e-10 and discarded.
     """
     mat, dims = _unpack_state(rho, dims)
-    stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
-    table = _kernel_transform(mat, dims, stacks) / np.prod(dims)
-    worst = float(np.abs(table.imag).max())
-    if worst > REAL_ERROR_TOL:
-        raise ImaginaryResidue(f"max |Im tr(rho A)| = {worst:.3e} exceeds {REAL_ERROR_TOL}")
     shape = tuple(x for d in dims for x in (d, d))
-    return WignerTable(dims, table.real.reshape(shape))
+    return WignerTable(dims, _wigner_values(mat, dims).reshape(shape))
 
 
 def reconstruct(table: WignerTable):
     """Rebuild the density state rho = sum_p W(p) A_p1 x A_p2 x ... ."""
     from .states import DensityState  # local import to avoid a module cycle
 
-    dims = table.dims
-    n = len(dims)
-    flat = table.values.reshape([d * d for d in dims])
-    stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
-    total = int(np.prod(dims))
-    mat = np.zeros((total, total), dtype=complex)
-    for idx in np.ndindex(*flat.shape):
-        op = stacks[0][idx[0]]
-        for i in range(1, n):
-            op = np.kron(op, stacks[i][idx[i]])
-        mat += flat[idx] * op
-    return DensityState(dims, mat)
+    flat = table.values.reshape([d * d for d in table.dims])
+    return DensityState(table.dims, _from_wigner(flat, table.dims))
 
 
 def char_function(rho, dims=None) -> np.ndarray:
@@ -261,5 +285,4 @@ def char_function(rho, dims=None) -> np.ndarray:
     p = k*d + l corresponds to D(k,l).
     """
     mat, dims = _unpack_state(rho, dims)
-    stacks = [weyl_stack(d).reshape(d * d, d, d) for d in dims]
-    return _kernel_transform(mat, dims, stacks)
+    return _char_values(mat, dims)

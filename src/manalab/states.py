@@ -67,6 +67,24 @@ class PureVector:
         return DensityState(dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def check_density(mats: np.ndarray) -> None:
+    """Require Hermitian, unit-trace, positive matrices: one (D, D) or a stack (..., D, D).
+
+    Raises ValueError for a Hermiticity deviation (the stack's largest) or a
+    trace (the first) beyond HERM_TOL, NegativeEigenvalue for the stack's
+    lowest eigenvalue below EIG_FLOOR.
+    """
+    herm = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
+    if herm > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
+    for tr in np.ravel(mats.trace(axis1=-2, axis2=-1)).tolist():
+        if abs(tr - 1.0) > HERM_TOL:
+            raise ValueError(f"trace is {tr}, not 1")
+    lo = float(np.linalg.eigvalsh(mats).min())
+    if lo < EIG_FLOOR:
+        raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Positive unit-trace operator tagged with its subsystem dimensions."""
@@ -82,15 +100,7 @@ class DensityState:
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} != ({total},{total})")
         if self.validate:
-            herm = float(np.abs(mat - mat.conj().T).max())
-            if herm > HERM_TOL:
-                raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > HERM_TOL:
-                raise ValueError(f"trace is {tr}, not 1")
-            lo = float(np.linalg.eigvalsh(mat).min())
-            if lo < EIG_FLOOR:
-                raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
+            check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -182,11 +192,15 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
 
 def noisy_mix(psi: PureVector, p: float) -> DensityState:
     """Depolarized pure state p|psi><psi| + (1-p) 1/d."""
+    return DensityState((psi.dim,), noisy_matrices(psi.amplitudes, p))
+
+
+def noisy_matrices(amps: np.ndarray, p: float) -> np.ndarray:
+    """p|psi><psi| + (1-p) 1/d for each amplitude row of amps, shape (..., d) -> (..., d, d)."""
     if not (0.0 <= p <= 1.0):
         raise ParamOutOfRange(f"p={p} outside [0, 1]")
-    d = psi.dim
-    mat = p * np.outer(psi.amplitudes, psi.amplitudes.conj()) + (1.0 - p) * np.eye(d) / d
-    return DensityState((d,), mat)
+    d = amps.shape[-1]
+    return p * (amps[..., :, None] * amps[..., None, :].conj()) + (1.0 - p) * np.eye(d) / d
 
 
 def tensor(a: DensityState, b: DensityState) -> DensityState:

@@ -51,3 +51,17 @@ def test_closed_forms_use_only_math():
     assert CLOSED_FORMS <= set(funcs)
     used = {name: _free_names(funcs[name]) - ALLOWED_GLOBALS for name in sorted(CLOSED_FORMS)}
     assert used == {name: set() for name in sorted(CLOSED_FORMS)}
+
+
+def test_figure_rows_stay_off_the_dense_output_path():
+    # the figures are computed from permuted single-qudit tables
+    # (measures.output_measures); the per-state dense output is the reference
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "figure_rows"]
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert called & {"csum_output", "beamsplitter_output", "DensityState"} == set()
+    assert "output_measures" in called
