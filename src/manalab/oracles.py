@@ -2,9 +2,10 @@
 
 The formulas here are transcribed arithmetic (math/cmath only) sharing no
 numerical machinery with the measures path, so the two sides check each
-other.  `oracle_vs_numeric` builds the concrete input state, pushes it
-through the qutrit controlled-SUM beamsplitter, evaluates the matching
-numeric measure, and reports both values with their difference; it never
+other.  `oracle_vs_numeric` evaluates the matching measure of the qutrit
+controlled-SUM output of the concrete noisy input with output_measures, the
+figures' path, which forms no output state (`csum_output` is the dense
+reference), and reports both values with their difference; it never
 auto-resolves a discrepancy.
 
 Two conventions behind the encoded closed forms matter when pairing them
@@ -28,12 +29,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import measures as mz
 from .circuits import beamsplitter_output, csum_spec
 from .errors import BadParams
-from .states import DensityState, PureVector, named_state, noisy_mix
+from .states import DensityState, PureVector, named_state, noisy_matrices, noisy_mix
 
 SQRT3 = math.sqrt(3.0)
 
@@ -389,11 +388,15 @@ def _table_state_name(measure: str, state: str) -> str:
     return STATE_NAMES[state]
 
 
-def row_measure(measure: str):
-    """The registry function a table row's closed forms are paired with."""
+def _row_name(measure: str) -> str:
     if measure not in TABLE_ROW_MEASURES:
         raise BadParams(f"unknown measure {measure!r}")
-    return mz.MEASURES[TABLE_ROW_MEASURES[measure]][0]
+    return TABLE_ROW_MEASURES[measure]
+
+
+def row_measure(measure: str):
+    """The registry function a table row's closed forms are paired with."""
+    return mz.MEASURES[_row_name(measure)][0]
 
 
 def csum_output(psi: str | PureVector, p: float, params=()) -> DensityState:
@@ -403,8 +406,11 @@ def csum_output(psi: str | PureVector, p: float, params=()) -> DensityState:
     return beamsplitter_output(csum_spec(3), noisy_mix(psi, p))
 
 
-def _numeric_measure(measure: str, out: DensityState) -> tuple[float, str]:
-    return row_measure(measure)(out), TABLE_ROW_MEASURES[measure]
+def _row_value(measure: str, psi: PureVector, p: float) -> tuple[float, str]:
+    """(value, registry name) of table row `measure` for noisy psi's controlled-SUM output."""
+    name = _row_name(measure)
+    values = mz.output_measures(csum_spec(3), noisy_matrices(psi.amplitudes[None], p), [name])
+    return float(values[name][0]), name
 
 
 def numeric_for(oid: OracleId) -> tuple[float, str]:
@@ -412,17 +418,15 @@ def numeric_for(oid: OracleId) -> tuple[float, str]:
     name = oid.name
     if name == "ex1":
         *mu, p = oid.params
-        return _numeric_measure("m_mana", csum_output(PureVector(3, np.array(mu, dtype=complex)), p))
+        return _row_value("m_mana", PureVector(3, mu), p)
     if name in ("ex2", "ex3", "ex4"):
         *head, p = oid.params
-        return _numeric_measure("m_mana", csum_output(EXAMPLE_FAMILIES[name], p, params=head))
+        return _row_value("m_mana", named_state(EXAMPLE_FAMILIES[name], head), p)
     if name in ("ex5_set", "ex6_set"):
-        out = csum_output(EXAMPLE_FAMILIES[name], 1.0, params=oid.params[:1])
-        return _numeric_measure(oid.labels[0], out)
+        return _row_value(oid.labels[0], named_state(EXAMPLE_FAMILIES[name], oid.params[:1]), 1.0)
     if name == "table1_cell" or name in H_FORMS:
         measure, state = oid.labels if name == "table1_cell" else (H_FORMS[name], "H")
-        out = csum_output(_table_state_name(measure, state), oid.params[0])
-        return _numeric_measure(measure, out)
+        return _row_value(measure, named_state(_table_state_name(measure, state)), oid.params[0])
     if name == "p_crit":
         psi_name = _table_state_name("m_mana", oid.labels[0])
         return threshold_by_bisection(psi_name), f"bisection threshold ({psi_name})"
@@ -431,9 +435,10 @@ def numeric_for(oid: OracleId) -> tuple[float, str]:
 
 def threshold_by_bisection(psi_name: str, level: float = 1e-9) -> float:
     """Smallest p at which the output mutual mana exceeds `level`, to 60 halvings."""
+    psi = named_state(psi_name)
 
     def f(p):
-        return mz.mutual_mana(csum_output(psi_name, p)) - level
+        return _row_value("m_mana", psi, p)[0] - level
 
     lo, hi = 0.0, 1.0
     if f(lo) > 0:
@@ -448,7 +453,7 @@ def threshold_by_bisection(psi_name: str, level: float = 1e-9) -> float:
 
 
 def oracle_vs_numeric(oid: OracleId, tol: float = 1e-9) -> ComparisonRecord:
-    """Compare the closed form against the numeric pipeline; flag if apart."""
+    """Compare the closed form against output_measures' value (numeric_for); flag if apart."""
     oracle_value = closed_form(oid)
     numeric_value, note = numeric_for(oid)
     diff = abs(oracle_value - numeric_value)

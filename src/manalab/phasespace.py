@@ -32,9 +32,7 @@ import numpy as np
 
 from .errors import ImaginaryResidue
 
-# Hermiticity / realness tolerances (see module design notes): soft check at
-# 1e-10, hard error at 1e-8.
-REAL_CHECK_TOL = 1e-10
+# largest imaginary part a Wigner value may carry before ImaginaryResidue
 REAL_ERROR_TOL = 1e-8
 
 
@@ -59,14 +57,6 @@ class PrimeDim:
         if not isinstance(self.d, (int, np.integer)) or not is_odd_prime(int(self.d)):
             raise ValueError(f"dimension must be an odd prime >= 3, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
-
-    @property
-    def omega(self) -> complex:
-        return omega_power(self.d, 1)
-
-    @property
-    def tau(self) -> complex:
-        return tau_power(self.d, 1)
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ def wigner(rho, dims=None) -> WignerTable:
     Accepts a DensityState-like object (with .matrix and .dims) or a raw
     matrix plus explicit dims.  Raises ImaginaryResidue if any tr(rho A)
     carries imaginary weight above 1e-8 (non-Hermitian input); residues
-    below that are checked against 1e-10 and discarded.
+    below that are discarded.
     """
     mat, dims = _unpack_state(rho, dims)
     shape = tuple(x for d in dims for x in (d, d))

@@ -56,7 +56,7 @@ class PureVector:
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > HERM_TOL:
+        if not abs(norm - 1.0) <= HERM_TOL:  # a NaN norm fails too
             raise ValueError(f"vector norm {norm} deviates from 1 beyond {HERM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -74,11 +74,12 @@ def check_density(mats: np.ndarray) -> None:
     trace (the first) beyond HERM_TOL, NegativeEigenvalue for the stack's
     lowest eigenvalue below EIG_FLOOR.
     """
-    herm = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
-    if herm > HERM_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        herm = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
+    if not herm <= HERM_TOL:  # a NaN or infinite entry fails too
         raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
     for tr in np.ravel(mats.trace(axis1=-2, axis2=-1)).tolist():
-        if abs(tr - 1.0) > HERM_TOL:
+        if not abs(tr - 1.0) <= HERM_TOL:
             raise ValueError(f"trace is {tr}, not 1")
     lo = float(np.linalg.eigvalsh(mats).min())
     if lo < EIG_FLOOR:
@@ -315,6 +316,8 @@ def state_from_json(text: str) -> DensityState:
             data = np.array([[complex(re, im) for re, im in row] for row in doc["data"]])
     except TypeError as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
+    if not dims:
+        raise ValueError("state file 'dims' must list at least one subsystem")
     if not np.isfinite(data).all():
         raise ValueError("state data holds a non-finite number (NaN or Infinity)")
     if kind == "pure":

@@ -266,6 +266,23 @@ def test_measure_state_file_malformed_shape(tmp_path, capsys, doc):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    ['{"dims": [], "kind": "mixed", "data": [[[1, 0]]]}', '{"dims": [], "kind": "pure", "data": [[1, 0]]}'],
+    ids=["mixed", "pure"],
+)
+def test_measure_state_file_without_subsystems(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "measure", "--state-file", str(path))
+    assert code == 2 and out == "" and "error:" in err and "dims" in err
+
+
+def test_measure_nan_parameter_fails_validation(capsys):
+    code, out, err = run(capsys, "measure", "--state", "psi_theta", "--params", "nan")
+    assert code == 2 and out == "" and "error: vector norm nan" in err
+
+
 def test_maximize_negative_refine_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["maximize", "--dim", "3", "--grid", "16", "--refine", "-5"])

@@ -25,7 +25,7 @@ from manalab import (
     swap_spec,
     wigner,
 )
-from manalab.circuits import beamsplitter_output, phase_permutation
+from manalab.circuits import beamsplitter_output, phase_permutation, prop3_expectation, prop3_index
 from manalab.cli import FIGURES, figure_rows
 from manalab.errors import ImaginaryResidue, NegativeEigenvalue, ParamOutOfRange
 from manalab.measures import MEASURES, OUTPUT_MEASURES, _output_table, output_measures
@@ -115,6 +115,50 @@ def test_theorem1_every_invertible_g(d, complete):
             # beta*delta = 0: the output is a product, no mana is converted
             assert (manas[:2] - got[:2]).min() > 0.6, spec.g_matrix
     assert full == complete
+
+
+# --- Proposition 3 over every G with beta*delta != 0 ------------------------------
+
+
+def marginal_wigner(spec, mats):
+    """Wigner tables (n, d, d) of both output marginals, summed from the permuted table."""
+    d = spec.dim
+    w = output_tables(spec, mats)[0]
+    return w.sum(axis=2).reshape(-1, d, d), w.sum(axis=1).reshape(-1, d, d)
+
+
+def prop3_deviations(spec, mats):
+    """Worst |d W_a(k,l) - rho[j0,j0]| and |d W_b(k,l) - rho[j1,j1]| over inputs and points,
+    and the worst side-b deviation with the sign of j1 flipped."""
+    d = spec.dim
+    j0 = np.array([prop3_index(spec, "a", k) for k in range(d)])
+    j1 = np.array([prop3_index(spec, "b", k) for k in range(d)])
+    diag = np.einsum("nii->ni", mats).real
+    w_a, w_b = marginal_wigner(spec, mats)
+    worst = max(np.abs(d * w_a - diag[:, j0, None]).max(), np.abs(d * w_b - diag[:, j1, None]).max())
+    return worst, np.abs(d * w_b - diag[:, -j1 % d, None]).max()
+
+
+@pytest.mark.parametrize("d, complete", [(5, 320), (7, 1512)])
+def test_proposition3_every_g_with_beta_delta_nonzero(d, complete):
+    rng = np.random.default_rng(200 + d)
+    rhos = [random_density(d, rng), random_density(d, rng, rank=2), random_pure(d, rng).density()]
+    mats = np.stack([r.matrix for r in rhos])
+    specs = [spec for spec in invertible_specs(d) if (spec.beta * spec.delta) % d]
+    assert len(specs) == complete
+    worst, flipped = np.array([prop3_deviations(spec, mats) for spec in specs]).T
+    assert worst.max() < 1e-12
+    # -j1 points at other diagonal entries, so a wrong index map fails
+    assert flipped.min() > 1e-3
+
+
+@pytest.mark.parametrize("g", [((1, 4), (0, 1)), ((2, 3), (1, 1)), ((0, 1), (4, 2)), ((3, 2), (4, 4))])
+def test_proposition3_permuted_marginals_are_the_dense_expectations(g):
+    spec = BeamsplitterSpec(5, g)
+    rho = random_density(5, np.random.default_rng(17))
+    for side, table in zip("ab", marginal_wigner(spec, rho.matrix[None])):
+        dense = [[prop3_expectation(rho, spec, side, (k, l)) for l in range(5)] for k in range(5)]
+        assert np.abs(5 * table[0] - np.array(dense)).max() < 1e-12
 
 
 # --- against the dense path -----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from manalab import (
     tensor,
     wigner,
 )
+from manalab.circuits import csum_spec
 from manalab.errors import (
     BadParamCount,
     DimensionTooLarge,
@@ -30,6 +32,7 @@ from manalab.errors import (
     ParamOutOfRange,
     UnknownState,
 )
+from manalab.measures import OUTPUT_MEASURES, output_measures
 
 SQRT3 = math.sqrt(3.0)
 
@@ -156,6 +159,34 @@ def test_density_validation():
 def test_pure_vector_norm_check():
     with pytest.raises(ValueError):
         PureVector(3, np.array([1.0, 1.0, 0.0]))
+
+
+# (entry, value) set on both (i, j) and (j, i)
+NON_FINITE = {
+    "nan-off-diagonal": ((0, 1), np.nan),
+    "nan-diagonal": ((0, 0), np.nan),
+    "inf-off-diagonal": ((0, 2), np.inf),
+    "minus-inf-diagonal": ((1, 1), -np.inf),
+}
+
+
+@pytest.mark.parametrize("entry, value", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_entries_fail_validation(entry, value):
+    i, j = entry
+    mixed = np.eye(3, dtype=complex) / 3
+    bad = mixed.copy()
+    bad[i, j] = bad[j, i] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning escapes the check
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityState((3,), bad)
+        with pytest.raises(ValueError, match="Hermitian"):
+            output_measures(csum_spec(3), np.stack([mixed, bad, mixed]), OUTPUT_MEASURES)
+
+
+def test_nan_amplitude_fails_the_norm_check():
+    with pytest.raises(ValueError, match="norm nan"):
+        PureVector(3, np.array([np.nan, 1.0, 0.0]))
 
 
 def test_enumeration_count_and_overlaps():
