@@ -118,15 +118,12 @@ def qutrit_specs() -> dict[str, BeamsplitterSpec]:
 
 
 def beamsplitter(spec: BeamsplitterSpec) -> np.ndarray:
-    """Dense d^2 x d^2 permutation matrix for B_G."""
+    """Dense d^2 x d^2 permutation matrix for B_G: |j1, j2> goes to the k part of _weyl_image."""
     d = spec.dim
-    a, b, c, dl, g = spec.alpha, spec.beta, spec.gamma, spec.delta, spec.g
+    j1, j2 = np.indices((d, d))
+    r1, _, r2, _ = _weyl_image(spec, j1, 0, j2, 0)
     mat = np.zeros((d * d, d * d), dtype=complex)
-    for j1 in range(d):
-        for j2 in range(d):
-            r1 = (g * (dl * j1 - c * j2)) % d
-            r2 = (g * (a * j2 - b * j1)) % d
-            mat[r1 * d + r2, j1 * d + j2] = 1.0
+    mat[r1 * d + r2, j1 * d + j2] = 1.0
     return mat
 
 
@@ -134,14 +131,13 @@ def clifford_gate(dim, name: str) -> np.ndarray:
     """One of the generating gates: z, phase, fourier (d x d), csum, swap (d^2 x d^2)."""
     d = _dim(dim)
     name = str(name).lower()
+    j = np.arange(d)
     if name == "z":
-        return np.diag([omega_power(d, j) for j in range(d)])
+        return np.diag(omega_power(d, j))
     if name == "phase":
-        return np.diag([tau_power(d, j * j) for j in range(d)])
+        return np.diag(tau_power(d, j * j))
     if name == "fourier":
-        return np.array(
-            [[omega_power(d, j * k) for j in range(d)] for k in range(d)]
-        ) / np.sqrt(d)
+        return omega_power(d, np.outer(j, j)) / np.sqrt(d)
     if name == "csum":
         return beamsplitter(csum_spec(d))
     if name == "swap":

@@ -129,17 +129,19 @@ def write_figure_csv(figure_id: str, path: str | None):
 
 
 def _build_state(args) -> DensityState:
+    source = "--state-file" if args.state_file else "--state maxmixed" if args.state == "maxmixed" else None
+    unread = {"--state": args.state if args.state_file else None, "--params": args.params, "--noise": args.noise}
+    given = [flag for flag, value in unread.items() if value is not None]
+    if source and given:
+        raise ValueError(f"measure {source} ignores {', '.join(given)}")
     if args.state_file:
         with open(args.state_file, "r", encoding="utf-8") as fh:
             return state_from_json(fh.read())
-    name = args.state
-    params = [float(x) for x in args.params.split(",")] if args.params else []
-    if name == "maxmixed":
+    if args.state == "maxmixed":
         return maximally_mixed(args.dim)
-    vec = named_state(name, params, dim=args.dim)
-    if args.noise is not None:
-        return noisy_mix(vec, args.noise)
-    return vec.density()
+    params = [float(x) for x in args.params.split(",")] if args.params else []
+    vec = named_state(args.state, params, dim=args.dim)
+    return vec.density() if args.noise is None else noisy_mix(vec, args.noise)
 
 
 def cmd_measure(args) -> int:

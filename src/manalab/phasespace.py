@@ -82,15 +82,16 @@ def _point(pt, d: int) -> tuple[int, int]:
     return k, l
 
 
-def tau_power(d: int, exponent: int) -> complex:
-    """tau^exponent with tau = -exp(i*pi/d); exact in the exponent mod 2d."""
-    m = (int(exponent) * (d + 1)) % (2 * d)
-    return complex(np.exp(1j * np.pi * m / d))
+def tau_power(d: int, exponent):
+    """tau^exponent with tau = -exp(i*pi/d), for an int or an integer array; exact in the exponent mod 2d."""
+    m = (exponent * (d + 1)) % (2 * d)  # a Python int stays exact at any size
+    power = np.exp(1j * (np.pi * m / d))  # a real quotient: complex division by d can miss by an ulp
+    return complex(power) if power.ndim == 0 else power
 
 
-def omega_power(d: int, exponent: int) -> complex:
-    """omega^exponent with omega = exp(2*pi*i/d) = tau^2."""
-    return tau_power(d, 2 * int(exponent))
+def omega_power(d: int, exponent):
+    """omega^exponent with omega = exp(2*pi*i/d) = tau^2, for an int or an integer array."""
+    return tau_power(d, 2 * exponent)
 
 
 def weyl(dim, pt) -> np.ndarray:
@@ -107,42 +108,39 @@ _POINT_CACHE: dict[int, np.ndarray] = {}
 _CACHE_LOCK = threading.Lock()
 
 
+def _cached(cache: dict[int, np.ndarray], d: int, build) -> np.ndarray:
+    stack = cache.get(d)
+    if stack is None:
+        fresh = build(d)
+        fresh.setflags(write=False)
+        with _CACHE_LOCK:
+            stack = cache.setdefault(d, fresh)
+    return stack
+
+
+def _build_weyl_stack(d: int) -> np.ndarray:
+    k, l, j = np.indices((d, d, d))
+    stack = np.zeros((d, d, d, d), dtype=complex)
+    stack[k, l, (j + k) % d, j] = tau_power(d, k * l + 2 * l * j)
+    return stack
+
+
+def _build_phase_point_stack(d: int) -> np.ndarray:
+    k, l, m, n = np.indices((d, d, d, d))
+    return np.einsum("klmn,mnij->klij", omega_power(d, l * m - k * n), weyl_stack(d)) / d
+
+
 def weyl_stack(d: int) -> np.ndarray:
     """All d^2 displacement operators as an array of shape (d, d, d, d).
 
     Entry [k, l] is D(k,l); D(k,l)[(j+k) mod d, j] = tau^(k*l + 2*l*j).
     """
-    d = _dim(d)
-    stack = _WEYL_CACHE.get(d)
-    if stack is None:
-        fresh = np.zeros((d, d, d, d), dtype=complex)
-        for k in range(d):
-            for l in range(d):
-                for j in range(d):
-                    fresh[k, l, (j + k) % d, j] = tau_power(d, k * l + 2 * l * j)
-        fresh.setflags(write=False)
-        with _CACHE_LOCK:
-            stack = _WEYL_CACHE.setdefault(d, fresh)
-    return stack
+    return _cached(_WEYL_CACHE, _dim(d), _build_weyl_stack)
 
 
 def phase_point_stack(d: int) -> np.ndarray:
     """All d^2 phase-space point operators, shape (d, d, d, d), entry [k, l]."""
-    d = _dim(d)
-    stack = _POINT_CACHE.get(d)
-    if stack is None:
-        ds = weyl_stack(d)
-        phases = np.empty((d, d, d, d), dtype=complex)
-        for k in range(d):
-            for l in range(d):
-                for m in range(d):
-                    for n in range(d):
-                        phases[k, l, m, n] = omega_power(d, l * m - k * n)
-        fresh = np.einsum("klmn,mnij->klij", phases, ds) / d
-        fresh.setflags(write=False)
-        with _CACHE_LOCK:
-            stack = _POINT_CACHE.setdefault(d, fresh)
-    return stack
+    return _cached(_POINT_CACHE, _dim(d), _build_phase_point_stack)
 
 
 def phase_point_operator(dim, pt) -> np.ndarray:

@@ -116,6 +116,15 @@ def maximally_mixed(dim, subsystems: int = 1) -> DensityState:
     return DensityState((d,) * subsystems, np.eye(total, dtype=complex) / total)
 
 
+def coherent_amplitudes(thetas) -> np.ndarray:
+    """(1, e^{i theta_1}, ..., e^{i theta_{d-1}})/sqrt(d) for each row of a (..., d-1) block of phases."""
+    thetas = np.asarray(thetas, dtype=float)
+    amps = np.ones(thetas.shape[:-1] + (thetas.shape[-1] + 1,), dtype=complex)
+    amps[..., 1:] = np.exp(1j * thetas)
+    amps /= math.sqrt(amps.shape[-1])  # in place: no second copy of a search block
+    return amps
+
+
 _SQRT3 = math.sqrt(3.0)
 # named states defined only at d = 3 (max_coherent and basis take any odd prime)
 QUTRIT_STATES = ("strange", "norrell", "t", "h", "h_fourier", "phi_lambda", "psi_theta")
@@ -130,7 +139,7 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
         if len(params) != n:
             raise BadParamCount(f"{name} takes {n} parameter(s), got {len(params)}")
 
-    if name in QUTRIT_STATES and int(dim) != 3:
+    if name in QUTRIT_STATES and dim != 3:
         raise ParamOutOfRange(f"{name} is a qutrit state; dim={dim} is not 3")
     if name == "strange":
         need(0)
@@ -177,17 +186,14 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
             PrimeDim(d)
         except ValueError as exc:
             raise ParamOutOfRange(f"{len(params)} phases do not fit an odd prime dimension") from exc
-        amps = np.concatenate([[1.0], np.exp(1j * np.asarray(params))]) / math.sqrt(d)
-        return PureVector(d, amps)
+        return PureVector(d, coherent_amplitudes(params))
     if name == "basis":
         need(1)
-        j = int(params[0])
+        j = params[0]
         d = _dim(dim)
-        if not (0 <= j < d):
-            raise ParamOutOfRange(f"basis index {j} outside [0, {d})")
-        amps = np.zeros(d, dtype=complex)
-        amps[j] = 1.0
-        return PureVector(d, amps)
+        if not (j.is_integer() and 0 <= j < d):
+            raise ParamOutOfRange(f"basis index {j} is not an integer in [0, {d})")
+        return PureVector(d, np.eye(d, dtype=complex)[int(j)])
     raise UnknownState(f"unknown state name {name!r}")
 
 
@@ -238,19 +244,10 @@ def enumerate_stabilizer_pure(dim) -> list[PureVector]:
     d = _dim(dim)
     if d > 7:
         raise DimensionTooLarge(f"stabilizer enumeration capped at d=7, got {d}")
-    states = []
-    for j in range(d):
-        amps = np.zeros(d, dtype=complex)
-        amps[j] = 1.0
-        states.append(PureVector(d, amps))
     inv2 = (d + 1) // 2  # inverse of 2 mod d
-    for r in range(d):
-        for b in range(d):
-            amps = np.array(
-                [omega_power(d, inv2 * r * n * n + b * n) for n in range(d)]
-            ) / math.sqrt(d)
-            states.append(PureVector(d, amps))
-    return states
+    r, b, n = np.indices((d, d, d))
+    mubs = omega_power(d, inv2 * r * n * n + b * n).reshape(d * d, d) / math.sqrt(d)
+    return [PureVector(d, amps) for amps in np.concatenate([np.eye(d, dtype=complex), mubs])]
 
 
 def random_pure(d: int, rng: np.random.Generator) -> PureVector:
@@ -297,6 +294,13 @@ def state_to_json(state) -> str:
     raise TypeError(f"cannot serialize {type(state)!r}")
 
 
+def _integer(x) -> int:
+    """A JSON number with an integral value (3 or 3.0) as an int; anything else is malformed."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"state file 'dims' entries must be integers, got {x!r}")
+    return int(x)
+
+
 def state_from_json(text: str) -> DensityState:
     """Parse the JSON state format; pure vectors are returned as projectors."""
     doc = json.loads(text)
@@ -309,7 +313,7 @@ def state_from_json(text: str) -> DensityState:
     if kind not in ("pure", "mixed"):
         raise ValueError(f"unknown state kind {kind!r}")
     try:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = tuple(map(_integer, doc["dims"]))
         if kind == "pure":
             data = np.array([complex(re, im) for re, im in doc["data"]])
         else:

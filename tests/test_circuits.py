@@ -236,3 +236,21 @@ def test_csum5_valid_and_applicable():
     assert (spec.beta * spec.delta) % 5 != 0
     b = beamsplitter(spec)
     assert np.abs(b @ b.conj().T - np.eye(25)).max() < 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_beamsplitter_matches_the_docstring_basis_map_for_every_invertible_g(d):
+    # B_G |j1, j2> = |g (delta j1 - gamma j2), g (alpha j2 - beta j1)>, g = (det G)^(-1)
+    count = 0
+    for a, b, c, dl in itertools.product(range(d), repeat=4):
+        det = (a * dl - b * c) % d
+        if det == 0:
+            continue
+        g = pow(det, d - 2, d)
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for j1, j2 in itertools.product(range(d), repeat=2):
+            r1, r2 = (g * (dl * j1 - c * j2)) % d, (g * (a * j2 - b * j1)) % d
+            expected[r1 * d + r2, j1 * d + j2] = 1.0
+        assert np.array_equal(beamsplitter(BeamsplitterSpec(d, ((a, b), (c, dl)))), expected)
+        count += 1
+    assert count == d * (d - 1) * (d * d - 1)  # |GL(2, Z_d)|

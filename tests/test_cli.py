@@ -305,3 +305,43 @@ def test_maximize_json_records_refine_sweeps(tmp_path, capsys):
     doc = json.loads(jpath.read_text())
     assert 1 <= doc["refine_sweeps"] <= 30
     assert f"refine sweeps = {doc['refine_sweeps']}" in out
+
+
+@pytest.mark.parametrize(
+    "source,extra,named",
+    [
+        ("file", ["--state", "strange"], ["--state"]),
+        ("file", ["--params", "1"], ["--params"]),
+        ("file", ["--noise", "0.3"], ["--noise"]),
+        ("file", ["--state", "strange", "--noise", "0.3", "--params", "1"], ["--state", "--params", "--noise"]),
+        ("maxmixed", ["--params", "1"], ["--params"]),
+        ("maxmixed", ["--noise", "0.3"], ["--noise"]),
+    ],
+)
+def test_measure_rejects_flags_its_state_source_ignores(tmp_path, capsys, source, extra, named):
+    if source == "file":
+        path = tmp_path / "basis.json"
+        path.write_text(state_to_json(named_state("basis", [0])))
+        argv = ["measure", "--state-file", str(path)]
+    else:
+        argv = ["measure", "--state", "maxmixed"]
+    code, out, _ = run(capsys, *argv, "--measures", "mana")
+    assert code == 0
+    code, out, err = run(capsys, *argv, *extra, "--measures", "mana")
+    assert code == 2 and out == "" and "error:" in err
+    assert all(flag in err for flag in named)
+
+
+@pytest.mark.parametrize("params,code", [("1.7", 2), ("-0.5", 2), ("1.0", 0)])
+def test_measure_basis_index_must_be_an_integer(capsys, params, code):
+    got, out, err = run(capsys, "measure", "--state", "basis", "--params", params, "--measures", "mana")
+    assert got == code
+    assert ("error:" in err and out == "") if code else out.startswith("mana = ")
+
+
+@pytest.mark.parametrize("dims", ["[3.7]", '["3"]'])
+def test_measure_state_file_non_integer_dims(tmp_path, capsys, dims):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": %s, "kind": "pure", "data": [[1, 0], [0, 0], [0, 0]]}' % dims)
+    code, out, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
+    assert code == 2 and out == "" and "dims" in err

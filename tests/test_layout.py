@@ -85,3 +85,47 @@ def test_oracle_pairing_stays_off_the_dense_output_path():
     assert {name: names & dense for name, names in called.items()} == {name: set() for name in called}
     assert "_row_value" in called["numeric_for"] & called["threshold_by_bisection"]
     assert "output_measures" in called["_row_value"]
+
+
+# The operator tables, gates, B_G, stabilizer states and coherent vectors are
+# evaluated on integer index arrays; a Python loop over indices here is a
+# second, slower copy of a formula.  Wrapping rows of an array into objects
+# (a comprehension over the array, not over range) is not an index loop.
+INDEX_ARRAY_BUILDERS = {
+    "phasespace": ("weyl_stack", "phase_point_stack", "_build_weyl_stack", "_build_phase_point_stack", "_cached"),
+    "circuits": ("beamsplitter", "clifford_gate"),
+    "states": ("enumerate_stabilizer_pure", "coherent_amplitudes"),
+    "search": ("PhaseVector.amplitudes", "_CoherentObjective.batch"),
+}
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    funcs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            funcs.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+    return funcs
+
+
+def _index_loops(func: ast.FunctionDef) -> list[int]:
+    loops = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.For, ast.While)):
+            loops.append(node.lineno)
+        elif isinstance(node, ast.comprehension):
+            call = node.iter
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "range":
+                loops.append(call.lineno)
+    return loops
+
+
+def test_operator_tables_are_built_without_index_loops():
+    loops = {}
+    for module, names in INDEX_ARRAY_BUILDERS.items():
+        funcs = _functions(module)
+        assert set(names) <= set(funcs), module
+        loops.update({f"{module}.{name}": _index_loops(funcs[name]) for name in names})
+    assert loops == {name: [] for name in loops}

@@ -257,3 +257,29 @@ def test_cache_concurrent_first_use():
     for t in threads:
         t.join()
     assert len(set(results)) == 1
+
+
+def _scalar_tau_power(d, exponent):
+    # the per-entry formula: Python-int exponent, complex arithmetic on one number
+    m = (int(exponent) * (d + 1)) % (2 * d)
+    return complex(np.exp(1j * np.pi * m / d))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_array_phase_powers_equal_the_scalar_call_bit_for_bit(d):
+    exponents = np.arange(-3 * d * d, 3 * d * d + 1)
+    reference = {
+        tau_power: np.array([_scalar_tau_power(d, e) for e in exponents]),
+        omega_power: np.array([_scalar_tau_power(d, 2 * e) for e in exponents]),
+    }
+    for power, expected in reference.items():
+        scalar = np.array([power(d, int(e)) for e in exponents])
+        assert all(type(power(d, int(e))) is complex for e in exponents[:3])
+        for got in (scalar, power(d, exponents), power(d, exponents.reshape(-1, 1)).ravel()):
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_phase_powers_stay_exact_for_huge_python_int_exponents():
+    d, big = 7, 2**70 + 3  # 2**70 * (d + 1) overflows int64
+    assert tau_power(d, big) == _scalar_tau_power(d, big) == _scalar_tau_power(d, big % (2 * d))
+    assert omega_power(d, big) == _scalar_tau_power(d, 2 * big)

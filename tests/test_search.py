@@ -159,3 +159,11 @@ def test_d5_search_small_grid():
     obj = _CoherentObjective(5)
     best = result.argmax[0]
     assert abs(obj.value(np.array(best.thetas)) - result.best_value) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_vector_rejects_non_finite_phases(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PhaseVector(3, (bad, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        PhaseVector(5, (0.0, 0.1, bad, 0.2))

@@ -245,3 +245,35 @@ def test_random_state_helpers_are_valid():
     for _ in range(20):
         random_pure(5, rng)
         random_density(5, rng)
+
+
+@pytest.mark.parametrize("index", [1.7, -0.5, 3.0, math.nan, math.inf])
+def test_basis_index_must_be_an_integer_in_range(index):
+    with pytest.raises(ParamOutOfRange):
+        named_state("basis", [index])
+
+
+def test_basis_index_accepts_an_integral_float():
+    assert np.array_equal(named_state("basis", [1.0]).amplitudes, named_state("basis", [1]).amplitudes)
+    assert named_state("basis", [1.0]).amplitudes[1] == 1.0
+
+
+def test_qutrit_state_dim_is_not_truncated():
+    with pytest.raises(ParamOutOfRange):
+        named_state("strange", dim=3.7)
+    assert named_state("strange", dim=3.0).dim == 3
+
+
+BASIS_0_DATA = {
+    "pure": "[[1, 0], [0, 0], [0, 0]]",
+    "mixed": "[[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]",
+}
+
+
+@pytest.mark.parametrize("dims", ["[3.7]", '["3"]', "[true]", "[null]", "[[3]]"])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_state_file_dims_must_be_integers(dims, kind):
+    data = BASIS_0_DATA[kind]
+    with pytest.raises(ValueError, match="dims"):
+        state_from_json('{"dims": %s, "kind": "%s", "data": %s}' % (dims, kind, data))
+    assert state_from_json('{"dims": [3.0], "kind": "%s", "data": %s}' % (kind, data)).dims == (3,)
