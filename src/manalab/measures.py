@@ -32,17 +32,21 @@ functions above are its reference.
 nonlocal_mana_upper certifies upper bounds on the minimum of mana over
 local-unitary orbits by seeded random-restart Nelder-Mead descent over
 exp(i H_a) x exp(i H_b), with the identity and the marginal-diagonalizing
-pair always included as candidates.
+pair always included as candidates.  The restarts run scipy's adaptive
+Nelder-Mead step for step (_nelder_mead) in lockstep: each round evaluates
+the points every live restart needs as one batch.  The bound equals that of
+running the restarts one after the other and stopping once it is within
+EXIT_TOL of 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import logm
-from scipy.optimize import minimize
+from scipy.linalg import schur
 
 from .circuits import BeamsplitterSpec, phase_permutation
 from .errors import AlphaOne, NegativeEigenvalue, NotBipartite
@@ -101,10 +105,11 @@ def _unpack(rho):
     raise TypeError(f"expected DensityState, got {type(rho)!r}")
 
 
-def _abs_wigner_sum(mat: np.ndarray, dims) -> float:
+def _abs_wigner_sum(mats: np.ndarray, dims) -> np.ndarray:
+    """sum_p |W(p)| of each matrix of a (k, D, D) stack: k sums."""
     stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
-    table = _kernel_transform(mat, tuple(dims), stacks) / np.prod(dims)
-    return float(np.abs(table).sum())
+    table = _kernel_transform(mats, tuple(dims), stacks) / np.prod(dims)
+    return np.abs(table).reshape(len(mats), -1).sum(axis=1)
 
 
 def mana(rho: DensityState) -> float:
@@ -229,19 +234,34 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 
 def _unitary_from_params(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    h = np.tensordot(theta, basis, axes=1)
+    """exp(i sum_k theta[..., k] basis[k]) for one parameter vector or a block (..., n^2)."""
+    n = basis.shape[-1]
+    h = (theta @ basis.reshape(n * n, n * n)).reshape(theta.shape[:-1] + (n, n))
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _params_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    h = logm(u) / 1j
-    h = 0.5 * (h + h.conj().T)
+    """Parameters of a Hermitian H with exp(iH) = u, from the complex Schur form.
+
+    u is normal, so u = Z T Z^dag with T diagonal up to rounding and
+    H = Z diag(arg T_ii) Z^dag.  The angles are taken in (-pi, pi], the
+    principal branch of logm: an eigenvalue -1 gives pi even when rounding
+    leaves it just below the negative real axis.
+    """
+    t, z = schur(u, output="complex")
+    angles = np.angle(np.diagonal(t))
+    angles = np.where(angles < BRANCH_TOL - math.pi, angles + 2.0 * math.pi, angles)
+    h = (z * angles) @ z.conj().T
     return np.real(np.einsum("kij,ji->k", basis, h))
 
 
 # nonlocal_mana_upper stops restarting once its best bound is this close to 0
 EXIT_TOL = 1e-12
+# an eigenvalue angle within this of -pi is taken as pi (see _params_from_unitary)
+BRANCH_TOL = 1e-12
+# rows of conjugated D x D states formed at once: ROW_BUDGET // D^2, at least 2
+ROW_BUDGET = 1 << 18
 
 
 def _split_dims(dims):
@@ -252,6 +272,155 @@ def _split_dims(dims):
     da = int(np.prod(dims[:half]))
     db = int(np.prod(dims[half:]))
     return da, db
+
+
+def _orbit_objective(mat: np.ndarray, dims):
+    """theta block (k, da^2 + db^2) -> mana((Ua x Ub) rho (Ua x Ub)^dag) for each row.
+
+    Each row's value is the same whatever block it is evaluated in: a
+    one-row block is doubled (a one-row product rounds unlike a larger one,
+    as in search._CoherentObjective.batch), and long blocks are cut into
+    pieces of at most ROW_BUDGET // D^2 rows.
+    """
+    da, db = _split_dims(dims)
+    basis_a, basis_b = hermitian_basis(da), hermitian_basis(db)
+    na, total = da * da, da * db
+    step = max(2, ROW_BUDGET // (total * total))
+
+    def conjugated(thetas):
+        k = len(thetas)
+        ua = _unitary_from_params(thetas[:, :na], basis_a)
+        ub = _unitary_from_params(thetas[:, na:], basis_b)
+        u = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(k, total, total)
+        return u @ mat @ u.conj().swapaxes(1, 2)
+
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        values = []
+        for start in range(0, len(thetas), step):
+            rows = thetas[start : start + step]
+            block = np.vstack([rows, rows]) if len(rows) == 1 else rows
+            values.append(_abs_wigner_sum(conjugated(block), dims)[: len(rows)])
+        return np.log(np.concatenate(values))
+
+    return objective
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int):
+    """scipy's adaptive Nelder-Mead (xatol 1e-7, fatol 1e-9, maxfev) as a generator.
+
+    The steps, comparisons and maxfev truncation are those of scipy 1.17's
+    optimize._optimize._minimize_neldermead with adaptive=True (Gao & Han,
+    Comput. Optim. Appl. 51, 259 (2012)); only the evaluation is handed out.
+    It yields each block of points it needs (the initial simplex, a
+    reflection, an expansion or contraction, a shrink) and is sent back
+    their values.  It returns (fun, nfev, sim, fsim) with scipy's final
+    simplex.  At the budget, the initial simplex keeps inf for the rows it
+    did not evaluate, an expansion or contraction is not taken, and a
+    shrink moves one row more than it evaluates.
+    """
+    n = len(x0)
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = yield sim[:nfev]
+    for _ in range(2):  # scipy sorts the initial simplex twice; argsort is not stable
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    while nfev < maxfev:
+        if np.abs(sim[1:] - sim[0]).max() <= 1e-7 and np.abs(fsim[0] - fsim[1:]).max() <= 1e-9:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        (fxr,) = yield xr[None]
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                (fxe,) = yield xe[None]
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        if shrink:
+            m = min(n, maxfev - nfev)
+            moved = min(n, m + 1)
+            sim[1 : moved + 1] = sim[0] + sigma * (sim[1 : moved + 1] - sim[0])
+            if m:
+                fsim[1 : m + 1] = yield sim[1 : m + 1]
+                nfev += m
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    return np.min(fsim), nfev, sim, fsim
+
+
+def _lockstep(objective, starts: np.ndarray, maxfev: int) -> list:
+    """Run _nelder_mead from every start together, one objective call per round.
+
+    Each round evaluates the pending blocks of all live runs as one batch
+    and sends each run its slice.  Returns each run's (fun, nfev, sim, fsim)
+    in start order.  Once a run's running minimum is <= EXIT_TOL, the runs
+    after it cannot change the sequential bound and are dropped (None).  A
+    live run's result is at most the least value it has been sent: scipy
+    keeps every value below the simplex's best, except a reflection whose
+    expansion maxfev cuts off, and that ends the run, whose result is then
+    known.
+    """
+    runs = [_nelder_mead(x0, maxfev) for x0 in starts]
+    pending = [next(run) for run in runs]
+    results = [None] * len(runs)
+    low = [math.inf] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        values = objective(np.concatenate([pending[i] for i in live]))
+        offsets = np.cumsum([0] + [len(pending[i]) for i in live])
+        for i, lo, hi in zip(live, offsets[:-1], offsets[1:]):
+            try:
+                pending[i] = runs[i].send(values[lo:hi])
+                low[i] = min(low[i], float(values[lo:hi].min()))
+            except StopIteration as stop:
+                results[i] = stop.value
+                low[i] = results[i][0]
+        last = next((i for i, value in enumerate(low) if value <= EXIT_TOL), len(runs))
+        live = [i for i in live if results[i] is None and i <= last]
+    return results
+
+
+def _starts(mat: np.ndarray, dims, restarts: int, seed: int) -> np.ndarray:
+    """The marginal-diagonalizing start, then `restarts` seeded random ones: (restarts + 1, N).
+
+    Diagonalizing both marginals turns any product state into a mixture of
+    computational-basis products, which carries no negativity.
+    """
+    da, db = _split_dims(dims)
+    blocks = mat.reshape(da, db, da, db)
+    _, va = np.linalg.eigh(np.einsum(blocks, [0, 2, 1, 2], [0, 1]))
+    _, vb = np.linalg.eigh(np.einsum(blocks, [2, 0, 2, 1], [0, 1]))
+    diagonalizing = np.concatenate(
+        [_params_from_unitary(va.conj().T, hermitian_basis(da)), _params_from_unitary(vb.conj().T, hermitian_basis(db))]
+    )
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    size = da * da + db * db
+    return np.stack([diagonalizing] + [np.random.default_rng(s).normal(scale=math.pi / 2.0, size=size) for s in seeds])
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def nonlocal_mana_upper(
@@ -266,64 +435,41 @@ def nonlocal_mana_upper(
     Hermitian generators; the identity pair and the marginal-diagonalizing
     pair are always in the candidate set, so the result never exceeds
     mana(rho_ab).  Deterministic given the seed (restart seeds are spawned
-    from it); restarts are independent and stop early once the running best
-    drops below EXIT_TOL (the objective is nonnegative up to roundoff).
+    from it).
+
+    The bound is that of trying the candidates one after the other and
+    stopping once the running best drops below EXIT_TOL (the objective is
+    nonnegative up to roundoff): the identity, then for the diagonalizing
+    start and each random restart its start value, then scipy's adaptive
+    Nelder-Mead from it with at most maxfev evaluations.  The start values
+    are one batch, and the Nelder-Mead runs advance in lockstep, one batch
+    per round (_lockstep).  restarts and maxfev are integers >= 1.
 
     For states with 2k subsystems the bipartition is first half vs second
     half of dims.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_count("restarts", restarts)
+    _check_count("maxfev", maxfev)
     mat, dims = _unpack(rho_ab)
-    da, db = _split_dims(dims)
-    basis_a = hermitian_basis(da)
-    basis_b = hermitian_basis(db)
-    na = da * da
-
-    def conjugated(theta):
-        ua = _unitary_from_params(theta[:na], basis_a)
-        ub = _unitary_from_params(theta[na:], basis_b)
-        u = np.kron(ua, ub)
-        return u @ mat @ u.conj().T
-
-    def objective(theta):
-        return math.log(_abs_wigner_sum(conjugated(theta), dims))
-
-    nparams = na + db * db
-    best = math.log(_abs_wigner_sum(mat, dims))  # identity candidate, exact
-
-    # marginal-diagonalizing candidate: any product state becomes a mixture
-    # of computational-basis products, which carries no negativity
-    ra = np.einsum(
-        mat.reshape(da, db, da, db), [0, 2, 1, 2], [0, 1]
-    )
-    rb = np.einsum(mat.reshape(da, db, da, db), [2, 0, 2, 1], [0, 1])
-    _, va = np.linalg.eigh(ra)
-    _, vb = np.linalg.eigh(rb)
-    theta_diag = np.concatenate(
-        [_params_from_unitary(va.conj().T, basis_a), _params_from_unitary(vb.conj().T, basis_b)]
-    )
-    starts = [theta_diag]
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        starts.append(rng.normal(scale=math.pi / 2.0, size=nparams))
-
-    for x0 in starts:
-        if best <= EXIT_TOL:
-            break
-        val0 = objective(x0)
+    _split_dims(dims)  # NotBipartite before any evaluation
+    best = math.log(_abs_wigner_sum(mat[None], dims)[0])  # identity candidate, exact
+    if best <= EXIT_TOL:
+        return best
+    starts = _starts(mat, dims, restarts, seed)
+    objective = _orbit_objective(mat, dims)
+    values = objective(starts)
+    # the sequential loop runs no descent from the first start whose value
+    # exits, nor after it
+    exits = np.flatnonzero(values <= EXIT_TOL)
+    runs = _lockstep(objective, starts[: exits[0] if exits.size else len(starts)], maxfev)
+    for val0, run in zip(values, runs + [None]):
         best = min(best, val0)
         if best <= EXIT_TOL:
             break
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-9, "maxfev": maxfev, "adaptive": True},
-        )
-        best = min(best, float(res.fun))
-    return best
+        best = min(best, run[0])
+        if best <= EXIT_TOL:
+            break
+    return float(best)
 
 
 # --- reports ----------------------------------------------------------------
@@ -397,16 +543,20 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     if unknown:
         raise ValueError(f"output_measures does not evaluate {unknown[0]!r}")
     check_density(mats)
+    n = len(mats)
+    # numpy sends a one-row transform to gemv, which rounds unlike gemm; a
+    # doubled row keeps an input's values independent of its batch
+    rows = np.concatenate([mats, mats]) if n == 1 else mats
     perm = phase_permutation(spec)
     vacuum = np.zeros((d, d), dtype=complex)
     vacuum[0, 0] = 1.0
     values = {}
     if {"mutual_mana", "mutual_information"} & set(names):
-        w = _output_table(perm, _wigner_values(mats, (d,)), _wigner_values(vacuum, (d,)))
+        w = _output_table(perm, _wigner_values(rows, (d,))[:n], _wigner_values(vacuum, (d,)))
         w_a, w_b = w.sum(axis=2), w.sum(axis=1)
         values["mutual_mana"] = _log_abs_sum(w, (1, 2)) - _log_abs_sum(w_a, 1) - _log_abs_sum(w_b, 1)
     if {"mutual_l1", "sre2"} & set(names):
-        chi = _output_table(perm, _char_values(mats, (d,)), _char_values(vacuum, (d,)))
+        chi = _output_table(perm, _char_values(rows, (d,))[:n], _char_values(vacuum, (d,)))
         values["mutual_l1"] = (
             _log_abs_sum(chi, (1, 2)) - _log_abs_sum(chi[:, :, 0], 1) - _log_abs_sum(chi[:, 0, :], 1)
         )

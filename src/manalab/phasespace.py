@@ -25,6 +25,7 @@ exponentiated once, so operator identities hold to machine epsilon.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -75,6 +76,17 @@ def _dim(dim) -> int:
     return dim.d if isinstance(dim, PrimeDim) else PrimeDim(dim).d
 
 
+def _integer_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as ints: 3 and 3.0 pass; 3.7, True, "3" or None raise ValueError."""
+    out = []
+    for d in dims:
+        integral = isinstance(d, numbers.Integral) or isinstance(d, numbers.Real) and float(d).is_integer()
+        if isinstance(d, bool) or not integral:
+            raise ValueError(f"dims entries must be integers, got {d!r}")
+        out.append(int(d))
+    return tuple(out)
+
+
 def _point(pt, d: int) -> tuple[int, int]:
     k, l = (pt.k, pt.l) if isinstance(pt, PhasePoint) else (int(pt[0]), int(pt[1]))
     if not (0 <= k < d and 0 <= l < d):
@@ -82,16 +94,26 @@ def _point(pt, d: int) -> tuple[int, int]:
     return k, l
 
 
+def _exponent(exponent):
+    """An int, or an integer array; a float or any other array raises TypeError."""
+    if isinstance(exponent, numbers.Integral):
+        return exponent
+    array = np.asarray(exponent)
+    if array.dtype.kind not in "iu":
+        raise TypeError(f"phase exponents must be integers, got dtype {array.dtype}")
+    return array
+
+
 def tau_power(d: int, exponent):
     """tau^exponent with tau = -exp(i*pi/d), for an int or an integer array; exact in the exponent mod 2d."""
-    m = (exponent * (d + 1)) % (2 * d)  # a Python int stays exact at any size
+    m = (_exponent(exponent) * (d + 1)) % (2 * d)  # a Python int stays exact at any size
     power = np.exp(1j * (np.pi * m / d))  # a real quotient: complex division by d can miss by an ulp
     return complex(power) if power.ndim == 0 else power
 
 
 def omega_power(d: int, exponent):
     """omega^exponent with omega = exp(2*pi*i/d) = tau^2, for an int or an integer array."""
-    return tau_power(d, 2 * exponent)
+    return tau_power(d, 2 * _exponent(exponent))
 
 
 def weyl(dim, pt) -> np.ndarray:
@@ -162,7 +184,7 @@ class WignerTable:
     values: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _integer_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         vals = np.asarray(self.values, dtype=float)
         expected = tuple(x for d in dims for x in (d, d))
@@ -179,10 +201,10 @@ class WignerTable:
 
 def _unpack_state(rho, dims):
     if dims is None:
-        dims = tuple(int(x) for x in rho.dims)
+        dims = _integer_dims(rho.dims)
         mat = np.asarray(rho.matrix, dtype=complex)
     else:
-        dims = tuple(int(x) for x in dims)
+        dims = _integer_dims(dims)
         mat = np.asarray(rho, dtype=complex)
     total = int(np.prod(dims))
     if mat.shape != (total, total):

@@ -36,7 +36,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownState,
 )
-from .phasespace import PrimeDim, _dim, omega_power
+from .phasespace import PrimeDim, _dim, _integer_dims, omega_power
 
 # Validation tolerances: hermiticity/trace soft at 1e-10, eigenvalue hard
 # floor at -1e-8 (roundoff from products of unitaries is clipped above it).
@@ -95,7 +95,7 @@ class DensityState:
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _integer_dims(self.dims)
         mat = np.asarray(self.matrix, dtype=complex)
         total = int(np.prod(dims))
         if mat.shape != (total, total):
@@ -294,13 +294,6 @@ def state_to_json(state) -> str:
     raise TypeError(f"cannot serialize {type(state)!r}")
 
 
-def _integer(x) -> int:
-    """A JSON number with an integral value (3 or 3.0) as an int; anything else is malformed."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise ValueError(f"state file 'dims' entries must be integers, got {x!r}")
-    return int(x)
-
-
 def state_from_json(text: str) -> DensityState:
     """Parse the JSON state format; pure vectors are returned as projectors."""
     doc = json.loads(text)
@@ -313,7 +306,7 @@ def state_from_json(text: str) -> DensityState:
     if kind not in ("pure", "mixed"):
         raise ValueError(f"unknown state kind {kind!r}")
     try:
-        dims = tuple(map(_integer, doc["dims"]))
+        dims = _integer_dims(doc["dims"])
         if kind == "pure":
             data = np.array([complex(re, im) for re, im in doc["data"]])
         else:

@@ -129,3 +129,18 @@ def test_operator_tables_are_built_without_index_loops():
         assert set(names) <= set(funcs), module
         loops.update({f"{module}.{name}": _index_loops(funcs[name]) for name in names})
     assert loops == {name: [] for name in loops}
+
+
+def test_measures_runs_no_scipy_optimizer_or_logm():
+    # nonlocal_mana_upper runs its own lockstep Nelder-Mead and takes the
+    # diagonalizing start's log from a Schur form
+    tree = ast.parse((SRC / "measures.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names} | {getattr(node, "module", None)}
+    assert not names & {"minimize", "logm", "scipy.optimize"}

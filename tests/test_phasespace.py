@@ -283,3 +283,27 @@ def test_phase_powers_stay_exact_for_huge_python_int_exponents():
     d, big = 7, 2**70 + 3  # 2**70 * (d + 1) overflows int64
     assert tau_power(d, big) == _scalar_tau_power(d, big) == _scalar_tau_power(d, big % (2 * d))
     assert omega_power(d, big) == _scalar_tau_power(d, 2 * big)
+
+
+@pytest.mark.parametrize("dims", [(3.9,), (3, 2.5), (True,), ("3",), (None,), (float("nan"),)])
+def test_wigner_table_rejects_non_integer_dims(dims):
+    with pytest.raises(ValueError, match="dims"):
+        WignerTable(dims, np.ones((3, 3)) / 9)
+
+
+def test_wigner_table_takes_integral_dims():
+    for dims in [(3,), (3.0,), (np.int64(3),)]:
+        table = WignerTable(dims, np.ones((3, 3)) / 9)
+        assert table.dims == (3,) and type(table.dims[0]) is int
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, np.float64(2.0), np.array([1.0, 2.0]), np.array([1, 2], dtype=object)])
+def test_phase_powers_reject_non_integer_exponents(exponent):
+    for power in (tau_power, omega_power):
+        with pytest.raises(TypeError):
+            power(3, exponent)
+
+
+def test_phase_powers_take_numpy_integer_exponents():
+    assert tau_power(5, np.int64(7)) == tau_power(5, 7)
+    assert np.array_equal(omega_power(5, np.arange(4, dtype=np.uint8)), omega_power(5, np.arange(4)))

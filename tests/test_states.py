@@ -277,3 +277,18 @@ def test_state_file_dims_must_be_integers(dims, kind):
     with pytest.raises(ValueError, match="dims"):
         state_from_json('{"dims": %s, "kind": "%s", "data": %s}' % (dims, kind, data))
     assert state_from_json('{"dims": [3.0], "kind": "%s", "data": %s}' % (kind, data)).dims == (3,)
+
+
+@pytest.mark.parametrize("dims", [(3.7,), (3, 3.5), (True,), ("3",), (None,), (float("inf"),)])
+def test_density_state_rejects_non_integer_dims(dims):
+    total = 9 if len(dims) == 2 else 3
+    with pytest.raises(ValueError, match="dims"):
+        DensityState(dims, np.eye(total) / total)
+
+
+def test_density_state_takes_integral_dims():
+    for dims in [(3,), (3.0,), (np.int64(3),)]:
+        rho = DensityState(dims, np.eye(3) / 3)
+        assert rho.dims == (3,) and type(rho.dims[0]) is int
+    with pytest.raises(ValueError, match="dims"):
+        wigner(np.eye(3) / 3, (3.5,))
