@@ -32,11 +32,13 @@ functions above are its reference.
 nonlocal_mana_upper certifies upper bounds on the minimum of mana over
 local-unitary orbits by seeded random-restart Nelder-Mead descent over
 exp(i H_a) x exp(i H_b), with the identity and the marginal-diagonalizing
-pair always included as candidates.  The restarts run scipy's adaptive
-Nelder-Mead step for step (_nelder_mead) in lockstep: each round evaluates
-the points every live restart needs as one batch.  The bound equals that of
-running the restarts one after the other and stopping once it is within
-EXIT_TOL of 0.
+pair always included as candidates.  The diagonalizing pair's generators
+are read off a complex Schur form computed with numpy alone (schur: eig,
+then a QR step that makes the eigenvectors orthonormal).  The restarts run
+scipy's adaptive Nelder-Mead step for step (_nelder_mead) in lockstep: each
+round evaluates the points every live restart needs as one batch.  The
+bound equals that of running the restarts one after the other and stopping
+once it is within EXIT_TOL of 0.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
 
 from .circuits import BeamsplitterSpec, phase_permutation
 from .errors import AlphaOne, NegativeEigenvalue, NotBipartite
@@ -241,15 +242,28 @@ def _unitary_from_params(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+def schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (t, z) of a normal matrix: u = z t z^dag, z unitary.
+
+    The eigenvectors of a normal u span mutually orthogonal eigenspaces, so
+    the QR step, which orthonormalizes the columns in order, keeps each
+    eigenspace: z is unitary and t = z^dag u z is diagonal up to rounding.
+    """
+    _, v = np.linalg.eig(u)
+    z = np.linalg.qr(v)[0]
+    return z.conj().T @ u @ z, z
+
+
 def _params_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Parameters of a Hermitian H with exp(iH) = u, from the complex Schur form.
 
-    u is normal, so u = Z T Z^dag with T diagonal up to rounding and
+    u is normal, so u = Z T Z^dag with T diagonal up to rounding (schur:
+    numpy's eig, then a QR step that makes the eigenvectors orthonormal) and
     H = Z diag(arg T_ii) Z^dag.  The angles are taken in (-pi, pi], the
     principal branch of logm: an eigenvalue -1 gives pi even when rounding
     leaves it just below the negative real axis.
     """
-    t, z = schur(u, output="complex")
+    t, z = schur(u)
     angles = np.angle(np.diagonal(t))
     angles = np.where(angles < BRANCH_TOL - math.pi, angles + 2.0 * math.pi, angles)
     h = (z * angles) @ z.conj().T
@@ -418,9 +432,11 @@ def _starts(mat: np.ndarray, dims, restarts: int, seed: int) -> np.ndarray:
     return np.stack([diagonalizing] + [np.random.default_rng(s).normal(scale=math.pi / 2.0, size=size) for s in seeds])
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> int:
+    """value as an int; a bool, a non-integer or a value below least raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def nonlocal_mana_upper(

@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .circuits import beamsplitter_output
 from .errors import BetaDeltaZero, DimensionTooLarge
-from .measures import mana, mutual_mana
+from .measures import _check_count, mana, mutual_mana
 from .phasespace import _dim, phase_point_stack
 from .states import PureVector, coherent_amplitudes
 
@@ -167,6 +166,21 @@ def _refine(obj: _CoherentObjective, starts: np.ndarray, step: float, max_sweeps
     return x % (2.0 * math.pi), best, sweeps
 
 
+def _wrap_box_max(values: np.ndarray) -> np.ndarray:
+    """Max over each point's 3 x ... x 3 neighbourhood on the torus.
+
+    A box max is separable, so each axis in turn is padded with its last and
+    first slice and reduced over three shifted slices; the result equals
+    scipy.ndimage.maximum_filter(values, size=3, mode="wrap").
+    """
+    out = values
+    for axis in range(values.ndim):
+        rows = np.moveaxis(out, axis, 0)
+        padded = np.concatenate([rows[-1:], rows, rows[:1]])
+        out = np.moveaxis(np.maximum(np.maximum(padded[:-2], rows), padded[2:]), 0, axis)
+    return out
+
+
 def _angular_distance(a, b) -> float:
     diff = np.abs(np.asarray(a) - np.asarray(b)) % (2.0 * math.pi)
     diff = np.minimum(diff, 2.0 * math.pi - diff)
@@ -179,16 +193,14 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     Evaluates the full uniform grid, refines the local grid maxima in
     lockstep by coordinate-wise golden-section ascent, keeps all refined
     optima within 1e-6 of the best, and deduplicates by angular distance
-    < 1e-3.
+    < 1e-3.  grid (default DEFAULT_GRIDS[d]) is an integer >= 8 and
+    refine_iters an integer >= 0.
     """
     d = _dim(dim)
     if d > 7:
         raise DimensionTooLarge(f"grid search capped at d=7, got {d}")
-    grid = DEFAULT_GRIDS[d] if grid is None else int(grid)
-    if grid < 8:
-        raise ValueError(f"grid must be >= 8, got {grid}")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
+    grid = DEFAULT_GRIDS[d] if grid is None else _check_count("grid", grid, least=8)
+    refine_iters = _check_count("refine_iters", refine_iters, least=0)
     obj = _CoherentObjective(d)
     naxes = d - 1
     axis = 2.0 * math.pi * np.arange(grid) / grid
@@ -202,7 +214,7 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
         flat[i : i + chunk] = obj.batch(mesh[i : i + chunk])
     values = flat.reshape((grid,) * naxes)
 
-    local_max = values >= maximum_filter(values, size=3, mode="wrap")
+    local_max = values >= _wrap_box_max(values)
     cand_idx = np.argwhere(local_max)
     cand_vals = values[local_max]
     order = np.argsort(cand_vals)[::-1]

@@ -144,3 +144,18 @@ def test_measures_runs_no_scipy_optimizer_or_logm():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {alias.name for alias in node.names} | {getattr(node, "module", None)}
     assert not names & {"minimize", "logm", "scipy.optimize"}
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy only; scipy is a test dependency
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []

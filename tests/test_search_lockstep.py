@@ -133,6 +133,21 @@ def test_negative_refine_iters_rejected():
         max_mana_coherent(3, grid=16, refine_iters=-5)
 
 
+@pytest.mark.parametrize("kwargs", [{"grid": 8.9}, {"grid": float("nan")}, {"grid": True}, {"grid": "8"},
+                                    {"refine_iters": 1.5}, {"refine_iters": float("nan")}, {"refine_iters": True},
+                                    {"refine_iters": "8"}])
+def test_non_integral_grid_or_refine_iters_rejected(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        max_mana_coherent(3, **{"grid": 16, **kwargs})
+
+
+def test_numpy_integer_grid_and_refine_iters_accepted():
+    result = max_mana_coherent(3, grid=np.int64(16), refine_iters=np.int32(5))
+    assert result == max_mana_coherent(3, grid=16, refine_iters=5)
+    assert type(result.grid_resolution) is int
+
+
 def test_zero_refine_iters_keeps_grid_optimum():
     result = max_mana_coherent(3, grid=16, refine_iters=0)
     axis = 2.0 * math.pi * np.arange(16) / 16
