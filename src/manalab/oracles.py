@@ -8,6 +8,14 @@ figures' path, which forms no output state (`csum_output` is the dense
 reference), and reports both values with their difference; it never
 auto-resolves a discrepancy.
 
+`compare(oids)` makes the same records for a list of ids in blocks.  It
+evaluates each closed form and checks each numeric input in list order,
+then makes one output_measures call per table row, on all that row's
+inputs with one noise value each (`noisy_matrices` takes a p per row).  All
+thresholds share one bisection, run in lockstep: 61 calls of k rows.  Each
+row's value is bit-identical to its own one-row call, which `numeric_for`
+and `threshold_by_bisection` make.
+
 Two conventions behind the encoded closed forms matter when pairing them
 with numerics:
 
@@ -28,11 +36,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import measures as mz
 from .circuits import beamsplitter_output, csum_spec
 from .errors import BadParams
-from .states import DensityState, PureVector, named_state, noisy_matrices, noisy_mix
+from .states import DensityState, PureVector, check_noise, named_state, noisy_matrices, noisy_mix
 
 SQRT3 = math.sqrt(3.0)
 
@@ -65,6 +76,8 @@ class ComparisonRecord:
 def shannon_entropy(*probs: float) -> float:
     total = 0.0
     for p in probs:
+        if not math.isfinite(p):
+            raise BadParams(f"probability {p} is not finite")
         if p < -1e-12:
             raise BadParams(f"negative probability {p}")
         if p > 1e-300:
@@ -83,8 +96,8 @@ def _check_p(p: float):
 def example1(mu0: float, mu1: float, mu2: float, p: float) -> float:
     """Mutual mana of the beamsplitter output for a real noisy pure input."""
     _check_p(p)
-    if abs(mu0 * mu0 + mu1 * mu1 + mu2 * mu2 - 1.0) > 1e-9:
-        raise BadParams("amplitudes must be normalized")
+    if not abs(mu0 * mu0 + mu1 * mu1 + mu2 * mu2 - 1.0) <= 1e-9:  # a NaN amplitude fails too
+        raise BadParams(f"amplitudes (mu0, mu1, mu2) = ({mu0}, {mu1}, {mu2}) must be normalized")
     terms = (
         abs(2 * (1 - p) + 6 * p * (mu0 * mu0 - mu1 * mu2))
         + abs(2 * (1 - p) + 6 * p * (mu1 * mu1 - mu0 * mu2))
@@ -103,6 +116,9 @@ def example2(theta1: float, theta2: float, p: float) -> float:
     to example1 on real-amplitude phases and matches brute force.
     """
     _check_p(p)
+    for label, angle in (("theta1", theta1), ("theta2", theta2)):
+        if not math.isfinite(angle):
+            raise BadParams(f"{label}={angle} is not finite")
     s3 = SQRT3
 
     def triple(t):
@@ -133,6 +149,8 @@ def example3(lam: float, p: float) -> float:
 def example4(theta: float, p: float) -> float:
     """Piecewise mutual mana for the noisy two-level qutrit family."""
     _check_p(p)
+    if not math.isfinite(theta):
+        raise BadParams(f"theta={theta} is not finite")
     s = math.sin(2.0 * theta)
     if p <= 2.0 / (2.0 + 3.0 * s):
         return 0.0
@@ -180,6 +198,8 @@ def example5(measure: str, lam: float) -> float:
 
 def example6(measure: str, theta: float) -> float:
     """Pure-output curves for the theta family: I, m_mana, m_l1, m_sre2."""
+    if not math.isfinite(theta):
+        raise BadParams(f"theta={theta} is not finite")
     c, s = math.cos(theta), math.sin(theta)
     e13 = cmath.exp(1j * math.pi / 3.0)
     e23 = cmath.exp(2j * math.pi / 3.0)
@@ -331,28 +351,28 @@ def p_crit(state: str) -> float:
 
 def closed_form(oid: OracleId) -> float:
     """Evaluate the literal closed form named by the id; no simulation."""
-    name = oid.name
-    if name == "ex1":
-        return example1(*oid.params)
-    if name == "ex2":
-        return example2(*oid.params)
-    if name == "ex3":
-        return example3(*oid.params)
-    if name == "ex4":
-        return example4(*oid.params)
-    if name == "ex5_set":
-        return example5(oid.labels[0], oid.params[0])
-    if name == "ex6_set":
-        return example6(oid.labels[0], oid.params[0])
-    if name == "table1_cell":
-        return table1_cell(oid.labels[0], oid.labels[1], oid.params[0])
-    if name == "ml1_h":
-        return ml1_h(oid.params[0])
-    if name == "msre2_h":
-        return msre2_h(oid.params[0])
-    if name == "p_crit":
-        return p_crit(oid.labels[0])
-    raise BadParams(f"unknown oracle {name!r}")
+    # name -> (closed form, its parameter names, its label names); called as form(*labels, *params)
+    forms = {
+        "ex1": (example1, ("mu0", "mu1", "mu2", "p"), ()),
+        "ex2": (example2, ("theta1", "theta2", "p"), ()),
+        "ex3": (example3, ("lam", "p"), ()),
+        "ex4": (example4, ("theta", "p"), ()),
+        "ex5_set": (example5, ("lam",), ("measure",)),
+        "ex6_set": (example6, ("theta",), ("measure",)),
+        "table1_cell": (table1_cell, ("p",), ("measure", "state")),
+        "ml1_h": (ml1_h, ("p",), ()),
+        "msre2_h": (msre2_h, ("p",), ()),
+        "p_crit": (p_crit, (), ("state",)),
+    }
+    if oid.name not in forms:
+        raise BadParams(f"unknown oracle {oid.name!r}")
+    form, params, labels = forms[oid.name]
+    if (len(oid.params), len(oid.labels)) != (len(params), len(labels)):
+        raise BadParams(
+            f"{oid.name} takes parameters ({', '.join(params)}) and labels ({', '.join(labels)}), "
+            f"got {len(oid.params)} parameter(s) and {len(oid.labels)} label(s)"
+        )
+    return form(*oid.labels, *oid.params)
 
 
 # --- numeric pairing ---------------------------------------------------------
@@ -406,55 +426,111 @@ def csum_output(psi: str | PureVector, p: float, params=()) -> DensityState:
     return beamsplitter_output(csum_spec(3), noisy_mix(psi, p))
 
 
-def _row_value(measure: str, psi: PureVector, p: float) -> tuple[float, str]:
-    """(value, registry name) of table row `measure` for noisy psi's controlled-SUM output."""
+THRESHOLD_LEVEL = 1e-9  # output mutual mana a p_crit threshold's bisection must exceed
+
+
+def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
+    """Table row `measure` of the controlled-SUM output of each noisy input: amps (n, 3), ps (n,) -> (n,)."""
     name = _row_name(measure)
-    values = mz.output_measures(csum_spec(3), noisy_matrices(psi.amplitudes[None], p), [name])
-    return float(values[name][0]), name
+    return mz.output_measures(csum_spec(3), noisy_matrices(amps, ps), [name])[name]
+
+
+class _NumericInput(NamedTuple):
+    measure: str  # table row
+    amps: np.ndarray  # input amplitudes, (3,)
+    p: float | None  # noise; None for a threshold, which is bisected over p
+    note: str
+
+
+def _numeric_input(oid: OracleId) -> _NumericInput:
+    """What the numeric side of oid evaluates, with the input's checks made here."""
+    name = oid.name
+    if name == "p_crit":
+        psi_name = _table_state_name("m_mana", oid.labels[0])
+        return _NumericInput("m_mana", named_state(psi_name).amplitudes, None, f"bisection threshold ({psi_name})")
+    if name == "ex1":
+        *mu, p = oid.params
+        measure, psi = "m_mana", PureVector(3, mu)
+    elif name in ("ex2", "ex3", "ex4"):
+        *head, p = oid.params
+        measure, psi = "m_mana", named_state(EXAMPLE_FAMILIES[name], head)
+    elif name in ("ex5_set", "ex6_set"):
+        measure, psi, p = oid.labels[0], named_state(EXAMPLE_FAMILIES[name], oid.params[:1]), 1.0
+    elif name == "table1_cell" or name in H_FORMS:
+        measure, state = oid.labels if name == "table1_cell" else (H_FORMS[name], "H")
+        psi, p = named_state(_table_state_name(measure, state)), oid.params[0]
+    else:
+        raise BadParams(f"unknown oracle {name!r}")
+    note = _row_name(measure)
+    check_noise(p)
+    return _NumericInput(measure, psi.amplitudes, p, note)
+
+
+def _bisect(mutual_mana, n: int, level: float) -> np.ndarray:
+    """Smallest p at which each of n output mutual manas exceeds `level`, to 60 halvings.
+
+    mutual_mana maps a block of n noise values to the n values.  The rows
+    are bisected in lockstep, each taking the steps it would take alone.
+    """
+    if not math.isfinite(level):
+        raise BadParams(f"bisection level {level} is not finite")
+    lo, hi = np.zeros(n), np.ones(n)
+    above_at_zero = mutual_mana(lo) - level > 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = mutual_mana(mid) - level > 0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return np.where(above_at_zero, 0.0, hi)
 
 
 def numeric_for(oid: OracleId) -> tuple[float, str]:
     """Numeric counterpart of a closed form: (value, pairing note)."""
-    name = oid.name
-    if name == "ex1":
-        *mu, p = oid.params
-        return _row_value("m_mana", PureVector(3, mu), p)
-    if name in ("ex2", "ex3", "ex4"):
-        *head, p = oid.params
-        return _row_value("m_mana", named_state(EXAMPLE_FAMILIES[name], head), p)
-    if name in ("ex5_set", "ex6_set"):
-        return _row_value(oid.labels[0], named_state(EXAMPLE_FAMILIES[name], oid.params[:1]), 1.0)
-    if name == "table1_cell" or name in H_FORMS:
-        measure, state = oid.labels if name == "table1_cell" else (H_FORMS[name], "H")
-        return _row_value(measure, named_state(_table_state_name(measure, state)), oid.params[0])
-    if name == "p_crit":
-        psi_name = _table_state_name("m_mana", oid.labels[0])
-        return threshold_by_bisection(psi_name), f"bisection threshold ({psi_name})"
-    raise BadParams(f"unknown oracle {name!r}")
+    measure, amps, p, note = _numeric_input(oid)
+    if p is None:
+        return float(_bisect(lambda ps: _row_value(measure, amps[None], ps), 1, THRESHOLD_LEVEL)[0]), note
+    return float(_row_value(measure, amps[None], p)[0]), note
 
 
-def threshold_by_bisection(psi_name: str, level: float = 1e-9) -> float:
+def threshold_by_bisection(psi_name: str, level: float = THRESHOLD_LEVEL) -> float:
     """Smallest p at which the output mutual mana exceeds `level`, to 60 halvings."""
-    psi = named_state(psi_name)
-
-    def f(p):
-        return _row_value("m_mana", psi, p)[0] - level
-
-    lo, hi = 0.0, 1.0
-    if f(lo) > 0:
-        return lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    amps = named_state(psi_name).amplitudes[None]
+    return float(_bisect(lambda ps: _row_value("m_mana", amps, ps), 1, level)[0])
 
 
 def oracle_vs_numeric(oid: OracleId, tol: float = 1e-9) -> ComparisonRecord:
-    """Compare the closed form against output_measures' value (numeric_for); flag if apart."""
-    oracle_value = closed_form(oid)
-    numeric_value, note = numeric_for(oid)
-    diff = abs(oracle_value - numeric_value)
-    return ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, note)
+    """Compare the closed form against output_measures' value; flag if apart (compare of one id)."""
+    return compare([oid], tol)[0]
+
+
+def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
+    """oracle_vs_numeric for each id, its numeric side evaluated in blocks.
+
+    Each id's closed form and numeric input are evaluated in list order, so
+    the first bad id raises what oracle_vs_numeric raises on it.  Then each
+    table row's ids make one _row_value block and the thresholds one
+    lockstep bisection.  An input that fails only inside output_measures (a
+    trace off 1 by more than HERM_TOL) raises when its block is evaluated.
+    """
+    oids = list(oids)
+    oracle_values, inputs = [], []
+    for oid in oids:
+        oracle_values.append(closed_form(oid))
+        inputs.append(_numeric_input(oid))
+    rows: dict[str, list[int]] = {}
+    thresholds = []
+    for i, x in enumerate(inputs):
+        if x.p is None:
+            thresholds.append(i)
+        else:
+            rows.setdefault(x.measure, []).append(i)
+    numeric = np.empty(len(oids))
+    for measure, block in rows.items():
+        numeric[block] = _row_value(measure, np.stack([inputs[i].amps for i in block]), [inputs[i].p for i in block])
+    if thresholds:
+        amps = np.stack([inputs[i].amps for i in thresholds])
+        numeric[thresholds] = _bisect(lambda ps: _row_value("m_mana", amps, ps), len(thresholds), THRESHOLD_LEVEL)
+    records = []
+    for oid, oracle_value, numeric_value, x in zip(oids, oracle_values, numeric.tolist(), inputs):
+        diff = abs(oracle_value - numeric_value)
+        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, x.note))
+    return records

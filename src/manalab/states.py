@@ -202,10 +202,21 @@ def noisy_mix(psi: PureVector, p: float) -> DensityState:
     return DensityState((psi.dim,), noisy_matrices(psi.amplitudes, p))
 
 
-def noisy_matrices(amps: np.ndarray, p: float) -> np.ndarray:
-    """p|psi><psi| + (1-p) 1/d for each amplitude row of amps, shape (..., d) -> (..., d, d)."""
-    if not (0.0 <= p <= 1.0):
-        raise ParamOutOfRange(f"p={p} outside [0, 1]")
+def check_noise(p) -> np.ndarray:
+    """p (one noise value or an array of them) as floats; ParamOutOfRange names the first outside [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    bad = p[~((p >= 0.0) & (p <= 1.0))]  # NaN fails both comparisons
+    if bad.size:
+        raise ParamOutOfRange(f"p={float(bad[0])} outside [0, 1]")
+    return p
+
+
+def noisy_matrices(amps: np.ndarray, p) -> np.ndarray:
+    """p|psi><psi| + (1-p) 1/d for each amplitude row of amps, shape (..., d) -> (..., d, d).
+
+    p is one noise value for every row or one per row, shape (...,).
+    """
+    p = check_noise(p)[..., None, None]
     d = amps.shape[-1]
     return p * (amps[..., :, None] * amps[..., None, :].conj()) + (1.0 - p) * np.eye(d) / d
 

@@ -91,10 +91,6 @@ def _additivity_gaps(a, b) -> list[float]:
     return [abs(x - y - z) for x, y, z in zip(_magic(tensor(a, b)), _magic(a), _magic(b))]
 
 
-def _difference(name, params=(), labels=()) -> float:
-    return oracles.oracle_vs_numeric(oracles.OracleId(name, params, labels)).difference
-
-
 # --- suites -------------------------------------------------------------------
 
 
@@ -286,18 +282,22 @@ def suite_table1(trials, seed, tol):
     out = oracles.csum_output("strange", 1.0)
     comp, glob = mz.mutual_sre(out, 2.0), mz.sre_alpha(out, 2.0)
     offset = f"; at p=1 global={glob:.6f}, mutual composition={comp:.6f}, marginal offset={glob - comp:.6f}"
+    cells = [(measure, state) for measure in oracles.TABLE_MEASURES for state in oracles.TABLE_STATES]
+    # one block of 4 x 101 inputs per table row
+    records = oracles.compare(
+        oracles.OracleId("table1_cell", (float(p),), cell) for cell in cells for p in grid
+    )
     checks = []
-    for measure in oracles.TABLE_MEASURES:
-        for state in oracles.TABLE_STATES:
-            detail = ""
-            if measure == "m_sre2":
-                detail = "(numeric side: global SRE2 of the output; see README)"
-                if state == "S":
-                    detail += offset
-            if state == "H":
-                detail += " [H variant: %s]" % oracles.H_VARIANT_BY_MEASURE[measure]
-            cells = (_difference("table1_cell", (float(p),), (measure, state)) for p in grid)
-            checks.append(Check.worst(f"table cell {measure}/{state} on 101-point grid", cells, 1e-9, detail))
+    for k, (measure, state) in enumerate(cells):
+        detail = ""
+        if measure == "m_sre2":
+            detail = "(numeric side: global SRE2 of the output; see README)"
+            if state == "S":
+                detail += offset
+        if state == "H":
+            detail += " [H variant: %s]" % oracles.H_VARIANT_BY_MEASURE[measure]
+        diffs = (r.difference for r in records[k * len(grid) : (k + 1) * len(grid)])
+        checks.append(Check.worst(f"table cell {measure}/{state} on 101-point grid", diffs, 1e-9, detail))
     return checks
 
 
@@ -311,23 +311,22 @@ def suite_oracles(trials, seed, tol):
 
     angles = np.linspace(0, 2 * math.pi, 9)
     lambdas, thetas = np.linspace(0, 1 / math.sqrt(2), 12), np.linspace(0, math.pi / 2, 12)
-    real = (_difference("ex1", ex1_params()) for _ in range(trials))
-    coherent = (_difference("ex2", (t1, t2, 0.7)) for t1 in angles for t2 in angles)
-    ex3 = (_difference("ex3", (x, p)) for x in lambdas for p in (0.3, 1.0))
-    ex4 = (_difference("ex4", (t, p)) for t in thetas for p in (0.5, 0.9))
-    checks = [
-        Check.worst("real noisy inputs vs closed form", real, 1e-10),
-        Check.worst("coherent noisy inputs vs closed form", coherent, 1e-10),
-        Check.worst("ex3 family vs closed form", ex3, 1e-10),
-        Check.worst("ex4 family vs closed form", ex4, 1e-10),
+    oid = oracles.OracleId
+    curves = [
+        (name, [oid(name, (float(x),), (m,)) for m in oracles.TABLE_MEASURES for x in axis])
+        for name, axis in (("ex5_set", np.linspace(0, 1 / math.sqrt(2), 21)),
+                           ("ex6_set", np.linspace(0, math.pi / 2, 21)))
     ]
-    for name, axis in (("ex5_set", np.linspace(0, 1 / math.sqrt(2), 21)),
-                       ("ex6_set", np.linspace(0, math.pi / 2, 21))):
-        curves = (_difference(name, (float(x),), (m,)) for m in oracles.TABLE_MEASURES for x in axis)
-        checks.append(Check.worst(f"{name} four-measure curves", curves, 1e-9))
-    thresholds = (_difference("p_crit", (), (state,)) for state in oracles.TABLE_STATES)
-    checks.append(Check.worst("thresholds located by bisection", thresholds, 1e-3))
-    return checks
+    # check name, its OracleIds, tolerance
+    groups = [
+        ("real noisy inputs vs closed form", [oid("ex1", ex1_params()) for _ in range(trials)], 1e-10),
+        ("coherent noisy inputs vs closed form", [oid("ex2", (t1, t2, 0.7)) for t1 in angles for t2 in angles], 1e-10),
+        ("ex3 family vs closed form", [oid("ex3", (x, p)) for x in lambdas for p in (0.3, 1.0)], 1e-10),
+        ("ex4 family vs closed form", [oid("ex4", (t, p)) for t in thetas for p in (0.5, 0.9)], 1e-10),
+        *((f"{name} four-measure curves", oids, 1e-9) for name, oids in curves),
+        ("thresholds located by bisection", [oid("p_crit", (), (state,)) for state in oracles.TABLE_STATES], 1e-3),
+    ]
+    return [Check.worst(name, (r.difference for r in oracles.compare(oids)), tol) for name, oids, tol in groups]
 
 
 # flags a suite does not read; `manalab verify` rejects them
