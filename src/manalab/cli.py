@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output", default=None, help="output path (default stdout)")
     values = argparse.ArgumentParser(add_help=False, parents=[output])
     values.add_argument("--dim", type=int, default=3, help="local dimension (odd prime)")
-    values.add_argument("--log-base", choices=["e", "2", "10"], default="e")
+    values.add_argument("--log-base", choices=list(mz.LOG_BASE_FACTORS), default="e")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", parents=[values], help="evaluate measures of one state")

@@ -215,23 +215,23 @@ def mutual_information(rho_ab: DensityState) -> float:
 
 
 def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) Hermitian basis of n x n matrices."""
-    mats = [np.eye(n, dtype=complex) / math.sqrt(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1j / math.sqrt(2.0)
-            m[j, i] = 1j / math.sqrt(2.0)
-            mats.append(m)
-    for k in range(1, n):
-        diag = np.zeros(n)
-        diag[:k] = 1.0
-        diag[k] = -k
-        mats.append(np.diag(diag).astype(complex) / math.sqrt(k * (k + 1)))
-    return np.stack(mats)
+    """Orthonormal (Hilbert-Schmidt) Hermitian basis of n x n matrices, shape (n^2, n, n).
+
+    The identity, then for each i < j in row-major order the real symmetric
+    and the imaginary antisymmetric pair on (i, j), then for k = 1 .. n-1
+    the traceless diagonal (1, ..., 1, -k, 0, ..., 0) with k ones.
+    """
+    i, j = np.triu_indices(n, 1)
+    sym = 1 + 2 * np.arange(len(i))  # the symmetric matrices; each antisymmetric one follows its pair
+    k, t = np.arange(1, n)[:, None], np.arange(n)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[0] = np.eye(n, dtype=complex) / math.sqrt(n)
+    basis[sym, i, j] = basis[sym, j, i] = 1.0 / math.sqrt(2.0)
+    basis[sym + 1, i, j] = -1j / math.sqrt(2.0)
+    basis[sym + 1, j, i] = 1j / math.sqrt(2.0)
+    # divided as complex numbers, which rounds unlike a real division
+    basis[n * n - n + k, t, t] = np.where(t < k, 1.0, np.where(t == k, -k, 0.0)).astype(complex) / np.sqrt(k * (k + 1))
+    return basis
 
 
 def _unitary_from_params(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -274,8 +274,25 @@ def _params_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
 EXIT_TOL = 1e-12
 # an eigenvalue angle within this of -pi is taken as pi (see _params_from_unitary)
 BRANCH_TOL = 1e-12
-# rows of conjugated D x D states formed at once: ROW_BUDGET // D^2, at least 2
+# array elements a batched evaluation forms at once (see _by_rows)
 ROW_BUDGET = 1 << 18
+
+
+def _by_rows(f, rows, row_size: int) -> np.ndarray:
+    """f(rows) for a block, evaluated in pieces of at most max(2, ROW_BUDGET // row_size) rows.
+
+    f maps a block of rows to one value (or one array of values) per row;
+    row_size is the number of elements f forms per row.  numpy sends a
+    one-row product to gemv, which rounds unlike gemm, so a one-row piece
+    is passed to f doubled and its first value kept: a row's value is then
+    the same bits whatever block it is evaluated in.
+    """
+    step = max(2, ROW_BUDGET // row_size)
+    values = []
+    for start in range(0, len(rows), step):
+        piece = rows[start : start + step]
+        values.append(f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece))
+    return np.concatenate(values)
 
 
 def _split_dims(dims):
@@ -291,30 +308,22 @@ def _split_dims(dims):
 def _orbit_objective(mat: np.ndarray, dims):
     """theta block (k, da^2 + db^2) -> mana((Ua x Ub) rho (Ua x Ub)^dag) for each row.
 
-    Each row's value is the same whatever block it is evaluated in: a
-    one-row block is doubled (a one-row product rounds unlike a larger one,
-    as in search._CoherentObjective.batch), and long blocks are cut into
-    pieces of at most ROW_BUDGET // D^2 rows.
+    The block is evaluated by _by_rows, one conjugated D x D state per row,
+    so each row's value is the same whatever block it is evaluated in.
     """
     da, db = _split_dims(dims)
     basis_a, basis_b = hermitian_basis(da), hermitian_basis(db)
     na, total = da * da, da * db
-    step = max(2, ROW_BUDGET // (total * total))
 
-    def conjugated(thetas):
+    def abs_sums(thetas):
         k = len(thetas)
         ua = _unitary_from_params(thetas[:, :na], basis_a)
         ub = _unitary_from_params(thetas[:, na:], basis_b)
         u = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(k, total, total)
-        return u @ mat @ u.conj().swapaxes(1, 2)
+        return _abs_wigner_sum(u @ mat @ u.conj().swapaxes(1, 2), dims)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
-        values = []
-        for start in range(0, len(thetas), step):
-            rows = thetas[start : start + step]
-            block = np.vstack([rows, rows]) if len(rows) == 1 else rows
-            values.append(_abs_wigner_sum(conjugated(block), dims)[: len(rows)])
-        return np.log(np.concatenate(values))
+        return np.log(_by_rows(abs_sums, thetas, total * total))
 
     return objective
 
@@ -559,28 +568,29 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     if unknown:
         raise ValueError(f"output_measures does not evaluate {unknown[0]!r}")
     check_density(mats)
-    n = len(mats)
-    # numpy sends a one-row transform to gemv, which rounds unlike gemm; a
-    # doubled row keeps an input's values independent of its batch
-    rows = np.concatenate([mats, mats]) if n == 1 else mats
     perm = phase_permutation(spec)
     vacuum = np.zeros((d, d), dtype=complex)
     vacuum[0, 0] = 1.0
-    values = {}
-    if {"mutual_mana", "mutual_information"} & set(names):
-        w = _output_table(perm, _wigner_values(rows, (d,))[:n], _wigner_values(vacuum, (d,)))
-        w_a, w_b = w.sum(axis=2), w.sum(axis=1)
-        values["mutual_mana"] = _log_abs_sum(w, (1, 2)) - _log_abs_sum(w_a, 1) - _log_abs_sum(w_b, 1)
-    if {"mutual_l1", "sre2"} & set(names):
-        chi = _output_table(perm, _char_values(rows, (d,))[:n], _char_values(vacuum, (d,)))
-        values["mutual_l1"] = (
-            _log_abs_sum(chi, (1, 2)) - _log_abs_sum(chi[:, :, 0], 1) - _log_abs_sum(chi[:, 0, :], 1)
-        )
-        values["sre2"] = _sre(chi, float(d * d), 2.0, (1, 2))
-    if "mutual_information" in names:
-        marginals = _entropies(_from_wigner(np.stack([w_a, w_b]), (d,)))
-        values["mutual_information"] = marginals.sum(axis=0) - _entropies(mats)
-    return {name: values[name] for name in names}
+
+    def evaluate(rows):
+        values = {}
+        if {"mutual_mana", "mutual_information"} & set(names):
+            w = _output_table(perm, _wigner_values(rows, (d,)), _wigner_values(vacuum, (d,)))
+            w_a, w_b = w.sum(axis=2), w.sum(axis=1)
+            values["mutual_mana"] = _log_abs_sum(w, (1, 2)) - _log_abs_sum(w_a, 1) - _log_abs_sum(w_b, 1)
+        if {"mutual_l1", "sre2"} & set(names):
+            chi = _output_table(perm, _char_values(rows, (d,)), _char_values(vacuum, (d,)))
+            values["mutual_l1"] = (
+                _log_abs_sum(chi, (1, 2)) - _log_abs_sum(chi[:, :, 0], 1) - _log_abs_sum(chi[:, 0, :], 1)
+            )
+            values["sre2"] = _sre(chi, float(d * d), 2.0, (1, 2))
+        if "mutual_information" in names:
+            marginals = _entropies(_from_wigner(np.stack([w_a, w_b]), (d,)))
+            values["mutual_information"] = marginals.sum(axis=0) - _entropies(rows)
+        return np.array([values[name] for name in names]).T  # (rows, names)
+
+    # one d^2 x d^2 output table per row
+    return dict(zip(names, _by_rows(evaluate, mats, d**4).T))
 
 
 def measure_report(rho: DensityState, names, base: LogBase | str = "e", state_id: str = "state") -> MeasureReport:

@@ -12,9 +12,10 @@ auto-resolves a discrepancy.
 evaluates each closed form and checks each numeric input in list order,
 then makes one output_measures call per table row, on all that row's
 inputs with one noise value each (`noisy_matrices` takes a p per row).  All
-thresholds share one bisection, run in lockstep: 61 calls of k rows.  Each
-row's value is bit-identical to its own one-row call, which `numeric_for`
-and `threshold_by_bisection` make.
+thresholds share one bisection, run in lockstep: 61 calls of k rows.
+output_measures evaluates its block by measures._by_rows, so each row's
+value is bit-identical to its own one-row call, which `numeric_for` and
+`threshold_by_bisection` make.
 
 Two conventions behind the encoded closed forms matter when pairing them
 with numerics:
@@ -508,8 +509,7 @@ def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
     Each id's closed form and numeric input are evaluated in list order, so
     the first bad id raises what oracle_vs_numeric raises on it.  Then each
     table row's ids make one _row_value block and the thresholds one
-    lockstep bisection.  An input that fails only inside output_measures (a
-    trace off 1 by more than HERM_TOL) raises when its block is evaluated.
+    lockstep bisection.
     """
     oids = list(oids)
     oracle_values, inputs = [], []

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuits import beamsplitter_output
 from .errors import BetaDeltaZero, DimensionTooLarge
-from .measures import _check_count, mana, mutual_mana
+from .measures import _by_rows, _check_count, mana, mutual_mana
 from .phasespace import _dim, phase_point_stack
 from .states import PureVector, coherent_amplitudes
 
@@ -90,19 +90,15 @@ class _CoherentObjective:
         return float(self.batch(np.asarray(thetas, dtype=float)[None, :])[0])
 
     def batch(self, theta_block: np.ndarray) -> np.ndarray:
-        """Values for a block of phase vectors, shape (N, d-1)."""
+        """Values for a block of phase vectors, shape (N, d-1), evaluated by _by_rows."""
+        self.evaluations += len(theta_block)
+        return _by_rows(self._values, theta_block, self.d * self.d)
+
+    def _values(self, theta_block: np.ndarray) -> np.ndarray:
         d = self.d
-        n = theta_block.shape[0]
         psis = coherent_amplitudes(theta_block)
-        rho = (psis[:, :, None] * psis.conj()[:, None, :]).reshape(n, d * d)
-        if n == 1:
-            # numpy sends a one-row product to gemv, which rounds unlike gemm;
-            # a doubled row keeps it on gemm, so a phase vector's value never
-            # depends on the batch it is evaluated in
-            rho = np.vstack([rho, rho])
-        w = rho @ self.kernel / d
-        self.evaluations += n
-        return np.log(np.abs(w[:n]).sum(axis=1))
+        rho = (psis[:, :, None] * psis.conj()[:, None, :]).reshape(len(psis), d * d)
+        return np.log(np.abs(rho @ self.kernel / d).sum(axis=1))
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-11):
@@ -208,11 +204,7 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     mesh = np.stack(np.meshgrid(*([axis] * naxes), indexing="ij"), axis=-1).reshape(
         -1, naxes
     )
-    chunk = 16384
-    flat = np.empty(mesh.shape[0])
-    for i in range(0, mesh.shape[0], chunk):
-        flat[i : i + chunk] = obj.batch(mesh[i : i + chunk])
-    values = flat.reshape((grid,) * naxes)
+    values = obj.batch(mesh).reshape((grid,) * naxes)
 
     local_max = values >= _wrap_box_max(values)
     cand_idx = np.argwhere(local_max)

@@ -46,7 +46,12 @@ EIG_FLOOR = -1e-8
 
 @dataclass(frozen=True)
 class PureVector:
-    """A normalized state vector."""
+    """A normalized state vector: its projector's trace is within HERM_TOL / 2 of 1.
+
+    That is the trace check_density tests, with half its tolerance: the
+    projector and each noisy mixture p|psi><psi| + (1-p) 1/d, whose trace
+    deviates p times as much plus rounding, pass check_density.
+    """
 
     dim: int
     amplitudes: np.ndarray
@@ -55,9 +60,10 @@ class PureVector:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= HERM_TOL:  # a NaN norm fails too
-            raise ValueError(f"vector norm {norm} deviates from 1 beyond {HERM_TOL}")
+        trace = np.outer(amps, amps.conj()).trace()
+        if not abs(trace - 1.0) <= HERM_TOL / 2:  # a NaN trace fails too
+            norm = float(np.linalg.norm(amps))
+            raise ValueError(f"vector norm {norm} deviates from 1: its projector's trace is {trace.real}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dim", int(self.dim))
@@ -128,6 +134,16 @@ def coherent_amplitudes(thetas) -> np.ndarray:
 _SQRT3 = math.sqrt(3.0)
 # named states defined only at d = 3 (max_coherent and basis take any odd prime)
 QUTRIT_STATES = ("strange", "norrell", "t", "h", "h_fourier", "phi_lambda", "psi_theta")
+# the named qutrit states without parameters, built once
+_FIXED_QUTRIT_STATES = {
+    "strange": PureVector(3, np.array([0.0, 1.0, -1.0], dtype=complex) / math.sqrt(2.0)),
+    "norrell": PureVector(3, np.array([-1.0, 2.0, -1.0], dtype=complex) / math.sqrt(6.0)),
+    "t": PureVector(3, np.array([np.exp(2j * np.pi / 9), 1.0, np.exp(-2j * np.pi / 9)], dtype=complex) / math.sqrt(3.0)),
+    "h": PureVector(
+        3, np.array([1.0 + _SQRT3, 1.0, np.exp(-2j * np.pi / 9)], dtype=complex) / math.sqrt(2.0 * (3.0 + _SQRT3))
+    ),
+    "h_fourier": PureVector(3, np.array([1.0 + _SQRT3, 1.0, 1.0], dtype=complex) / math.sqrt(2.0 * (3.0 + _SQRT3))),
+}
 
 
 def named_state(name: str, params=(), dim: int = 3) -> PureVector:
@@ -141,32 +157,9 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
 
     if name in QUTRIT_STATES and dim != 3:
         raise ParamOutOfRange(f"{name} is a qutrit state; dim={dim} is not 3")
-    if name == "strange":
+    if name in _FIXED_QUTRIT_STATES:
         need(0)
-        amps = np.array([0.0, 1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-        return PureVector(3, amps)
-    if name == "norrell":
-        need(0)
-        amps = np.array([-1.0, 2.0, -1.0], dtype=complex) / math.sqrt(6.0)
-        return PureVector(3, amps)
-    if name == "t":
-        need(0)
-        amps = np.array(
-            [np.exp(2j * np.pi / 9), 1.0, np.exp(-2j * np.pi / 9)], dtype=complex
-        ) / math.sqrt(3.0)
-        return PureVector(3, amps)
-    if name == "h":
-        need(0)
-        amps = np.array(
-            [1.0 + _SQRT3, 1.0, np.exp(-2j * np.pi / 9)], dtype=complex
-        ) / math.sqrt(2.0 * (3.0 + _SQRT3))
-        return PureVector(3, amps)
-    if name == "h_fourier":
-        need(0)
-        amps = np.array([1.0 + _SQRT3, 1.0, 1.0], dtype=complex) / math.sqrt(
-            2.0 * (3.0 + _SQRT3)
-        )
-        return PureVector(3, amps)
+        return _FIXED_QUTRIT_STATES[name]
     if name == "phi_lambda":
         need(1)
         lam = params[0]

@@ -96,6 +96,7 @@ INDEX_ARRAY_BUILDERS = {
     "circuits": ("beamsplitter", "clifford_gate"),
     "states": ("enumerate_stabilizer_pure", "coherent_amplitudes"),
     "search": ("PhaseVector.amplitudes", "_CoherentObjective.batch"),
+    "measures": ("hermitian_basis",),
 }
 
 
@@ -129,6 +130,42 @@ def test_operator_tables_are_built_without_index_loops():
         assert set(names) <= set(funcs), module
         loops.update({f"{module}.{name}": _index_loops(funcs[name]) for name in names})
     assert loops == {name: [] for name in loops}
+
+
+JOINS = {"stack", "vstack", "hstack", "concatenate"}
+
+
+def _block_rule_copies(tree: ast.AST) -> list[int]:
+    """Lines that join a list holding one element twice, or loop over range() with a step."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if name in JOINS and isinstance(node.args[0], (ast.List, ast.Tuple)):
+            parts = [ast.dump(element) for element in node.args[0].elts]
+            if len(set(parts)) < len(parts):
+                found.append(node.lineno)
+        elif name == "range" and len(node.args) == 3:
+            found.append(node.lineno)
+    return found
+
+
+def test_one_copy_of_the_block_rule():
+    # measures._by_rows alone cuts a block into pieces and doubles a lone row
+    # (a one-row product goes to gemv, which rounds unlike gemm)
+    copies = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_by_rows" and path.stem == "measures":
+                assert len(_block_rule_copies(node)) == 2  # its own cut and doubling
+            elif lines := _block_rule_copies(node):
+                copies[f"{path.name}:{getattr(node, 'name', node.lineno)}"] = lines
+    assert copies == {}
+    search = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(search) if isinstance(node, ast.Name)}
+    assert not {name for name in names if "chunk" in name}
 
 
 def test_measures_runs_no_scipy_optimizer_or_logm():
