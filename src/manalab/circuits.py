@@ -55,11 +55,10 @@ class BeamsplitterSpec:
         rows = tuple(tuple(int(x) % d for x in row) for row in self.g_matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("g_matrix must be 2x2")
-        det = (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % d
-        if det == 0:
-            raise SingularG(f"det G = 0 mod {d} for G={rows}")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "g_matrix", rows)
+        if self.det == 0:
+            raise SingularG(f"det G = 0 mod {d} for G={rows}")
 
     @property
     def alpha(self) -> int:
@@ -202,7 +201,7 @@ def heisenberg_pullback(spec: BeamsplitterSpec, side: str, pt) -> np.ndarray:
     return out / d
 
 
-def prop3_expectation(rho, spec: BeamsplitterSpec, side: str, pt) -> float:
+def prop3_expectation(rho: DensityState, spec: BeamsplitterSpec, side: str, pt) -> float:
     """tr((rho x |0><0|) B_G^dag (A x 1 or 1 x A) B_G) for beta*delta != 0.
 
     Computed as the dense trace; equals the diagonal entry rho[j0,j0]
@@ -212,12 +211,11 @@ def prop3_expectation(rho, spec: BeamsplitterSpec, side: str, pt) -> float:
     d = spec.dim
     if (spec.beta * spec.delta) % d == 0:
         raise BetaDeltaZero(f"beta*delta = {spec.beta}*{spec.delta} = 0 mod {d}")
-    mat = np.asarray(rho.matrix if hasattr(rho, "matrix") else rho, dtype=complex)
-    if mat.shape != (d, d):
-        raise ValueError(f"need a single {d}-dim state, got {mat.shape}")
+    if rho.dims != (d,):
+        raise ValueError(f"need a single {d}-dim state, got dims {rho.dims}")
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
-    big = np.kron(mat, vac)
+    big = np.kron(rho.matrix, vac)
     op = heisenberg_pullback(spec, side, pt)
     return float(np.trace(big @ op).real)
 
@@ -232,11 +230,10 @@ def prop3_index(spec: BeamsplitterSpec, side: str, k: int) -> int:
     raise ValueError("side must be 'a' or 'b'")
 
 
-def apply_beamsplitter(spec: BeamsplitterSpec, rho_in) -> "np.ndarray":
-    """Conjugate a two-qudit density matrix by B_G."""
-    mat = np.asarray(rho_in.matrix if hasattr(rho_in, "matrix") else rho_in, dtype=complex)
+def apply_beamsplitter(spec: BeamsplitterSpec, rho_in: DensityState) -> np.ndarray:
+    """The matrix of a two-qudit state conjugated by B_G."""
     bmat = beamsplitter(spec)
-    return bmat @ mat @ bmat.conj().T
+    return bmat @ rho_in.matrix @ bmat.conj().T
 
 
 def beamsplitter_output(spec: BeamsplitterSpec, rho: DensityState) -> DensityState:

@@ -138,7 +138,7 @@ def _build_state(args) -> DensityState:
         with open(args.state_file, "r", encoding="utf-8") as fh:
             return state_from_json(fh.read())
     if args.state == "maxmixed":
-        return maximally_mixed(args.dim)
+        return maximally_mixed(3 if args.dim is None else args.dim)
     params = [float(x) for x in args.params.split(",")] if args.params else []
     vec = named_state(args.state, params, dim=args.dim)
     return vec.density() if args.noise is None else noisy_mix(vec, args.noise)
@@ -180,9 +180,10 @@ def cmd_figure(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    result = max_mana_coherent(args.dim, grid=args.grid, refine_iters=args.refine)
+    dim = 3 if args.dim is None else args.dim
+    result = max_mana_coherent(dim, grid=args.grid, refine_iters=args.refine)
     base = LogBase(args.log_base)
-    bound = 0.5 * math.log(args.dim)
+    bound = 0.5 * math.log(dim)
     lines = [
         f"best value = {base.convert(result.best_value):.10f}",
         f"upper bound (1/2) log d = {base.convert(bound):.10f}  [bound not certified attained]",
@@ -235,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default=None, help="output path (default stdout)")
     values = argparse.ArgumentParser(add_help=False, parents=[output])
-    values.add_argument("--dim", type=int, default=3, help="local dimension (odd prime)")
+    # no default: measure and maximize share this action, and each defaults --dim itself
+    values.add_argument("--dim", type=int, default=None, help="local dimension (odd prime)")
     values.add_argument("--log-base", choices=list(mz.LOG_BASE_FACTORS), default="e")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -60,7 +60,7 @@ from .phasespace import (
     phase_point_stack,
     wigner,
 )
-from .states import DensityState, check_density, partial_trace
+from .states import EIG_FLOOR, DensityState, check_density, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
 
@@ -188,7 +188,7 @@ def mutual_sre(rho_ab: DensityState, alpha: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityState) -> float:
-    """-tr(rho log rho) with eigenvalues in [-1e-8, 0) clipped to zero."""
+    """-tr(rho log rho) with eigenvalues in [EIG_FLOOR, 0) clipped to zero."""
     mat, _ = _unpack(rho)
     return float(_entropies(mat))
 
@@ -197,8 +197,8 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     """von_neumann_entropy of one matrix or of each matrix in a stack (..., D, D)."""
     eigs = np.linalg.eigvalsh(mats)
     lo = float(eigs.min())
-    if lo < -1e-8:
-        raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below -1e-8")
+    if lo < EIG_FLOOR:
+        raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
     eigs = np.clip(eigs, 0.0, None)
     return -(eigs * np.log(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)
 
@@ -567,6 +567,8 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     unknown = [name for name in names if name not in OUTPUT_MEASURES]
     if unknown:
         raise ValueError(f"output_measures does not evaluate {unknown[0]!r}")
+    if not len(mats):
+        return {name: np.empty(0) for name in names}
     check_density(mats)
     perm = phase_permutation(spec)
     vacuum = np.zeros((d, d), dtype=complex)

@@ -420,11 +420,9 @@ def row_measure(measure: str):
     return mz.MEASURES[_row_name(measure)][0]
 
 
-def csum_output(psi: str | PureVector, p: float, params=()) -> DensityState:
-    """Noisy input (a named state or a vector), pushed through the qutrit controlled-SUM."""
-    if not isinstance(psi, PureVector):
-        psi = named_state(psi, params)
-    return beamsplitter_output(csum_spec(3), noisy_mix(psi, p))
+def csum_output(psi: str, p: float, params=()) -> DensityState:
+    """Noisy named input state, pushed through the qutrit controlled-SUM."""
+    return beamsplitter_output(csum_spec(3), noisy_mix(named_state(psi, params), p))
 
 
 THRESHOLD_LEVEL = 1e-9  # output mutual mana a p_crit threshold's bisection must exceed

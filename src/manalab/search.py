@@ -31,6 +31,8 @@ from .states import PureVector, coherent_amplitudes
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a golden-section bracket no wider than this is done
+GOLDEN_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,11 @@ class _CoherentObjective:
         return np.log(np.abs(rho @ self.kernel / d).sum(axis=1))
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-11):
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray):
     """Golden-section maximization on [lo[k], hi[k]] for every row k at once.
 
     `f(rows, points)` returns the objective of each listed row at its point.
-    Only rows whose bracket is still wider than `tol` are evaluated, so each
+    Only rows whose bracket is still wider than GOLDEN_TOL are evaluated, so each
     row takes exactly the steps and comparisons of a scalar golden section.
     """
     a = np.array(lo, dtype=float)
@@ -114,7 +116,7 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-11):
     c = b - GOLDEN * (b - a)
     d_ = a + GOLDEN * (b - a)
     fc, fd = f(rows, c), f(rows, d_)
-    run = np.flatnonzero(np.abs(b - a) > tol)
+    run = np.flatnonzero(np.abs(b - a) > GOLDEN_TOL)
     while run.size:
         left = fc[run] > fd[run]
         lr, rr = run[left], run[~left]
@@ -124,7 +126,7 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-11):
         d_[rr] = a[rr] + GOLDEN * (b[rr] - a[rr])
         fnew = f(run, np.where(left, c[run], d_[run]))
         fc[lr], fd[rr] = fnew[left], fnew[~left]
-        run = run[np.abs(b[run] - a[run]) > tol]
+        run = run[np.abs(b[run] - a[run]) > GOLDEN_TOL]
     x = 0.5 * (a + b)
     return x, f(rows, x)
 

@@ -146,8 +146,12 @@ _FIXED_QUTRIT_STATES = {
 }
 
 
-def named_state(name: str, params=(), dim: int = 3) -> PureVector:
-    """Build one of the named pure states; params are real numbers."""
+def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
+    """Build one of the named pure states; params are real numbers.
+
+    dim=None means the state's own dimension: 3, or the phase count + 1 for
+    max_coherent.  A given dim that disagrees raises ParamOutOfRange.
+    """
     params = tuple(float(x) for x in params)
     name = str(name).lower()
 
@@ -155,7 +159,7 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
         if len(params) != n:
             raise BadParamCount(f"{name} takes {n} parameter(s), got {len(params)}")
 
-    if name in QUTRIT_STATES and dim != 3:
+    if name in QUTRIT_STATES and dim not in (None, 3):
         raise ParamOutOfRange(f"{name} is a qutrit state; dim={dim} is not 3")
     if name in _FIXED_QUTRIT_STATES:
         need(0)
@@ -175,6 +179,8 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
         return PureVector(3, amps)
     if name == "max_coherent":
         d = len(params) + 1
+        if dim not in (None, d):
+            raise ParamOutOfRange(f"max_coherent with {len(params)} phases has dimension {d}, not dim={dim}")
         try:
             PrimeDim(d)
         except ValueError as exc:
@@ -183,7 +189,7 @@ def named_state(name: str, params=(), dim: int = 3) -> PureVector:
     if name == "basis":
         need(1)
         j = params[0]
-        d = _dim(dim)
+        d = _dim(3 if dim is None else dim)
         if not (j.is_integer() and 0 <= j < d):
             raise ParamOutOfRange(f"basis index {j} is not an integer in [0, {d})")
         return PureVector(d, np.eye(d, dtype=complex)[int(j)])
@@ -269,33 +275,20 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
 
 # --- JSON state format -----------------------------------------------------
 #
-# {"dims": [d, ...], "kind": "pure"|"mixed", "data": ...} where data holds
-# [re, im] pairs: a vector of pairs for "pure", row-major rows of pairs for
-# "mixed".
-
-
-def _pair(z: complex):
-    return [float(z.real), float(z.imag)]
+# {"dims": [d, ...], "kind": "pure"|"mixed", "data": ...} where data is one
+# array of [re, im] pairs of JSON numbers: a vector of pairs for "pure",
+# row-major rows of pairs for "mixed".  The kind fixes only the array's rank.
 
 
 def state_to_json(state) -> str:
     if isinstance(state, PureVector):
-        return json.dumps(
-            {
-                "dims": [state.dim],
-                "kind": "pure",
-                "data": [_pair(z) for z in state.amplitudes],
-            }
-        )
-    if isinstance(state, DensityState):
-        return json.dumps(
-            {
-                "dims": list(state.dims),
-                "kind": "mixed",
-                "data": [[_pair(z) for z in row] for row in state.matrix],
-            }
-        )
-    raise TypeError(f"cannot serialize {type(state)!r}")
+        dims, kind, values = [state.dim], "pure", state.amplitudes
+    elif isinstance(state, DensityState):
+        dims, kind, values = list(state.dims), "mixed", state.matrix
+    else:
+        raise TypeError(f"cannot serialize {type(state)!r}")
+    pairs = np.stack([values.real, values.imag], axis=-1)
+    return json.dumps({"dims": dims, "kind": kind, "data": pairs.tolist()})
 
 
 def state_from_json(text: str) -> DensityState:
@@ -309,18 +302,22 @@ def state_from_json(text: str) -> DensityState:
     kind = doc["kind"]
     if kind not in ("pure", "mixed"):
         raise ValueError(f"unknown state kind {kind!r}")
+    rank = 2 if kind == "pure" else 3
     try:
         dims = _integer_dims(doc["dims"])
-        if kind == "pure":
-            data = np.array([complex(re, im) for re, im in doc["data"]])
-        else:
-            data = np.array([[complex(re, im) for re, im in row] for row in doc["data"]])
     except TypeError as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
     if not dims:
         raise ValueError("state file 'dims' must list at least one subsystem")
-    if not np.isfinite(data).all():
+    pairs = np.asarray(doc["data"])  # ragged or too deeply nested data raises ValueError
+    if pairs.dtype.kind not in "biuf":  # strings, null, objects and integers beyond 64 bits are not numeric here
+        raise ValueError("state data holds a value that is not a number, or an integer beyond 64 bits")
+    if pairs.ndim != rank or pairs.shape[-1] != 2:
+        raise ValueError(f"{kind} state data must be an array of rank {rank} of [re, im] number pairs")
+    pairs = np.ascontiguousarray(pairs, dtype=float)
+    if not np.isfinite(pairs).all():
         raise ValueError("state data holds a non-finite number (NaN or Infinity)")
+    data = pairs.view(complex)[..., 0]  # each pair's bits as complex(re, im), a -0.0 part kept
     if kind == "pure":
         return PureVector(int(np.prod(dims)), data).density(dims)
     return DensityState(dims, data)

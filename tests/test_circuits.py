@@ -225,6 +225,16 @@ def test_prop3_rejects_beta_delta_zero():
         prop3_expectation(rho, spec, "a", (0, 0))
 
 
+def test_prop3_rejects_a_state_that_is_not_single_d_level():
+    spec = qutrit_specs()["g1"]
+    pair = DensityState((3, 3), np.eye(9) / 9)
+    ququint = DensityState((5,), np.eye(5) / 5)
+    for rho in (pair, ququint):
+        with pytest.raises(ValueError, match="need a single 3-dim state, got dims") as exc:
+            prop3_expectation(rho, spec, "a", (0, 0))
+        assert str(rho.dims) in str(exc.value)
+
+
 def test_prop3_vacuum_origin():
     spec = qutrit_specs()["g1"]
     vac = named_state("basis", [0]).density()

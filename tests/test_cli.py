@@ -222,6 +222,20 @@ def test_measure_max_coherent_takes_dim_from_phases(capsys):
     assert code == 0 and out.startswith("mana = ")
 
 
+def test_measure_max_coherent_rejects_a_dim_its_phases_disagree_with(capsys):
+    code, out, err = run(capsys, "measure", "--state", "max_coherent", "--params", "0.1,0.2", "--dim", "5",
+                         "--measures", "mana")
+    assert code == 2 and out == "" and "error:" in err
+    assert "2 phases" in err and "dim=5" in err
+
+
+def test_measure_max_coherent_with_its_own_dim_is_the_default(capsys):
+    argv = ["measure", "--state", "max_coherent", "--params", "0.1,0.2,0.3,0.4", "--measures", "mana,l1,sre2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--dim", "5") == (0, out, "")
+
+
 @pytest.mark.parametrize("suite,trials", [("prop5", "0"), ("thm1", "-3")])
 def test_verify_trials_below_one_usage_error(capsys, suite, trials):
     with pytest.raises(SystemExit) as exc:

@@ -196,3 +196,14 @@ def test_no_module_imports_scipy():
                 continue
             found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_no_module_calls_hasattr():
+    # each entry point takes one argument form (a DensityState, a state name);
+    # a hasattr test is a side door for another
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "hasattr":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -289,6 +289,14 @@ def test_wrong_dimension_input_is_named():
         mutual_mana_coherent_equals_mana(3, PhaseVector(3, (0.1, 0.2)), csum_spec(5))
 
 
+def test_empty_block_gives_empty_values():
+    got = output_measures(csum_spec(3), np.zeros((0, 3, 3)), OUTPUT_MEASURES)
+    assert list(got) == list(OUTPUT_MEASURES)
+    assert all(values.shape == (0,) and values.dtype == float for values in got.values())
+    with pytest.raises(ValueError, match=r"d=3 .*shape \(0, 5, 5\)"):
+        output_measures(csum_spec(3), np.zeros((0, 5, 5)), OUTPUT_MEASURES)
+
+
 def test_noisy_matrices_rows_are_noisy_mix():
     vecs = [named_state("phi_lambda", (lam,)) for lam in np.linspace(0.0, 0.7, 5)]
     block = noisy_matrices(np.stack([v.amplitudes for v in vecs]), 0.3)

@@ -97,6 +97,14 @@ def test_named_state_errors():
         named_state("max_coherent", [0.1, 0.2, 0.3])  # d=4 is not an odd prime
 
 
+def test_max_coherent_rejects_a_dim_its_phases_disagree_with():
+    with pytest.raises(ParamOutOfRange, match="2 phases .* dim=5"):
+        named_state("max_coherent", [0.1, 0.2], dim=5)
+    own = named_state("max_coherent", [0.1, 0.2]).amplitudes
+    assert np.array_equal(named_state("max_coherent", [0.1, 0.2], dim=3).amplitudes, own)
+    assert named_state("max_coherent", [0.1, 0.2, 0.3, 0.4]).dim == 5
+
+
 def test_noisy_mix_endpoints():
     psi = named_state("strange")
     assert np.abs(noisy_mix(psi, 0.0).matrix - np.eye(3) / 3).max() < 1e-15
