@@ -130,7 +130,8 @@ def write_figure_csv(figure_id: str, path: str | None):
 
 def _build_state(args) -> DensityState:
     source = "--state-file" if args.state_file else "--state maxmixed" if args.state == "maxmixed" else None
-    unread = {"--state": args.state if args.state_file else None, "--params": args.params, "--noise": args.noise}
+    unread = {"--state": args.state if args.state_file else None, "--params": args.params, "--noise": args.noise,
+              "--dim": args.dim if args.state_file else None}
     given = [flag for flag, value in unread.items() if value is not None]
     if source and given:
         raise ValueError(f"measure {source} ignores {', '.join(given)}")

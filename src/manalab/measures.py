@@ -285,9 +285,12 @@ def _by_rows(f, rows, row_size: int) -> np.ndarray:
     row_size is the number of elements f forms per row.  numpy sends a
     one-row product to gemv, which rounds unlike gemm, so a one-row piece
     is passed to f doubled and its first value kept: a row's value is then
-    the same bits whatever block it is evaluated in.
+    the same bits whatever block it is evaluated in.  A block of one piece
+    and at least two rows is f(rows) itself, with no joining copy.
     """
     step = max(2, ROW_BUDGET // row_size)
+    if 2 <= len(rows) <= step:
+        return f(rows)
     values = []
     for start in range(0, len(rows), step):
         piece = rows[start : start + step]

@@ -12,8 +12,15 @@ Strategy: exhaustive evaluation on a uniform grid over [0, 2pi)^{d-1},
 then lockstep golden-section refinement of all candidates: the (at most
 128) local grid maxima climb by coordinate-wise golden-section ascent
 together, one batched objective call per golden step, each candidate taking
-exactly the steps it would take alone.  All refined optima within 1e-6 of
-the best are kept, deduplicated by angular distance, and returned sorted.
+exactly the steps it would take alone.  A golden section keeps only its
+still-running rows, in compact arrays.  All refined optima within 1e-6 of
+the best are kept, deduplicated by angular distance (each one compared with
+all those kept before it in one array expression), and returned sorted.
+
+Nearly every objective call is a block of at most 128 rows, so its fixed
+cost counts: the amplitudes and the 1/d scale are real multiplies on the
+complex arrays' float views, which give the bits of numpy's complex division
+by a real number.
 """
 
 from __future__ import annotations
@@ -100,34 +107,49 @@ class _CoherentObjective:
         d = self.d
         psis = coherent_amplitudes(theta_block)
         rho = (psis[:, :, None] * psis.conj()[:, None, :]).reshape(len(psis), d * d)
-        return np.log(np.abs(rho @ self.kernel / d).sum(axis=1))
+        w = rho @ self.kernel
+        # numpy divides by the real d as (re + im * 0) * (1/d); scaling both
+        # parts by 1/d can differ only in the sign of a zero, which abs drops
+        w.view(float)[...] *= 1.0 / d
+        return np.log(np.abs(w).sum(axis=1))
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray):
     """Golden-section maximization on [lo[k], hi[k]] for every row k at once.
 
     `f(rows, points)` returns the objective of each listed row at its point.
-    Only rows whose bracket is still wider than GOLDEN_TOL are evaluated, so each
-    row takes exactly the steps and comparisons of a scalar golden section.
+    The rows whose bracket is still wider than GOLDEN_TOL are kept in compact
+    arrays, updated by np.where and evaluated together; a row's bracket is
+    written back once, when it finishes.  Each row thus takes exactly the
+    steps and comparisons of a scalar golden section.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    rows = np.arange(a.size)
-    c = b - GOLDEN * (b - a)
-    d_ = a + GOLDEN * (b - a)
+    a_out = np.array(lo, dtype=float)
+    b_out = np.array(hi, dtype=float)
+    rows = np.arange(a_out.size)
+    c = b_out - GOLDEN * (b_out - a_out)
+    d_ = a_out + GOLDEN * (b_out - a_out)
     fc, fd = f(rows, c), f(rows, d_)
-    run = np.flatnonzero(np.abs(b - a) > GOLDEN_TOL)
-    while run.size:
-        left = fc[run] > fd[run]
-        lr, rr = run[left], run[~left]
-        b[lr], d_[lr], fd[lr] = d_[lr], c[lr], fc[lr]
-        c[lr] = b[lr] - GOLDEN * (b[lr] - a[lr])
-        a[rr], c[rr], fc[rr] = c[rr], d_[rr], fd[rr]
-        d_[rr] = a[rr] + GOLDEN * (b[rr] - a[rr])
-        fnew = f(run, np.where(left, c[run], d_[run]))
-        fc[lr], fd[rr] = fnew[left], fnew[~left]
-        run = run[np.abs(b[run] - a[run]) > GOLDEN_TOL]
-    x = 0.5 * (a + b)
+    run = np.abs(b_out - a_out) > GOLDEN_TOL
+    idx, a, b, c, d_, fc, fd = (v[run] for v in (rows, a_out, b_out, c, d_, fc, fd))
+    while idx.size:
+        # left: the maximum lies in [a, d]; c becomes the new d.  Otherwise
+        # it lies in [c, b] and d becomes the new c.
+        left = fc > fd
+        a = np.where(left, a, c)
+        b = np.where(left, d_, b)
+        kept, fkept = np.where(left, c, d_), np.where(left, fc, fd)
+        width = b - a
+        step = GOLDEN * width
+        new = np.where(left, b - step, a + step)
+        fnew = f(idx, new)
+        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
+        d_, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
+        run = np.abs(width) > GOLDEN_TOL
+        if not run.all():
+            done = idx[~run]
+            a_out[done], b_out[done] = a[~run], b[~run]
+            idx, a, b, c, d_, fc, fd = (v[run] for v in (idx, a, b, c, d_, fc, fd))
+    x = 0.5 * (a_out + b_out)
     return x, f(rows, x)
 
 
@@ -179,10 +201,11 @@ def _wrap_box_max(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _angular_distance(a, b) -> float:
+def _angular_distance(a, b):
+    """Largest phase difference on the circle between a and b, or each row of b."""
     diff = np.abs(np.asarray(a) - np.asarray(b)) % (2.0 * math.pi)
     diff = np.minimum(diff, 2.0 * math.pi - diff)
-    return float(diff.max())
+    return diff.max(axis=-1)
 
 
 def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> SearchResult:
@@ -218,13 +241,14 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     refined = [(float(v), tuple(x)) for v, x in zip(vs, xs)]
 
     best = max(v for v, _ in refined)
-    keep = [(v, x) for v, x in refined if best - v <= 1e-6]
-    keep.sort(key=lambda t: t[1])
-    unique: list[tuple[float, tuple[float, ...]]] = []
-    for v, x in keep:
-        if all(_angular_distance(x, u[1]) >= 1e-3 for u in unique):
-            unique.append((v, x))
-    argmax = tuple(PhaseVector(d, x) for _, x in unique)
+    # each candidate, in sorted order, against all phase vectors kept before it at once
+    unique = np.empty((len(refined), naxes))
+    count = 0
+    for x in sorted(x for v, x in refined if best - v <= 1e-6):
+        if (_angular_distance(x, unique[:count]) >= 1e-3).all():
+            unique[count] = x
+            count += 1
+    argmax = tuple(PhaseVector(d, x) for x in unique[:count])
     return SearchResult(best, argmax, obj.evaluations, grid, int(sweeps.max()))
 
 

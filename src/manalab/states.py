@@ -125,9 +125,17 @@ def maximally_mixed(dim, subsystems: int = 1) -> DensityState:
 def coherent_amplitudes(thetas) -> np.ndarray:
     """(1, e^{i theta_1}, ..., e^{i theta_{d-1}})/sqrt(d) for each row of a (..., d-1) block of phases."""
     thetas = np.asarray(thetas, dtype=float)
-    amps = np.ones(thetas.shape[:-1] + (thetas.shape[-1] + 1,), dtype=complex)
-    amps[..., 1:] = np.exp(1j * thetas)
-    amps /= math.sqrt(amps.shape[-1])  # in place: no second copy of a search block
+    n = thetas.shape[-1] + 1
+    amps = np.zeros(thetas.shape[:-1] + (n,), dtype=complex)
+    amps[..., 0] = 1.0
+    # the bits of exp(1j * thetas) / sqrt(n) without the complex temporaries:
+    # 1j * t has imaginary part 0 + t (so -0.0 becomes +0.0), and numpy
+    # divides by the real c = sqrt(n) as (re + im * 0, im - re * 0) * (1/c),
+    # which is both parts times 1/c: no cosine of a double is zero, and a
+    # zero sine is +0.0 here
+    np.add(thetas, 0.0, out=amps.imag[..., 1:])
+    np.exp(amps[..., 1:], out=amps[..., 1:])
+    amps.view(float)[...] *= 1.0 / math.sqrt(n)
     return amps
 
 

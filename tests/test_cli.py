@@ -359,3 +359,14 @@ def test_measure_state_file_non_integer_dims(tmp_path, capsys, dims):
     path.write_text('{"dims": %s, "kind": "pure", "data": [[1, 0], [0, 0], [0, 0]]}' % dims)
     code, out, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
     assert code == 2 and out == "" and "dims" in err
+
+
+@pytest.mark.parametrize("dim", ["3", "5"])
+def test_measure_state_file_rejects_dim(tmp_path, capsys, dim):
+    # the file fixes the dimension, so --dim would be ignored without a word
+    path = tmp_path / "basis.json"
+    path.write_text(state_to_json(named_state("basis", [0])))
+    code, out, err = run(capsys, "measure", "--state-file", str(path), "--dim", dim, "--measures", "mana")
+    assert code == 2 and out == "" and "error:" in err and "--dim" in err
+    code, out, _ = run(capsys, "measure", "--state", "maxmixed", "--dim", "5", "--measures", "mana")
+    assert code == 0 and out.startswith("mana = ")

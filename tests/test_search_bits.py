@@ -1,0 +1,130 @@
+"""The coherent search's arithmetic, bit for bit.
+
+coherent_amplitudes and the search objective scale complex arrays through
+their float views and exponentiate in place; each must give the bits of the
+plain complex expression kept here as the reference.  The lockstep golden
+section keeps its running rows in compact arrays; each row must still be
+the scalar search.  The two full searches are pinned to the values recorded
+in tests/data/coherent_search_pins.json before that rewrite.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from test_search_lockstep import scalar_golden_max
+
+from manalab.search import GOLDEN_TOL, _CoherentObjective, _golden_max, max_mana_coherent
+from manalab.states import coherent_amplitudes
+
+PINS = json.loads((Path(__file__).parent / "data" / "coherent_search_pins.json").read_text(encoding="utf-8"))
+
+
+def reference_amplitudes(thetas):
+    ones = np.ones(thetas.shape[:-1] + (1,))
+    return np.concatenate([ones, np.exp(1j * thetas)], axis=-1) / math.sqrt(thetas.shape[-1] + 1)
+
+
+def reference_values(d, thetas):
+    obj = _CoherentObjective(d)
+    psis = reference_amplitudes(thetas)
+    rho = (psis[:, :, None] * psis.conj()[:, None, :]).reshape(len(psis), d * d)
+    # a one-row product goes to gemv, which rounds unlike gemm: the search
+    # evaluates a lone row doubled, and so does the reference
+    rows = np.concatenate([rho, rho]) if len(rho) == 1 else rho
+    return np.log(np.abs(rows @ obj.kernel / d).sum(axis=1))[: len(rho)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# negative angles, signed zeros and |theta| up to 1e6
+angles = st.floats(-1e6, 1e6, allow_nan=False)
+phase_blocks = st.tuples(st.sampled_from([1, 2, 128]), st.sampled_from([3, 5, 7])).flatmap(
+    lambda shape: arrays(np.float64, (shape[0], shape[1] - 1), elements=angles)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(phase_blocks)
+def test_coherent_amplitudes_are_the_complex_expression(thetas):
+    assert same_bits(coherent_amplitudes(thetas), reference_amplitudes(thetas))
+    assert same_bits(coherent_amplitudes(thetas[0]), reference_amplitudes(thetas[0]))
+
+
+def test_coherent_amplitudes_keep_the_sign_convention_of_a_zero_phase():
+    # 1j * -0.0 has imaginary part +0.0, and so does the amplitude
+    thetas = np.array([[0.0, -0.0], [-math.pi, 1e6]])
+    assert same_bits(coherent_amplitudes(thetas), reference_amplitudes(thetas))
+    assert math.copysign(1.0, coherent_amplitudes(thetas)[0, 2].imag) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_blocks)
+def test_objective_is_the_complex_expression(thetas):
+    d = thetas.shape[1] + 1
+    assert same_bits(_CoherentObjective(d).batch(thetas), reference_values(d, thetas))
+
+
+@pytest.mark.parametrize("key", sorted(PINS))
+def test_search_is_pinned_bit_for_bit(key):
+    pin = PINS[key]
+    result = max_mana_coherent(**pin["call"])
+    assert result.best_value == pin["best_value"]
+    assert (result.evaluations, result.refine_sweeps) == (pin["evaluations"], pin["refine_sweeps"])
+    assert [pv.thetas for pv in result.argmax] == [tuple(row) for row in pin["argmax"]]
+
+
+def golden_against_scalar(centres, lo, hi):
+    """Run _golden_max on cos(t - centre) per row; check every row against the scalar search."""
+    centres, lo, hi = (np.asarray(v, dtype=float) for v in (centres, lo, hi))
+    counts = np.zeros(len(lo), dtype=int)
+
+    def batched(idx, points):
+        np.add.at(counts, idx, 1)
+        return np.array([math.cos(p - centres[k]) for k, p in zip(idx, points)])
+
+    xs, fs = _golden_max(batched, lo, hi)
+    for k in range(len(lo)):
+        calls = 0
+
+        def scalar(t, k=k):
+            nonlocal calls
+            calls += 1
+            return math.cos(t - centres[k])
+
+        x_ref, f_ref = scalar_golden_max(scalar, lo[k], hi[k])
+        assert (xs[k].hex(), fs[k].hex(), counts[k]) == (x_ref.hex(), f_ref.hex(), calls), k
+    return counts
+
+
+def test_golden_rows_that_start_converged_take_no_step():
+    # a bracket of width 0, exactly GOLDEN_TOL (either way round) or half of
+    # it is done before the first step; the last two rows run among them
+    tol = GOLDEN_TOL
+    lo = [0.0, 0.0, tol, 3.0, -1.0, 5.0]
+    hi = [0.0, tol, 0.0, 3.0 + 0.5 * tol, 1.0, 5.0 + 1e-3]
+    counts = golden_against_scalar([0.3, 0.0, 0.0, 3.0, -0.2, 5.0004], lo, hi)
+    assert counts[:4].tolist() == [3, 3, 3, 3]  # c, d and the midpoint only
+    assert counts[4] > counts[5] > 3
+
+
+def test_golden_one_row_block():
+    counts = golden_against_scalar([0.7], [-1.0], [2.0])
+    assert counts[0] > 3
+
+
+def test_golden_rows_finish_on_different_iterations():
+    # widths spanning six orders of magnitude leave the running set one by one,
+    # and each must get its own bracket back
+    widths = np.array([1e3, 1e-3, 1.0, 10.0, 1e-1, 1e2])
+    lo = np.array([-3.0, 0.2, 1.1, -4.0, 2.5, 7.0])
+    centres = lo + 0.37 * widths
+    counts = golden_against_scalar(centres, lo, lo + widths)
+    assert len(set(counts.tolist())) == len(widths)
