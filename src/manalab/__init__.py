@@ -49,7 +49,6 @@ from .phasespace import (
     PrimeDim,
     WignerTable,
     phase_point_operator,
-    reconstruct,
     weyl,
     wigner,
 )
@@ -64,6 +63,7 @@ from .states import (
     partial_trace,
     random_density,
     random_pure,
+    reconstruct,
     state_from_json,
     state_to_json,
     tensor,

@@ -232,8 +232,7 @@ def prop3_index(spec: BeamsplitterSpec, side: str, k: int) -> int:
 
 def apply_beamsplitter(spec: BeamsplitterSpec, rho_in: DensityState) -> np.ndarray:
     """The matrix of a two-qudit state conjugated by B_G."""
-    bmat = beamsplitter(spec)
-    return bmat @ rho_in.matrix @ bmat.conj().T
+    return conjugate(beamsplitter(spec), rho_in).matrix
 
 
 def beamsplitter_output(spec: BeamsplitterSpec, rho: DensityState) -> DensityState:

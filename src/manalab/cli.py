@@ -129,6 +129,8 @@ def write_figure_csv(figure_id: str, path: str | None):
 
 
 def _build_state(args) -> DensityState:
+    if not (args.state or args.state_file):
+        raise ValueError("measure needs --state or --state-file")
     source = "--state-file" if args.state_file else "--state maxmixed" if args.state == "maxmixed" else None
     unread = {"--state": args.state if args.state_file else None, "--params": args.params, "--noise": args.noise,
               "--dim": args.dim if args.state_file else None}
@@ -156,7 +158,7 @@ def cmd_measure(args) -> int:
     expanded = []
     for n in names:
         expanded += ["l1", "log_l1"] if n == "l1" else [n]
-    report = mz.measure_report(rho, expanded, base=args.log_base, state_id=args.state or args.state_file)
+    report = mz.measure_report(rho, expanded, base=args.log_base)
     lines = [f"{k} = {v:.8f}" for k, v in report.values.items()]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
@@ -193,8 +195,7 @@ def cmd_maximize(args) -> int:
     ]
     for pv in result.argmax:
         lines.append("  (" + ", ".join(f"{t:.8f}" for t in pv.thetas) + ")")
-    _write_text(args.output, "\n".join(lines) + "\n")
-    if args.json:
+    if args.json:  # written first, so a path that cannot be written prints nothing
         doc = {
             "best_value": result.best_value,
             "bound": bound,
@@ -205,6 +206,7 @@ def cmd_maximize(args) -> int:
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10")
-    p.add_argument("--seed", type=int, default=None, help="default 42")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, help="default 42")
     p.add_argument("--trials", type=_positive_int, default=None, help="default 100")
     p.set_defaults(fn=cmd_verify)
 
@@ -272,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "measure" and not (args.state or args.state_file):
-        print("measure needs --state or --state-file", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (ManalabError, OSError, ValueError) as exc:

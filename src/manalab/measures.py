@@ -1,7 +1,7 @@
 """Scalar magic and correlation measures.
 
-All logarithms are natural internally; MeasureReport records the base used
-for display and the CLI converts on output.
+All logarithms are natural internally; measure_report converts the
+logarithmic measures to the requested display base (LogBase).
 
     mana(rho)         = log sum_p |W(p)|             (log of total Wigner mass)
     sum_negativity    = (sum_p |W(p)| - 1) / 2
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,21 +75,15 @@ class LogBase:
         if self.name not in LOG_BASE_FACTORS:
             raise ValueError(f"log base must be one of {sorted(LOG_BASE_FACTORS)}")
 
-    @property
-    def factor(self) -> float:
-        return LOG_BASE_FACTORS[self.name]
-
     def convert(self, natural_value: float) -> float:
-        return natural_value * self.factor
+        return natural_value * LOG_BASE_FACTORS[self.name]
 
 
 @dataclass(frozen=True)
 class MeasureReport:
     """Named measure values for one state, all in one log base."""
 
-    state_id: str
-    base: LogBase
-    values: dict[str, float] = field(default_factory=dict)
+    values: dict[str, float]
 
     def __post_init__(self):
         if self.values.get("mana", 0.0) < -1e-10:
@@ -598,13 +592,13 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     return dict(zip(names, _by_rows(evaluate, mats, d**4).T))
 
 
-def measure_report(rho: DensityState, names, base: LogBase | str = "e", state_id: str = "state") -> MeasureReport:
-    """Evaluate the requested measures; logarithmic ones converted to `base`."""
-    base = base if isinstance(base, LogBase) else LogBase(str(base))
+def measure_report(rho: DensityState, names, base: str = "e") -> MeasureReport:
+    """Evaluate the requested measures; logarithmic ones converted to the log base named `base`."""
+    base = LogBase(base)
     values: dict[str, float] = {}
     for name in names:
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         fn, logarithmic = MEASURES[name]
         values[name] = base.convert(fn(rho)) if logarithmic else fn(rho)
-    return MeasureReport(state_id, base, values)
+    return MeasureReport(values)

@@ -73,7 +73,7 @@ class PhasePoint:
 
 
 def _dim(dim) -> int:
-    return dim.d if isinstance(dim, PrimeDim) else PrimeDim(dim).d
+    return PrimeDim(dim).d
 
 
 def _integer_dims(dims) -> tuple[int, ...]:
@@ -278,14 +278,6 @@ def wigner(rho, dims=None) -> WignerTable:
     mat, dims = _unpack_state(rho, dims)
     shape = tuple(x for d in dims for x in (d, d))
     return WignerTable(dims, _wigner_values(mat, dims).reshape(shape))
-
-
-def reconstruct(table: WignerTable):
-    """Rebuild the density state rho = sum_p W(p) A_p1 x A_p2 x ... ."""
-    from .states import DensityState  # local import to avoid a module cycle
-
-    flat = table.values.reshape([d * d for d in table.dims])
-    return DensityState(table.dims, _from_wigner(flat, table.dims))
 
 
 def char_function(rho, dims=None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""State constructors, density-operator algebra, and stabilizer enumeration.
+"""State constructors, density-operator algebra, Wigner reconstruction and stabilizer enumeration.
 
 The named qutrit states studied throughout the package:
 
@@ -36,7 +36,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownState,
 )
-from .phasespace import PrimeDim, _dim, _integer_dims, omega_power
+from .phasespace import PrimeDim, WignerTable, _dim, _from_wigner, _integer_dims, omega_power
 
 # Validation tolerances: hermiticity/trace soft at 1e-10, eigenvalue hard
 # floor at -1e-8 (roundoff from products of unitaries is clipped above it).
@@ -116,6 +116,12 @@ class DensityState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
+def reconstruct(table: WignerTable) -> DensityState:
+    """Rebuild the density state rho = sum_p W(p) A_p1 x A_p2 x ... ."""
+    flat = table.values.reshape([d * d for d in table.dims])
+    return DensityState(table.dims, _from_wigner(flat, table.dims))
+
+
 def maximally_mixed(dim, subsystems: int = 1) -> DensityState:
     d = _dim(dim)
     total = d**subsystems
@@ -140,8 +146,6 @@ def coherent_amplitudes(thetas) -> np.ndarray:
 
 
 _SQRT3 = math.sqrt(3.0)
-# named states defined only at d = 3 (max_coherent and basis take any odd prime)
-QUTRIT_STATES = ("strange", "norrell", "t", "h", "h_fourier", "phi_lambda", "psi_theta")
 # the named qutrit states without parameters, built once
 _FIXED_QUTRIT_STATES = {
     "strange": PureVector(3, np.array([0.0, 1.0, -1.0], dtype=complex) / math.sqrt(2.0)),
@@ -152,6 +156,8 @@ _FIXED_QUTRIT_STATES = {
     ),
     "h_fourier": PureVector(3, np.array([1.0 + _SQRT3, 1.0, 1.0], dtype=complex) / math.sqrt(2.0 * (3.0 + _SQRT3))),
 }
+# named states defined only at d = 3 (max_coherent and basis take any odd prime)
+QUTRIT_STATES = (*_FIXED_QUTRIT_STATES, "phi_lambda", "psi_theta")
 
 
 def named_state(name: str, params=(), dim: int | None = None) -> PureVector:

@@ -27,7 +27,7 @@ from .circuits import (
     prop3_index,
     qutrit_specs,
 )
-from .phasespace import phase_point_operator, reconstruct, weyl, wigner
+from .phasespace import phase_point_operator, weyl, wigner
 from .search import PhaseVector, mutual_mana_coherent_equals_mana
 from .states import (
     DensityState,
@@ -36,6 +36,7 @@ from .states import (
     partial_trace,
     random_density,
     random_pure,
+    reconstruct,
     tensor,
 )
 

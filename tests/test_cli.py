@@ -370,3 +370,21 @@ def test_measure_state_file_rejects_dim(tmp_path, capsys, dim):
     assert code == 2 and out == "" and "error:" in err and "--dim" in err
     code, out, _ = run(capsys, "measure", "--state", "maxmixed", "--dim", "5", "--measures", "mana")
     assert code == 0 and out.startswith("mana = ")
+
+
+def test_verify_negative_seed_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prop1", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
+def test_maximize_unwritable_json_prints_nothing(tmp_path, capsys):
+    jpath = tmp_path / "missing-dir" / "result.json"
+    code, out, err = run(capsys, "maximize", "--dim", "3", "--grid", "8", "--refine", "0", "--json", str(jpath))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_measure_without_a_state_is_an_error_line(capsys):
+    code, out, err = run(capsys, "measure", "--measures", "mana")
+    assert code == 2 and out == "" and err.startswith("error:")

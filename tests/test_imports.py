@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import manalab
+from manalab import states
 
 # phasespace.reconstruct builds a DensityState, and states imports phasespace
 ALLOWED = {("phasespace", "reconstruct")}
@@ -23,3 +24,31 @@ def _function_level_imports():
 
 def test_no_function_level_imports():
     assert _function_level_imports() <= ALLOWED
+
+
+def _package_imports(module: str) -> set[str]:
+    """The manalab modules that `module` imports, by name."""
+    tree = ast.parse((Path(manalab.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["manalab", node.module])) if node.level else node.module
+            names = [base] if base != "manalab" else [f"manalab.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("manalab.")}
+    return found
+
+
+def test_no_module_has_a_function_level_import():
+    assert _function_level_imports() == set()
+
+
+def test_phasespace_imports_only_errors():
+    assert _package_imports("phasespace") == {"errors"}
+
+
+def test_reconstruct_lives_in_states():
+    assert manalab.reconstruct is states.reconstruct

@@ -1,5 +1,6 @@
 """Magic measures and their algebraic properties."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from manalab import (
     DensityState,
     LogBase,
+    MeasureReport,
     clifford_gate,
     enumerate_stabilizer_pure,
     l1_magic,
@@ -393,3 +395,7 @@ def test_measure_report_bipartite_names():
     assert abs(rep.values["mutual_mana"] - math.log(5 / 3)) < 1e-12
     with pytest.raises(ValueError):
         measure_report(out, ["nonsense"])
+
+
+def test_measure_report_holds_only_values():
+    assert [f.name for f in dataclasses.fields(MeasureReport)] == ["values"]

@@ -1,0 +1,234 @@
+"""Mutation catalogue: small edits to src/manalab that the named tests must catch.
+
+Each mutant is one textual edit (file under src/manalab, old text, new text)
+and the pytest node ids that should fail once it is made.  A run copies
+src/ into a temporary directory, applies the edit there, runs the named
+tests against the copy, and reports the mutant as killed when they fail and
+as a survivor when they pass.  The repository itself is never edited.
+
+    python tools/mutants.py              # every mutant
+    python tools/mutants.py NAME ...     # the named ones
+
+Exits 1 when a mutant survives that is not in KNOWN_SURVIVORS.  The tier-1
+suite only checks that each old text still occurs exactly once
+(tests/test_mutants.py); the full run is a separate command, like the
+benchmark.  A change that adds a fast path adds its mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str  # path under src/manalab
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = {
+    # the beamsplitter's phase-space permutation and the permuted output tables
+    "weyl-image-sign": Mutant(
+        "circuits.py",
+        "(a * l1 + b * l2) % d,",
+        "(a * l1 - b * l2) % d,",
+        ("tests/test_output_measures.py", "tests/test_circuits.py"),
+    ),
+    "unpermuted-table": Mutant(
+        "measures.py",
+        "out[:, perm] = (table[:, :, None] * vacuum).reshape(n, dd * dd)",
+        "out[:, :] = (table[:, :, None] * vacuum).reshape(n, dd * dd)",
+        ("tests/test_output_measures.py",),
+    ),
+    "inverse-permutation": Mutant(
+        "measures.py",
+        "out[:, perm] = (table[:, :, None] * vacuum).reshape(n, dd * dd)",
+        "out[:] = (table[:, :, None] * vacuum).reshape(n, dd * dd)[:, perm]",
+        ("tests/test_output_measures.py",),
+    ),
+    "chi-marginal-slice": Mutant(
+        "measures.py",
+        "_log_abs_sum(chi[:, 0, :], 1)",
+        "_log_abs_sum(chi[:, 1, :], 1)",
+        ("tests/test_output_measures.py",),
+    ),
+    "vacuum-index": Mutant(
+        "measures.py",
+        "vacuum[0, 0] = 1.0",
+        "vacuum[0, 1] = 1.0",
+        ("tests/test_output_measures.py",),
+    ),
+    # the block rule
+    "no-one-row-doubling": Mutant(
+        "measures.py",
+        "values.append(f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece))",
+        "values.append(f(piece))",
+        ("tests/test_by_rows.py",),
+    ),
+    "lone-row-on-one-piece-path": Mutant(
+        "measures.py",
+        "if 2 <= len(rows) <= step:",
+        "if 1 <= len(rows) <= step:",
+        ("tests/test_by_rows.py",),
+    ),
+    # the lockstep Nelder-Mead and its starts
+    "shrink-one-row-fewer": Mutant(
+        "measures.py",
+        "moved = min(n, m + 1)",
+        "moved = m",
+        ("tests/test_nonlocal_lockstep.py",),
+    ),
+    "evaluation-past-maxfev": Mutant(
+        "measures.py",
+        "m = min(n, maxfev - nfev)",
+        "m = n",
+        ("tests/test_nonlocal_lockstep.py",),
+    ),
+    "no-branch-snap": Mutant(
+        "measures.py",
+        "angles = np.where(angles < BRANCH_TOL - math.pi, angles + 2.0 * math.pi, angles)",
+        "angles = angles",
+        ("tests/test_nonlocal_lockstep.py", "tests/test_numpy_runtime.py"),
+    ),
+    "hermitian-diagonal-real-division": Mutant(
+        "measures.py",
+        "np.where(t < k, 1.0, np.where(t == k, -k, 0.0)).astype(complex) / np.sqrt(k * (k + 1))",
+        "(np.where(t < k, 1.0, np.where(t == k, -k, 0.0)) / np.sqrt(k * (k + 1))).astype(complex)",
+        ("tests/test_tables.py",),
+    ),
+    # state validation and the coherent amplitudes
+    "pure-vector-full-herm-tol": Mutant(
+        "states.py",
+        "if not abs(trace - 1.0) <= HERM_TOL / 2:",
+        "if not abs(trace - 1.0) <= HERM_TOL:",
+        ("tests/test_pure_vector.py",),
+    ),
+    "amplitudes-np-empty": Mutant(
+        "states.py",
+        "amps = np.zeros(thetas.shape[:-1] + (n,), dtype=complex)",
+        "amps = np.empty(thetas.shape[:-1] + (n,), dtype=complex)",
+        ("tests/test_search_bits.py",),
+    ),
+    "phases-without-plus-zero": Mutant(
+        "states.py",
+        "np.add(thetas, 0.0, out=amps.imag[..., 1:])",
+        "amps.imag[..., 1:] = thetas",
+        ("tests/test_search_bits.py",),
+    ),
+    "amplitudes-over-n": Mutant(
+        "states.py",
+        "amps.view(float)[...] *= 1.0 / math.sqrt(n)",
+        "amps.view(float)[...] *= 1.0 / n",
+        ("tests/test_search_bits.py",),
+    ),
+    # the coherent search
+    "objective-times-d": Mutant(
+        "search.py",
+        "w.view(float)[...] *= 1.0 / d",
+        "w.view(float)[...] *= d",
+        ("tests/test_search_bits.py",),
+    ),
+    "golden-write-back-rows": Mutant(
+        "search.py",
+        "done = idx[~run]",
+        "done = np.flatnonzero(~run)",
+        ("tests/test_search_bits.py",),
+    ),
+    "golden-new-point-side": Mutant(
+        "search.py",
+        "new = np.where(left, b - step, a + step)",
+        "new = np.where(left, a + step, b - step)",
+        ("tests/test_search_bits.py",),
+    ),
+    "golden-start-bracket-ge": Mutant(
+        "search.py",
+        "run = np.abs(b_out - a_out) > GOLDEN_TOL",
+        "run = np.abs(b_out - a_out) >= GOLDEN_TOL",
+        ("tests/test_search_bits.py",),
+    ),
+    "golden-stop-ge": Mutant(
+        "search.py",
+        "run = np.abs(width) > GOLDEN_TOL",
+        "run = np.abs(width) >= GOLDEN_TOL",
+        ("tests/test_search_bits.py", "tests/test_search_lockstep.py"),
+    ),
+    "dedup-last-kept-only": Mutant(
+        "search.py",
+        "_angular_distance(x, unique[:count])",
+        "_angular_distance(x, unique[max(count - 1, 0) : count])",
+        ("tests/test_search_bits.py", "tests/test_search.py"),
+    ),
+    # verification and the CLI boundary
+    "check-worst-python-max": Mutant(
+        "verify.py",
+        "float(np.maximum(values.max(), 0.0))",
+        "float(max(0.0, *values))",
+        ("tests/test_verify.py",),
+    ),
+    "tolerance-without-finiteness": Mutant(
+        "cli.py",
+        "if not math.isfinite(value) or value < 0:",
+        "if value < 0:",
+        ("tests/test_cli_flags.py",),
+    ),
+}
+
+# mutants no test can catch, with the reason
+KNOWN_SURVIVORS = {
+    "golden-stop-ge": "differs only for a bracket that shrinks to exactly GOLDEN_TOL",
+}
+
+
+def apply(src: Path, mutant: Mutant) -> None:
+    """Make the mutant's edit in the copy of src/ at `src`."""
+    path = src / "manalab" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.file}: the old text occurs {text.count(mutant.old)} times, not once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def killed(mutant: Mutant) -> bool:
+    """Whether the mutant's tests fail against a mutated copy of src/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(src, mutant)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        tests = [str(ROOT / test) for test in mutant.tests]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        code = subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    if code not in (0, 1, 2):  # 1: a test failed, 2: collection failed (the mutant broke an import)
+        raise RuntimeError(f"pytest exited {code} on {' '.join(mutant.tests)}")
+    return code != 0
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    surprises = 0
+    for name in argv or MUTANTS:
+        if killed(MUTANTS[name]):
+            status = "killed (listed as a known survivor)" if name in KNOWN_SURVIVORS else "killed"
+        elif name in KNOWN_SURVIVORS:
+            status = f"survived (known: {KNOWN_SURVIVORS[name]})"
+        else:
+            status = "SURVIVED"
+            surprises += 1
+        print(f"{name}: {status}", flush=True)
+    return 1 if surprises else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
