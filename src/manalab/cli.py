@@ -3,7 +3,7 @@
 The commands parse arguments and format results; the verification suites
 live in `manalab.verify`.  Each command takes only the flags it reads, and
 `verify` is the only one with a --seed.  Exit codes: 0 success, 1
-verification failure, 2 usage or I/O error.  CSV output uses 17
+verification failure, 2 usage, I/O or out-of-memory error.  CSV output uses 17
 significant digits, '.' decimals, and '\\n' line endings.
 """
 
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ManalabError, OSError, ValueError) as exc:
+    except (ManalabError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

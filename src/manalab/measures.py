@@ -94,16 +94,10 @@ class MeasureReport:
             )
 
 
-def _unpack(rho):
-    if isinstance(rho, DensityState):
-        return rho.matrix, rho.dims
-    raise TypeError(f"expected DensityState, got {type(rho)!r}")
-
-
 def _abs_wigner_sum(mats: np.ndarray, dims) -> np.ndarray:
     """sum_p |W(p)| of each matrix of a (k, D, D) stack: k sums."""
     stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
-    table = _kernel_transform(mats, tuple(dims), stacks) / np.prod(dims)
+    table = _kernel_transform(mats, tuple(dims), stacks) / math.prod(dims)
     return np.abs(table).reshape(len(mats), -1).sum(axis=1)
 
 
@@ -120,7 +114,7 @@ def sum_negativity(rho: DensityState) -> float:
 
 def purity_bound(rho: DensityState) -> float:
     """(1/2) log(D tr rho^2): an upper bound on mana."""
-    return 0.5 * math.log(np.prod(rho.dims) * rho.purity())
+    return 0.5 * math.log(math.prod(rho.dims) * rho.purity())
 
 
 def _mutual(measure, rho_ab: DensityState, *args) -> float:
@@ -138,8 +132,7 @@ def mutual_mana(rho_ab: DensityState) -> float:
 
 def l1_magic(rho: DensityState) -> float:
     """Characteristic-function 1-norm; minimum 1 (maximally mixed), d for pure stabilizers."""
-    mat, dims = _unpack(rho)
-    return float(np.abs(char_function(mat, dims)).sum())
+    return float(np.abs(char_function(rho)).sum())
 
 
 def log_l1(rho: DensityState) -> float:
@@ -160,8 +153,7 @@ def sre_alpha(rho: DensityState, alpha: float) -> float:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if abs(alpha - 1.0) < 1e-12:
         raise AlphaOne("alpha = 1 is not admissible")
-    mat, dims = _unpack(rho)
-    return float(_sre(char_function(mat, dims), float(np.prod(dims)), alpha))
+    return float(_sre(char_function(rho), math.prod(rho.dims), alpha))
 
 
 def _sre(chi: np.ndarray, total: float, alpha: float, axes=None) -> np.ndarray:
@@ -183,8 +175,7 @@ def mutual_sre(rho_ab: DensityState, alpha: float) -> float:
 
 def von_neumann_entropy(rho: DensityState) -> float:
     """-tr(rho log rho) with eigenvalues in [EIG_FLOOR, 0) clipped to zero."""
-    mat, _ = _unpack(rho)
-    return float(_entropies(mat))
+    return float(_entropies(rho.matrix))
 
 
 def _entropies(mats: np.ndarray) -> np.ndarray:
@@ -297,9 +288,7 @@ def _split_dims(dims):
     if n % 2 != 0:
         raise NotBipartite(f"cannot bipartition {n} subsystems evenly")
     half = n // 2
-    da = int(np.prod(dims[:half]))
-    db = int(np.prod(dims[half:]))
-    return da, db
+    return math.prod(dims[:half]), math.prod(dims[half:])
 
 
 def _orbit_objective(mat: np.ndarray, dims):
@@ -472,7 +461,7 @@ def nonlocal_mana_upper(
     """
     _check_count("restarts", restarts)
     _check_count("maxfev", maxfev)
-    mat, dims = _unpack(rho_ab)
+    mat, dims = rho_ab.matrix, rho_ab.dims
     _split_dims(dims)  # NotBipartite before any evaluation
     best = math.log(_abs_wigner_sum(mat[None], dims)[0])  # identity candidate, exact
     if best <= EXIT_TOL:

@@ -2,20 +2,21 @@
 
 The formulas here are transcribed arithmetic (math/cmath only) sharing no
 numerical machinery with the measures path, so the two sides check each
-other.  `oracle_vs_numeric` evaluates the matching measure of the qutrit
-controlled-SUM output of the concrete noisy input with output_measures, the
-figures' path, which forms no output state (`csum_output` is the dense
-reference), and reports both values with their difference; it never
-auto-resolves a discrepancy.
+other.
 
-`compare(oids)` makes the same records for a list of ids in blocks.  It
+`compare(oids)` is the one numeric route from an id to a number.  It
+evaluates the matching measure of the qutrit controlled-SUM output of each
+id's concrete noisy input with output_measures, the figures' path, which
+forms no output state (`csum_output` is the dense reference), and returns
+a record of both values with their difference; it never auto-resolves a
+discrepancy.  `oracle_vs_numeric(oid)` is compare of one id.  compare
 evaluates each closed form and checks each numeric input in list order,
 then makes one output_measures call per table row, on all that row's
 inputs with one noise value each (`noisy_matrices` takes a p per row).  All
 thresholds share one bisection, run in lockstep: 61 calls of k rows.
 output_measures evaluates its block by measures._by_rows, so each row's
-value is bit-identical to its own one-row call, which `numeric_for` and
-`threshold_by_bisection` make.
+value is bit-identical to its own one-row call, which
+`threshold_by_bisection` makes.
 
 Two conventions behind the encoded closed forms matter when pairing them
 with numerics:
@@ -480,14 +481,6 @@ def _bisect(mutual_mana, n: int, level: float) -> np.ndarray:
         above = mutual_mana(mid) - level > 0
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     return np.where(above_at_zero, 0.0, hi)
-
-
-def numeric_for(oid: OracleId) -> tuple[float, str]:
-    """Numeric counterpart of a closed form: (value, pairing note)."""
-    measure, amps, p, note = _numeric_input(oid)
-    if p is None:
-        return float(_bisect(lambda ps: _row_value(measure, amps[None], ps), 1, THRESHOLD_LEVEL)[0]), note
-    return float(_row_value(measure, amps[None], p)[0]), note
 
 
 def threshold_by_bisection(psi_name: str, level: float = THRESHOLD_LEVEL) -> float:

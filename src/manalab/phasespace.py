@@ -25,6 +25,7 @@ exponentiated once, so operator identities hold to machine epsilon.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 from dataclasses import dataclass
@@ -206,7 +207,7 @@ def _unpack_state(rho, dims):
     else:
         dims = _integer_dims(dims)
         mat = np.asarray(rho, dtype=complex)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} incompatible with dims {dims}")
     return mat, dims
@@ -238,7 +239,7 @@ def _wigner_values(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     any trace carries imaginary weight above 1e-8 (non-Hermitian input).
     """
     stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
-    table = _kernel_transform(mat, dims, stacks) / np.prod(dims)
+    table = _kernel_transform(mat, dims, stacks) / math.prod(dims)
     worst = float(np.abs(table.imag).max())
     if worst > REAL_ERROR_TOL:
         raise ImaginaryResidue(f"max |Im tr(rho A)| = {worst:.3e} exceeds {REAL_ERROR_TOL}")
@@ -263,7 +264,7 @@ def _from_wigner(values: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         # consumes the leading p axis and appends that subsystem's (r, c)
         t = np.tensordot(t, phase_point_stack(d).reshape(d * d, d, d), axes=([nb], [0]))
     t = t.transpose([*range(nb), *(nb + 2 * i for i in range(n)), *(nb + 2 * i + 1 for i in range(n))])
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     return t.reshape(*values.shape[:nb], total, total)
 
 

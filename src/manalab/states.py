@@ -103,7 +103,7 @@ class DensityState:
     def __post_init__(self):
         dims = _integer_dims(self.dims)
         mat = np.asarray(self.matrix, dtype=complex)
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} != ({total},{total})")
         if self.validate:
@@ -333,5 +333,5 @@ def state_from_json(text: str) -> DensityState:
         raise ValueError("state data holds a non-finite number (NaN or Infinity)")
     data = pairs.view(complex)[..., 0]  # each pair's bits as complex(re, im), a -0.0 part kept
     if kind == "pure":
-        return PureVector(int(np.prod(dims)), data).density(dims)
+        return PureVector(math.prod(dims), data).density(dims)
     return DensityState(dims, data)

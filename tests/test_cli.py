@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from manalab import named_state, state_to_json
+from manalab import cli, named_state, state_to_json
 from manalab.cli import main
 
 
@@ -388,3 +388,28 @@ def test_maximize_unwritable_json_prints_nothing(tmp_path, capsys):
 def test_measure_without_a_state_is_an_error_line(capsys):
     code, out, err = run(capsys, "measure", "--measures", "mana")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+def test_measure_state_file_dims_whose_product_wraps_in_int64(tmp_path, capsys, kind):
+    # 17 * 8680820740569200761 is 9 modulo 2**64, the size of the data
+    matrix = [[[1 / 9 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
+    data = [[1 / 3, 0.0]] * 9 if kind == "pure" else matrix
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps({"dims": [17, 8680820740569200761], "kind": kind, "data": data}))
+    code, out, err = run(capsys, "measure", "--state-file", str(path), "--measures", "entropy")
+    assert code == 2 and out == "" and err.startswith("error:") and "147573952589676412937" in err
+
+
+def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "max_mana_coherent", no_memory)
+    code, out, err = run(capsys, "maximize", "--dim", "7", "--grid", "100")
+    assert code == 2 and out == "" and err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_verify_prop2_passes(capsys):
+    code, out, _ = run(capsys, "verify", "prop2")
+    assert code == 0 and out.count("[pass]") == 8 and out.endswith("all 8 checks passed\n")

@@ -6,10 +6,6 @@ from pathlib import Path
 import manalab
 from manalab import states
 
-# phasespace.reconstruct builds a DensityState, and states imports phasespace
-ALLOWED = {("phasespace", "reconstruct")}
-
-
 def _function_level_imports():
     found = set()
     for path in sorted(Path(manalab.__file__).parent.glob("*.py")):
@@ -20,10 +16,6 @@ def _function_level_imports():
             if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(func)):
                 found.add((path.stem, func.name))
     return found
-
-
-def test_no_function_level_imports():
-    assert _function_level_imports() <= ALLOWED
 
 
 def _package_imports(module: str) -> set[str]:

@@ -76,14 +76,14 @@ def _called_names(func: ast.FunctionDef) -> set[str]:
 
 
 def test_oracle_pairing_stays_off_the_dense_output_path():
-    # numeric_for and threshold_by_bisection evaluate through _row_value, the
-    # figures' output_measures path; csum_output is the dense reference
+    # threshold_by_bisection evaluates through _row_value, the figures'
+    # output_measures path; csum_output is the dense reference
     tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    called = {name: _called_names(funcs[name]) for name in ("numeric_for", "threshold_by_bisection", "_row_value")}
+    called = {name: _called_names(funcs[name]) for name in ("threshold_by_bisection", "_row_value")}
     dense = {"csum_output", "beamsplitter_output", "noisy_mix", "DensityState"}
     assert {name: names & dense for name, names in called.items()} == {name: set() for name in called}
-    assert "_row_value" in called["numeric_for"] & called["threshold_by_bisection"]
+    assert "_row_value" in called["threshold_by_bisection"]
     assert "output_measures" in called["_row_value"]
 
 

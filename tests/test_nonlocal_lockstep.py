@@ -289,3 +289,21 @@ def test_import_leaves_scipy_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_lockstep_runs_stop_at_convergence_as_scipy_does():
+    # a quadratic bowl whose minimum 1 stays above EXIT_TOL, so both runs go on
+    # until the xatol/fatol test stops them, well inside maxfev
+    centre, weights = np.array([0.3, -1.2, 2.0, 0.7]), np.array([1.0, 2.0, 0.5, 3.0])
+
+    def objective(x):
+        return 1.0 + sum(w * (x[:, i] - c) ** 2 for i, (c, w) in enumerate(zip(centre, weights)))
+
+    starts = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.25, 2.0]])
+    for x0, (fun, nfev, sim, fsim) in zip(starts, _lockstep(objective, starts, 2000)):
+        ref = scipy_run(objective, x0, 2000)
+        assert nfev < 2000 and ref.status == 0
+        assert (fun, nfev) == (ref.fun, ref.nfev)
+        ref_sim, ref_fsim = ref.final_simplex
+        assert np.array_equal(sim.view(np.int64), ref_sim.view(np.int64))
+        assert np.array_equal(fsim.view(np.int64), ref_fsim.view(np.int64))

@@ -300,3 +300,9 @@ def test_density_state_takes_integral_dims():
         assert rho.dims == (3,) and type(rho.dims[0]) is int
     with pytest.raises(ValueError, match="dims"):
         wigner(np.eye(3) / 3, (3.5,))
+
+
+def test_density_state_dims_multiply_exactly():
+    # 17 * 8680820740569200761 is 9 modulo 2**64
+    with pytest.raises(ValueError, match=r"matrix shape \(9, 9\) != \(147573952589676412937,"):
+        DensityState((17, 8680820740569200761), np.eye(9) / 9)

@@ -93,6 +93,12 @@ MUTANTS = {
         "m = n",
         ("tests/test_nonlocal_lockstep.py",),
     ),
+    "nelder-mead-loose-xatol": Mutant(
+        "measures.py",
+        "<= 1e-7",
+        "<= 1e-6",
+        ("tests/test_nonlocal_lockstep.py::test_lockstep_runs_stop_at_convergence_as_scipy_does",),
+    ),
     "no-branch-snap": Mutant(
         "measures.py",
         "angles = np.where(angles < BRANCH_TOL - math.pi, angles + 2.0 * math.pi, angles)",
@@ -106,6 +112,12 @@ MUTANTS = {
         ("tests/test_tables.py",),
     ),
     # state validation and the coherent amplitudes
+    "dims-product-in-int64": Mutant(
+        "states.py",
+        "total = math.prod(dims)",
+        "total = int(np.prod(dims))",
+        ("tests/test_states.py::test_density_state_dims_multiply_exactly",),
+    ),
     "pure-vector-full-herm-tol": Mutant(
         "states.py",
         "if not abs(trace - 1.0) <= HERM_TOL / 2:",
@@ -179,6 +191,12 @@ MUTANTS = {
         "if not math.isfinite(value) or value < 0:",
         "if value < 0:",
         ("tests/test_cli_flags.py",),
+    ),
+    "out-of-memory-uncaught": Mutant(
+        "cli.py",
+        "except (ManalabError, MemoryError, OSError, ValueError) as exc:",
+        "except (ManalabError, OSError, ValueError) as exc:",
+        ("tests/test_cli.py::test_out_of_memory_is_an_error_line",),
     ),
 }
 
