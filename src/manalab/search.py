@@ -21,6 +21,21 @@ Nearly every objective call is a block of at most 128 rows, so its fixed
 cost counts: the amplitudes and the 1/d scale are real multiplies on the
 complex arrays' float views, which give the bits of numpy's complex division
 by a real number.
+
+Neither the grid nor a line recomputes what it has.  The grid's phases take
+only `grid` values per axis, so each is exponentiated once, into one table,
+and each piece that _by_rows cuts from the grid's flat indices gathers its
+amplitudes from that table; no (grid^(d-1), d-1) mesh of phases is built.
+A piece's psi, conj psi, rho, W and |W| are written into buffers made once
+per grid.  Fresh arrays of that size (4 MB at d = 5) would each be mapped
+and faulted in anew, since glibc serves them by mmap unless a larger block
+freed earlier has raised its threshold, as the mesh used to: 87,600 minor
+faults per d = 5 grid against 4,900 with the buffers.  Along a
+golden-section line on coordinate i only column i + 1 of psi and row and
+column i + 1 of rho move, so the line's rows are formed once and each step
+exponentiates one column and rewrites one row and one column of rho.  All
+three ways of forming rho rows end in the one tail, _from_rho, and every row
+keeps the bits and the evaluation count of batch.
 """
 
 from __future__ import annotations
@@ -83,7 +98,11 @@ class SearchResult:
 
 
 class _CoherentObjective:
-    """Mana of a maximally coherent state as a function of its phases."""
+    """Mana of a maximally coherent state as a function of its phases.
+
+    batch, grid and line form rho rows each their own way and share the tail
+    _from_rho; each evaluated row adds 1 to `evaluations`.
+    """
 
     def __init__(self, d: int):
         self.d = d
@@ -104,14 +123,79 @@ class _CoherentObjective:
         return _by_rows(self._values, theta_block, self.d * self.d)
 
     def _values(self, theta_block: np.ndarray) -> np.ndarray:
+        return self._from_rho(_outer(coherent_amplitudes(theta_block)))
+
+    def grid(self, axis: np.ndarray) -> np.ndarray:
+        """Values at every phase vector with all d-1 phases from axis, shape (len(axis),) * (d-1).
+
+        These are the batch values of the C-order grid, bit for bit.
+        """
+        d, shape = self.d, (len(axis),) * (self.d - 1)
+        table = _phases(axis, d)
+        # allocated before any piece, so a grid too large for memory fails at once
+        flat = np.arange(math.prod(shape))
+        self.evaluations += flat.size
+        buffers = []
+
+        def values(piece):
+            n = len(piece)
+            if not buffers:  # _by_rows passes its largest piece first
+                psi = np.empty((n, d), dtype=complex)
+                psi[:, 0] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry
+                w = np.empty((n, d * d), dtype=complex)
+                buffers.extend([psi, np.empty_like(psi), np.empty((n, d, d), dtype=complex), w, np.empty(w.shape)])
+            psi, conj, rho, w, absw = (b[:n] for b in buffers)
+            for k, col in enumerate(np.unravel_index(piece, shape), start=1):
+                psi[:, k] = table[col]
+            return self._from_rho(_outer(psi, conj, rho), w, absw)
+
+        return _by_rows(values, flat, d * d).reshape(shape)
+
+    def line(self, base: np.ndarray, i: int):
+        """f(rows, t) for _golden_max: the values of base[rows] with phase i set to t.
+
+        Only column i + 1 of psi and row and column i + 1 of rho move along
+        the line, so the base rows' psi and rho are formed once and each step
+        exponentiates that one column and rewrites that row and column.
+        """
+        d, j = self.d, i + 1
+        psi0 = coherent_amplitudes(base)
+        rho0 = _outer(psi0)
+
+        def f(rows, t):
+            self.evaluations += len(rows)
+            psi, rho = psi0[rows], rho0[rows]
+            psi[:, j] = _phases(t, d)
+            conj = psi.conj()
+            # _outer's products for row and column j, with the same operand order
+            np.multiply(psi[:, j, None], conj, out=rho[:, j])
+            np.multiply(psi, conj[:, j, None], out=rho[:, :, j])
+            return _by_rows(self._from_rho, rho, d * d)
+
+        return f
+
+    def _from_rho(self, rho: np.ndarray, w=None, absw=None) -> np.ndarray:
+        """Values of rho rows, shape (N, d, d); w and absw are optional output buffers."""
         d = self.d
-        psis = coherent_amplitudes(theta_block)
-        rho = (psis[:, :, None] * psis.conj()[:, None, :]).reshape(len(psis), d * d)
-        w = rho @ self.kernel
+        w = np.matmul(rho.reshape(len(rho), d * d), self.kernel, out=w)
         # numpy divides by the real d as (re + im * 0) * (1/d); scaling both
         # parts by 1/d can differ only in the sign of a zero, which abs drops
         w.view(float)[...] *= 1.0 / d
-        return np.log(np.abs(w).sum(axis=1))
+        return np.log(np.abs(w, out=absw).sum(axis=1))
+
+
+def _phases(thetas: np.ndarray, d: int) -> np.ndarray:
+    """e^{i theta} / sqrt(d) for each theta: the bits coherent_amplitudes gives a phase of a d-vector."""
+    amps = np.zeros(len(thetas), dtype=complex)
+    np.add(thetas, 0.0, out=amps.imag)
+    np.exp(amps, out=amps)
+    amps.view(float)[...] *= 1.0 / math.sqrt(d)
+    return amps
+
+
+def _outer(psi: np.ndarray, conj=None, out=None) -> np.ndarray:
+    """|psi><psi| for each row of psi, shape (N, d, d); conj and out are optional buffers."""
+    return np.multiply(psi[:, :, None], np.conjugate(psi, out=conj)[:, None, :], out=out)
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray):
@@ -169,13 +253,7 @@ def _refine(obj: _CoherentObjective, starts: np.ndarray, step: float, max_sweeps
         improved = np.zeros(active.size)
         for i in range(x.shape[1]):
             base = x[active]
-
-            def line(rows, t, base=base, i=i):
-                y = base[rows]
-                y[:, i] = t
-                return obj.batch(y)
-
-            xi, vi = _golden_max(line, base[:, i] - step, base[:, i] + step)
+            xi, vi = _golden_max(obj.line(base, i), base[:, i] - step, base[:, i] + step)
             prev = best[active]
             up = vi > prev
             improved[up] += vi[up] - prev[up]
@@ -225,11 +303,7 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     obj = _CoherentObjective(d)
     naxes = d - 1
     axis = 2.0 * math.pi * np.arange(grid) / grid
-
-    mesh = np.stack(np.meshgrid(*([axis] * naxes), indexing="ij"), axis=-1).reshape(
-        -1, naxes
-    )
-    values = obj.batch(mesh).reshape((grid,) * naxes)
+    values = obj.grid(axis)
 
     local_max = values >= _wrap_box_max(values)
     cand_idx = np.argwhere(local_max)

@@ -168,6 +168,13 @@ def test_one_copy_of_the_block_rule():
     assert not {name for name in names if "chunk" in name}
 
 
+def test_search_builds_no_phase_mesh():
+    # the grid gathers each piece's amplitudes from one table per axis; a
+    # (grid^(d-1), d-1) mesh of phases is 143 MB at d = 7
+    tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
+    assert "meshgrid" not in _called_names(tree)
+
+
 def test_measures_runs_no_scipy_optimizer_or_logm():
     # nonlocal_mana_upper runs its own lockstep Nelder-Mead and takes the
     # diagonalizing start's log from a Schur form

@@ -4,8 +4,11 @@ coherent_amplitudes and the search objective scale complex arrays through
 their float views and exponentiate in place; each must give the bits of the
 plain complex expression kept here as the reference.  The lockstep golden
 section keeps its running rows in compact arrays; each row must still be
-the scalar search.  The two full searches are pinned to the values recorded
-in tests/data/coherent_search_pins.json before that rewrite.
+the scalar search.  The grid and the golden-section lines form their rows
+their own way, from one amplitude table per axis and from a line's fixed
+rows; each must give the bits of batch on the same phase vectors.  The full
+searches are pinned to the values recorded in
+tests/data/coherent_search_pins.json before those rewrites.
 """
 
 import json
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_search_lockstep import scalar_golden_max
 
+from manalab import measures
 from manalab.search import GOLDEN_TOL, _CoherentObjective, _golden_max, max_mana_coherent
 from manalab.states import coherent_amplitudes
 
@@ -70,6 +74,54 @@ def test_coherent_amplitudes_keep_the_sign_convention_of_a_zero_phase():
 def test_objective_is_the_complex_expression(thetas):
     d = thetas.shape[1] + 1
     assert same_bits(_CoherentObjective(d).batch(thetas), reference_values(d, thetas))
+
+
+def divisors_above_one(n):
+    return [k for k in range(2, n + 1) if n % k == 0]
+
+
+# (d, axis values): at least 2 values per axis and at most 1,296 grid points
+grids = st.sampled_from([(3, 30), (5, 6), (7, 3)]).flatmap(
+    lambda dm: st.tuples(st.just(dm[0]), arrays(np.float64, st.integers(2, dm[1]), elements=angles))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, st.data())
+def test_streamed_grid_is_batch_on_the_mesh(grid, data):
+    d, axis = grid
+    mesh = np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
+    expected = _CoherentObjective(d).batch(mesh)
+    # pieces of `step` rows with a one-row last piece, or the whole grid in one piece
+    step = data.draw(st.sampled_from(divisors_above_one(len(mesh) - 1) + [len(mesh)]))
+    obj = _CoherentObjective(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "ROW_BUDGET", step * d * d)
+        values = obj.grid(axis)
+    assert values.shape == (len(axis),) * (d - 1)
+    assert same_bits(values.ravel(), expected)
+    assert obj.evaluations == len(mesh)
+
+
+# (d, rows in the running subset) over a fixed block of 128 base rows
+line_cases = st.tuples(st.sampled_from([3, 5, 7]), st.sampled_from([1, 2, 128]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_cases, st.data())
+def test_line_is_batch_on_the_same_phase_vectors(case, data):
+    d, k = case
+    base = data.draw(arrays(np.float64, (128, d - 1), elements=angles))
+    i = data.draw(st.integers(0, d - 2))
+    rows = np.array(data.draw(st.lists(st.integers(0, 127), min_size=k, max_size=k, unique=True)))
+    t = data.draw(arrays(np.float64, k, elements=angles))
+    thetas = base[rows]
+    thetas[:, i] = t
+    obj = _CoherentObjective(d)
+    line = obj.line(base, i)
+    line(rows, t + 1.0)  # a step must leave the line's fixed rows as they were
+    assert same_bits(line(rows, t), _CoherentObjective(d).batch(thetas))
+    assert obj.evaluations == 2 * k
 
 
 @pytest.mark.parametrize("key", sorted(PINS))

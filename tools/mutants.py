@@ -173,6 +173,31 @@ MUTANTS = {
         "run = np.abs(width) >= GOLDEN_TOL",
         ("tests/test_search_bits.py", "tests/test_search_lockstep.py"),
     ),
+    # the streamed grid and the golden-section lines
+    "phases-over-d": Mutant(
+        "search.py",
+        "amps.view(float)[...] *= 1.0 / math.sqrt(d)",
+        "amps.view(float)[...] *= 1.0 / d",
+        ("tests/test_search_bits.py",),
+    ),
+    "line-rho-column-kept": Mutant(
+        "search.py",
+        "np.multiply(psi, conj[:, j, None], out=rho[:, :, j])",
+        "rho[:, :, j]",
+        ("tests/test_search_bits.py",),
+    ),
+    "grid-axes-reversed": Mutant(
+        "search.py",
+        "enumerate(np.unravel_index(piece, shape), start=1)",
+        "enumerate(np.unravel_index(piece, shape)[::-1], start=1)",
+        ("tests/test_search_bits.py",),
+    ),
+    "grid-buffers-unsliced": Mutant(
+        "search.py",
+        "psi, conj, rho, w, absw = (b[:n] for b in buffers)",
+        "psi, conj, rho, w, absw = buffers",
+        ("tests/test_search_bits.py",),
+    ),
     "dedup-last-kept-only": Mutant(
         "search.py",
         "_angular_distance(x, unique[:count])",
