@@ -128,6 +128,8 @@ def weyl(dim, pt) -> np.ndarray:
 # initialization safe under concurrent first use.
 _WEYL_CACHE: dict[int, np.ndarray] = {}
 _POINT_CACHE: dict[int, np.ndarray] = {}
+_WEYL_KERNEL_CACHE: dict[int, np.ndarray] = {}
+_POINT_KERNEL_CACHE: dict[int, np.ndarray] = {}
 _CACHE_LOCK = threading.Lock()
 
 
@@ -164,6 +166,27 @@ def weyl_stack(d: int) -> np.ndarray:
 def phase_point_stack(d: int) -> np.ndarray:
     """All d^2 phase-space point operators, shape (d, d, d, d), entry [k, l]."""
     return _cached(_POINT_CACHE, _dim(d), _build_phase_point_stack)
+
+
+def _kernel(stack: np.ndarray) -> np.ndarray:
+    """K[(i, j), p] = O_p[j, i] for a (d, d, d, d) operator stack: tr(rho O_p) = (rho_flat @ K)[p].
+
+    It is the C-contiguous operand np.tensordot forms from the (d^2, d, d)
+    stack for a contraction over the stack's axes [2, 1]; cached, it is
+    formed once per d.
+    """
+    d = stack.shape[-1]
+    return np.ascontiguousarray(stack.reshape(d * d, d, d).transpose(2, 1, 0).reshape(d * d, d * d))
+
+
+def weyl_kernel(d: int) -> np.ndarray:
+    """The displacement operators as one (d^2, d^2) matrix, K[(i, j), p] = D_p[j, i]."""
+    return _cached(_WEYL_KERNEL_CACHE, _dim(d), lambda d: _kernel(weyl_stack(d)))
+
+
+def point_kernel(d: int) -> np.ndarray:
+    """The phase-space point operators as one (d^2, d^2) matrix, K[(i, j), p] = A_p[j, i]."""
+    return _cached(_POINT_KERNEL_CACHE, _dim(d), lambda d: _kernel(phase_point_stack(d)))
 
 
 def phase_point_operator(dim, pt) -> np.ndarray:
@@ -213,22 +236,27 @@ def _unpack_state(rho, dims):
     return mat, dims
 
 
-def _kernel_transform(mat: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
-    """Contract rho against one operator stack per subsystem.
+def _kernel_transform(mat: np.ndarray, dims: tuple[int, ...], kernels) -> np.ndarray:
+    """Contract rho against one operator kernel per subsystem.
 
-    mat is one D x D matrix or a stack of them, shape (..., D, D).  stacks[i]
-    has shape (d_i^2, d_i, d_i) with entry [p] an operator O_p; the result
-    keeps mat's leading axes, then has one length-d_i^2 axis per subsystem
-    holding tr(rho O_p1 x O_p2 ...).
+    mat is one D x D matrix or a stack of them, shape (..., D, D).  kernels[i]
+    is point_kernel(d_i) or weyl_kernel(d_i); the result keeps mat's leading
+    axes, then has one length-d_i^2 axis per subsystem holding
+    tr(rho O_p1 x O_p2 ...).  Each subsystem is np.tensordot's own steps on
+    the operands it would form: its (r, c) axes moved to the end, a reshape
+    to (M, d_i^2) and one np.dot with the cached kernel, so every value has
+    tensordot's bits.
     """
     n = len(dims)
     nb = mat.ndim - 2
     t = mat.reshape(mat.shape[:nb] + dims + dims)
     # interleave to (batch..., r1, c1, r2, c2, ...)
     t = t.transpose([*range(nb)] + [nb + x for i in range(n) for x in (i, n + i)])
-    axes = ([nb, nb + 1], [2, 1])  # t[..., r, c, rest...] with O[p, r', c']: tr picks O[c, r]
-    for stack in stacks:
-        t = np.tensordot(t, stack, axes=axes)
+    for kernel in kernels:
+        # (batch..., r, c, rest...) -> (batch..., rest..., r, c)
+        t = t.transpose([*range(nb), *range(nb + 2, t.ndim), nb, nb + 1])
+        kept = t.shape[:-2]
+        t = np.dot(t.reshape(math.prod(kept), len(kernel)), kernel).reshape(kept + kernel.shape[1:])
     return t
 
 
@@ -238,8 +266,7 @@ def _wigner_values(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     Real array with the _kernel_transform axes; raises ImaginaryResidue if
     any trace carries imaginary weight above 1e-8 (non-Hermitian input).
     """
-    stacks = [phase_point_stack(d).reshape(d * d, d, d) for d in dims]
-    table = _kernel_transform(mat, dims, stacks) / math.prod(dims)
+    table = _kernel_transform(mat, dims, [point_kernel(d) for d in dims]) / math.prod(dims)
     worst = float(np.abs(table.imag).max())
     if worst > REAL_ERROR_TOL:
         raise ImaginaryResidue(f"max |Im tr(rho A)| = {worst:.3e} exceeds {REAL_ERROR_TOL}")
@@ -248,8 +275,7 @@ def _wigner_values(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 def _char_values(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """tr(rho D_p1 x D_p2 ...) for one matrix or a stack (..., D, D)."""
-    stacks = [weyl_stack(d).reshape(d * d, d, d) for d in dims]
-    return _kernel_transform(mat, dims, stacks)
+    return _kernel_transform(mat, dims, [weyl_kernel(d) for d in dims])
 
 
 def _from_wigner(values: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:

@@ -48,7 +48,7 @@ import numpy as np
 from .circuits import beamsplitter_output
 from .errors import BetaDeltaZero, DimensionTooLarge
 from .measures import _by_rows, _check_count, mana, mutual_mana
-from .phasespace import _dim, phase_point_stack
+from .phasespace import _dim, point_kernel
 from .states import PureVector, coherent_amplitudes
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
@@ -106,12 +106,9 @@ class _CoherentObjective:
 
     def __init__(self, d: int):
         self.d = d
-        stack = phase_point_stack(d).reshape(d * d, d, d)
-        # B[(i,j), p] = A_p[j, i] so that W = rho_flat @ B; this one product
-        # beats phasespace._kernel_transform by 10-60 us per <= 128-row block
-        self.kernel = np.ascontiguousarray(
-            stack.transpose(2, 1, 0).reshape(d * d, d * d)
-        )
+        # K[(i, j), p] = A_p[j, i], so W = rho_flat @ K: one (N, d^2) @ (d^2, d^2)
+        # product per block, written into the caller's buffer
+        self.kernel = point_kernel(d)
         self.evaluations = 0
 
     def value(self, thetas: np.ndarray) -> float:
@@ -267,15 +264,28 @@ def _refine(obj: _CoherentObjective, starts: np.ndarray, step: float, max_sweeps
 def _wrap_box_max(values: np.ndarray) -> np.ndarray:
     """Max over each point's 3 x ... x 3 neighbourhood on the torus.
 
-    A box max is separable, so each axis in turn is padded with its last and
-    first slice and reduced over three shifted slices; the result equals
-    scipy.ndimage.maximum_filter(values, size=3, mode="wrap").
+    A box max is separable, so each axis in turn is reduced over the
+    previous, the same and the next slice, wrapping at the ends; the result
+    equals scipy.ndimage.maximum_filter(values, size=3, mode="wrap").  Every
+    axis is reduced into one output array, from values for the first axis
+    and from a copy of the output in one scratch array after that, so the
+    call holds two arrays of values' size besides values, which it leaves as
+    it is.
     """
-    out = values
+    out, scratch = np.empty_like(values), np.empty_like(values)
     for axis in range(values.ndim):
-        rows = np.moveaxis(out, axis, 0)
-        padded = np.concatenate([rows[-1:], rows, rows[:1]])
-        out = np.moveaxis(np.maximum(np.maximum(padded[:-2], rows), padded[2:]), 0, axis)
+        if axis:
+            np.copyto(scratch, out)
+        s, o = np.moveaxis(scratch if axis else values, axis, 0), np.moveaxis(out, axis, 0)
+        n = len(s)
+        np.maximum(s[:-2], s[1:-1], out=o[1:-1])
+        np.maximum(o[1:-1], s[2:], out=o[1:-1])
+        # the wrapped ends, as views (a 1-d array's [i, ...] is a 0-d view);
+        # s[1 - n] is s[1], and s[0] when n = 1
+        np.maximum(s[-1, ...], s[0, ...], out=o[0, ...])
+        np.maximum(o[0, ...], s[1 - n, ...], out=o[0, ...])
+        np.maximum(s[n - 2, ...], s[-1, ...], out=o[-1, ...])
+        np.maximum(o[-1, ...], s[0, ...], out=o[-1, ...])
     return out
 
 

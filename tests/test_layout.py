@@ -92,11 +92,14 @@ def test_oracle_pairing_stays_off_the_dense_output_path():
 # second, slower copy of a formula.  Wrapping rows of an array into objects
 # (a comprehension over the array, not over range) is not an index loop.
 INDEX_ARRAY_BUILDERS = {
-    "phasespace": ("weyl_stack", "phase_point_stack", "_build_weyl_stack", "_build_phase_point_stack", "_cached"),
+    "phasespace": (
+        "weyl_stack", "phase_point_stack", "_build_weyl_stack", "_build_phase_point_stack", "_cached",
+        "_kernel", "point_kernel", "weyl_kernel",
+    ),
     "circuits": ("beamsplitter", "clifford_gate"),
     "states": ("enumerate_stabilizer_pure", "coherent_amplitudes"),
     "search": ("PhaseVector.amplitudes", "_CoherentObjective.batch"),
-    "measures": ("hermitian_basis",),
+    "measures": ("hermitian_basis", "_build_hermitian_basis"),
 }
 
 

@@ -105,11 +105,30 @@ MUTANTS = {
         "angles = angles",
         ("tests/test_nonlocal_lockstep.py", "tests/test_numpy_runtime.py"),
     ),
+    "stacked-factors-swapped": Mutant(
+        "measures.py",
+        "ua, ub = u[0::2], u[1::2]",
+        "ua, ub = u[1::2], u[0::2]",
+        ("tests/test_kernel_bits.py", "tests/test_nonlocal_lockstep.py"),
+    ),
+    "nelder-mead-stop-or": Mutant(
+        "measures.py",
+        "<= 1e-9 and np.abs(sim[1:] - sim[0]).max()",
+        "<= 1e-9 or np.abs(sim[1:] - sim[0]).max()",
+        ("tests/test_nonlocal_lockstep.py",),
+    ),
     "hermitian-diagonal-real-division": Mutant(
         "measures.py",
         "np.where(t < k, 1.0, np.where(t == k, -k, 0.0)).astype(complex) / np.sqrt(k * (k + 1))",
         "(np.where(t < k, 1.0, np.where(t == k, -k, 0.0)) / np.sqrt(k * (k + 1))).astype(complex)",
         ("tests/test_tables.py",),
+    ),
+    # the cached transform kernels
+    "kernel-transposed-120": Mutant(
+        "phasespace.py",
+        "stack.reshape(d * d, d, d).transpose(2, 1, 0)",
+        "stack.reshape(d * d, d, d).transpose(1, 2, 0)",
+        ("tests/test_kernel_bits.py", "tests/test_phasespace.py"),
     ),
     # state validation and the coherent amplitudes
     "dims-product-in-int64": Mutant(
@@ -197,6 +216,12 @@ MUTANTS = {
         "psi, conj, rho, w, absw = (b[:n] for b in buffers)",
         "psi, conj, rho, w, absw = buffers",
         ("tests/test_search_bits.py",),
+    ),
+    "box-max-wrap-off-by-one": Mutant(
+        "search.py",
+        "np.maximum(o[-1, ...], s[0, ...], out=o[-1, ...])",
+        "np.maximum(o[-1, ...], s[1, ...], out=o[-1, ...])",
+        ("tests/test_numpy_runtime.py", "tests/test_kernel_bits.py"),
     ),
     "dedup-last-kept-only": Mutant(
         "search.py",
