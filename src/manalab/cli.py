@@ -27,10 +27,6 @@ from .states import DensityState, maximally_mixed, named_state, noisy_matrices, 
 from .verify import IGNORED_FLAGS, SUITES, Check
 
 
-def fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -84,7 +80,8 @@ FIGURES = {
 }
 
 
-def figure_rows(figure_id: str) -> tuple[list[str], list[list[float]]]:
+def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
+    """The figure's CSV header and its rows as one (rows, columns) float array."""
     fig = FIGURES.get(figure_id)
     if fig is None:
         raise ValueError(f"unknown figure id {figure_id!r}")
@@ -105,24 +102,25 @@ def figure_rows(figure_id: str) -> tuple[list[str], list[list[float]]]:
         for state in dict.fromkeys(state for state, _ in columns)
     }
     spec = csum_spec(3)
-    rows = []
-    # one block of inputs per noise value keeps memory flat
+    blocks = []
+    # one output_measures call per noise value: one call over all 10,201 rows
+    # of fig1 peaks about 4 MB higher
     for p in fig.p_axis if fig.p_axis is not None else [1.0]:
         block = {
             state: mz.output_measures(spec, noisy_matrices(amps, float(p)), [n for s, n in columns if s == state])
             for state, amps in amplitudes.items()
         }
-        lead = [p] if fig.p_axis is not None else []
-        for x, *values in zip(family, *(block[state][name].tolist() for state, name in columns)):
-            rows.append([*lead, *([x] if fig.family else []), *values])
-    return [name for name, _ in axes] + list(fig.measures), rows
+        blocks.append(np.column_stack([block[state][name] for state, name in columns]))
+    # the axis values, p slowest, beside the measure columns
+    grid = [axis.ravel() for axis in np.meshgrid(*(values for _, values in axes), indexing="ij")]
+    return [name for name, _ in axes] + list(fig.measures), np.column_stack([*grid, np.concatenate(blocks)])
 
 
 def write_figure_csv(figure_id: str, path: str | None):
     header, rows = figure_rows(figure_id)
-    lines = [",".join(header)]
-    lines += [",".join(fmt17(x) for x in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    # one % pass; "%.17g" % x is format(x, ".17g") for every float
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    _write_text(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # --- commands -----------------------------------------------------------------

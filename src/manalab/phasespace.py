@@ -133,14 +133,27 @@ _POINT_KERNEL_CACHE: dict[int, np.ndarray] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _cached(cache: dict[int, np.ndarray], d: int, build) -> np.ndarray:
-    stack = cache.get(d)
+def _cached(cache: dict, key, build) -> np.ndarray:
+    stack = cache.get(key)
     if stack is None:
-        fresh = build(d)
+        fresh = build(key)
         fresh.setflags(write=False)
         with _CACHE_LOCK:
-            stack = cache.setdefault(d, fresh)
+            stack = cache.setdefault(key, fresh)
     return stack
+
+
+def _per_dim(cache: dict[int, np.ndarray], d, build) -> np.ndarray:
+    """The cached table for dimension d; a plain int already cached skips PrimeDim.
+
+    Only a built int key is taken on trust: 3.0, 3+0j and True hash like 3,
+    so any other type goes through _dim and raises as it always did.
+    """
+    if type(d) is int:
+        stack = cache.get(d)
+        if stack is not None:
+            return stack
+    return _cached(cache, _dim(d), build)
 
 
 def _build_weyl_stack(d: int) -> np.ndarray:
@@ -160,12 +173,12 @@ def weyl_stack(d: int) -> np.ndarray:
 
     Entry [k, l] is D(k,l); D(k,l)[(j+k) mod d, j] = tau^(k*l + 2*l*j).
     """
-    return _cached(_WEYL_CACHE, _dim(d), _build_weyl_stack)
+    return _per_dim(_WEYL_CACHE, d, _build_weyl_stack)
 
 
 def phase_point_stack(d: int) -> np.ndarray:
     """All d^2 phase-space point operators, shape (d, d, d, d), entry [k, l]."""
-    return _cached(_POINT_CACHE, _dim(d), _build_phase_point_stack)
+    return _per_dim(_POINT_CACHE, d, _build_phase_point_stack)
 
 
 def _kernel(stack: np.ndarray) -> np.ndarray:
@@ -181,12 +194,12 @@ def _kernel(stack: np.ndarray) -> np.ndarray:
 
 def weyl_kernel(d: int) -> np.ndarray:
     """The displacement operators as one (d^2, d^2) matrix, K[(i, j), p] = D_p[j, i]."""
-    return _cached(_WEYL_KERNEL_CACHE, _dim(d), lambda d: _kernel(weyl_stack(d)))
+    return _per_dim(_WEYL_KERNEL_CACHE, d, lambda d: _kernel(weyl_stack(d)))
 
 
 def point_kernel(d: int) -> np.ndarray:
     """The phase-space point operators as one (d^2, d^2) matrix, K[(i, j), p] = A_p[j, i]."""
-    return _cached(_POINT_KERNEL_CACHE, _dim(d), lambda d: _kernel(phase_point_stack(d)))
+    return _per_dim(_POINT_KERNEL_CACHE, d, lambda d: _kernel(phase_point_stack(d)))
 
 
 def phase_point_operator(dim, pt) -> np.ndarray:

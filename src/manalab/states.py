@@ -84,9 +84,10 @@ def check_density(mats: np.ndarray) -> None:
         herm = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
     if not herm <= HERM_TOL:  # a NaN or infinite entry fails too
         raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-    for tr in np.ravel(mats.trace(axis1=-2, axis2=-1)).tolist():
-        if not abs(tr - 1.0) <= HERM_TOL:
-            raise ValueError(f"trace is {tr}, not 1")
+    traces = np.ravel(mats.trace(axis1=-2, axis2=-1))
+    bad = np.flatnonzero(~(np.abs(traces - 1.0) <= HERM_TOL))  # a NaN trace fails too
+    if len(bad):
+        raise ValueError(f"trace is {traces[bad[0]].item()}, not 1")
     lo = float(np.linalg.eigvalsh(mats).min())
     if lo < EIG_FLOOR:
         raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")

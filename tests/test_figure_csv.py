@@ -1,0 +1,58 @@
+"""The one-pass figure CSV prints what a per-value format(x, ".17g") join prints."""
+
+import math
+
+import numpy as np
+import pytest
+
+from manalab import cli
+from manalab.cli import FIGURES, figure_rows, write_figure_csv
+
+
+def _per_value_csv(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _written(figure_id, tmp_path) -> str:
+    path = tmp_path / f"{figure_id}.csv"
+    write_figure_csv(figure_id, str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("figure_id", list(FIGURES))
+def test_figure_csv_is_the_per_value_join(figure_id, monkeypatch, tmp_path):
+    fig = FIGURES[figure_id]
+    if fig.p_axis is not None and fig.family is not None:
+        # the 101 x 101 grids: every tenth value of each axis
+        monkeypatch.setitem(
+            FIGURES, figure_id, fig._replace(p_axis=fig.p_axis[::10], family=(fig.family[0], fig.family[1][::10]))
+        )
+    header, rows = figure_rows(figure_id)
+    assert isinstance(rows, np.ndarray) and rows.dtype == float
+    assert rows.shape == (len(rows), len(header))
+    assert _written(figure_id, tmp_path) == _per_value_csv(header, rows)
+
+
+def test_figure_rows_put_p_slowest():
+    fig = FIGURES["fig1"]
+    _, rows = figure_rows("fig1")
+    n = len(fig.family[1])
+    assert rows.shape == (len(fig.p_axis) * n, 3)
+    assert np.array_equal(rows[:, 0], np.repeat(fig.p_axis, n))
+    assert np.array_equal(rows[:, 1], np.tile(fig.family[1], len(fig.p_axis)))
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 1.0 / 3.0, 1.0, math.nan, math.inf, -math.inf, 0.1, 1e-5, 1e16, -2.5e-7]
+
+
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_edge_values_print_as_format_prints_them(width, monkeypatch, tmp_path):
+    # row i holds the edge values from the i-th on, as Python floats
+    table = [[EDGE_VALUES[(i + j) % len(EDGE_VALUES)] for j in range(width)] for i in range(len(EDGE_VALUES))]
+    header = [f"c{j}" for j in range(width)]
+    monkeypatch.setattr(cli, "figure_rows", lambda figure_id: (header, np.array(table)))
+    text = _written("edge", tmp_path)
+    assert text == _per_value_csv(header, np.array(table))
+    assert text.splitlines()[1:] == [",".join(format(x, ".17g") for x in row) for row in table]

@@ -67,6 +67,18 @@ MUTANTS = {
         "vacuum[0, 1] = 1.0",
         ("tests/test_output_measures.py",),
     ),
+    "permutation-cache-by-dim": Mutant(
+        "circuits.py",
+        "_cached(_PERMUTATION_CACHE, spec, _build_phase_permutation)",
+        "_cached(_PERMUTATION_CACHE, spec.dim, lambda d: _build_phase_permutation(spec))",
+        ("tests/test_fast_paths.py",),
+    ),
+    "permutation-cache-unbounded": Mutant(
+        "circuits.py",
+        "if len(_PERMUTATION_CACHE) >= _PERMUTATION_CACHE_SIZE:",
+        "if False:",
+        ("tests/test_fast_paths.py",),
+    ),
     # the block rule
     "no-one-row-doubling": Mutant(
         "measures.py",
@@ -130,12 +142,24 @@ MUTANTS = {
         "stack.reshape(d * d, d, d).transpose(1, 2, 0)",
         ("tests/test_kernel_bits.py", "tests/test_phasespace.py"),
     ),
+    "cached-lookup-unguarded": Mutant(
+        "phasespace.py",
+        "if type(d) is int:",
+        "if True:",
+        ("tests/test_fast_paths.py",),
+    ),
     # state validation and the coherent amplitudes
     "dims-product-in-int64": Mutant(
         "states.py",
         "total = math.prod(dims)",
         "total = int(np.prod(dims))",
         ("tests/test_states.py::test_density_state_dims_multiply_exactly",),
+    ),
+    "trace-check-last-bad": Mutant(
+        "states.py",
+        "traces[bad[0]]",
+        "traces[bad[-1]]",
+        ("tests/test_fast_paths.py",),
     ),
     "pure-vector-full-herm-tol": Mutant(
         "states.py",
@@ -235,6 +259,12 @@ MUTANTS = {
         "float(np.maximum(values.max(), 0.0))",
         "float(max(0.0, *values))",
         ("tests/test_verify.py",),
+    ),
+    "csv-sixteen-digits": Mutant(
+        "cli.py",
+        '["%.17g"]',
+        '["%.16g"]',
+        ("tests/test_figure_csv.py",),
     ),
     "tolerance-without-finiteness": Mutant(
         "cli.py",
