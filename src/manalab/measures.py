@@ -155,8 +155,8 @@ def sre_alpha(rho: DensityState, alpha: float) -> float:
     Phase prefactors drop out of |tr(rho P)|^2, so the sum runs over the
     D^2 operators D_p1 x ... x D_pn only.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:  # False for a NaN alpha too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if abs(alpha - 1.0) < 1e-12:
         raise AlphaOne("alpha = 1 is not admissible")
     return float(_sre(char_function(rho), math.prod(rho.dims), alpha))

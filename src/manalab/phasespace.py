@@ -228,7 +228,7 @@ class WignerTable:
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != {expected} for dims {dims}")
         total = vals.sum()
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # a NaN total fails too
             raise ValueError(f"Wigner table sums to {total}, not 1")
         object.__setattr__(self, "values", vals)
 

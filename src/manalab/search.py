@@ -31,11 +31,11 @@ per grid.  Fresh arrays of that size (4 MB at d = 5) would each be mapped
 and faulted in anew, since glibc serves them by mmap unless a larger block
 freed earlier has raised its threshold, as the mesh used to: 87,600 minor
 faults per d = 5 grid against 4,900 with the buffers.  Along a
-golden-section line on coordinate i only column i + 1 of psi and row and
-column i + 1 of rho move, so the line's rows are formed once and each step
-exponentiates one column and rewrites one row and one column of rho.  All
-three ways of forming rho rows end in the one tail, _from_rho, and every row
-keeps the bits and the evaluation count of batch.
+golden-section line on coordinate i only column i + 1 of psi moves, so the
+line's amplitude rows are formed once and each step exponentiates that one
+column.  All three ways of getting amplitude rows end in the one tail,
+_from_psi, which forms |psi><psi| and its Wigner values, and every row keeps
+the bits and the evaluation count of batch.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .circuits import beamsplitter_output
 from .errors import BetaDeltaZero, DimensionTooLarge
 from .measures import _by_rows, _check_count, mana, mutual_mana
 from .phasespace import _dim, point_kernel
-from .states import PureVector, coherent_amplitudes
+from .states import PureVector, coherent_amplitudes, coherent_phases
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -100,8 +100,8 @@ class SearchResult:
 class _CoherentObjective:
     """Mana of a maximally coherent state as a function of its phases.
 
-    batch, grid and line form rho rows each their own way and share the tail
-    _from_rho; each evaluated row adds 1 to `evaluations`.
+    batch, grid and line each get amplitude rows their own way and share the
+    tail _from_psi; each evaluated row adds 1 to `evaluations`.
     """
 
     def __init__(self, d: int):
@@ -117,10 +117,7 @@ class _CoherentObjective:
     def batch(self, theta_block: np.ndarray) -> np.ndarray:
         """Values for a block of phase vectors, shape (N, d-1), evaluated by _by_rows."""
         self.evaluations += len(theta_block)
-        return _by_rows(self._values, theta_block, self.d * self.d)
-
-    def _values(self, theta_block: np.ndarray) -> np.ndarray:
-        return self._from_rho(_outer(coherent_amplitudes(theta_block)))
+        return _by_rows(self._from_psi, coherent_amplitudes(theta_block), self.d * self.d)
 
     def grid(self, axis: np.ndarray) -> np.ndarray:
         """Values at every phase vector with all d-1 phases from axis, shape (len(axis),) * (d-1).
@@ -128,7 +125,7 @@ class _CoherentObjective:
         These are the batch values of the C-order grid, bit for bit.
         """
         d, shape = self.d, (len(axis),) * (self.d - 1)
-        table = _phases(axis, d)
+        table = coherent_phases(axis, d)
         # allocated before any piece, so a grid too large for memory fails at once
         flat = np.arange(math.prod(shape))
         self.evaluations += flat.size
@@ -144,55 +141,36 @@ class _CoherentObjective:
             psi, conj, rho, w, absw = (b[:n] for b in buffers)
             for k, col in enumerate(np.unravel_index(piece, shape), start=1):
                 psi[:, k] = table[col]
-            return self._from_rho(_outer(psi, conj, rho), w, absw)
+            return self._from_psi(psi, conj, rho, w, absw)
 
         return _by_rows(values, flat, d * d).reshape(shape)
 
     def line(self, base: np.ndarray, i: int):
         """f(rows, t) for _golden_max: the values of base[rows] with phase i set to t.
 
-        Only column i + 1 of psi and row and column i + 1 of rho move along
-        the line, so the base rows' psi and rho are formed once and each step
-        exponentiates that one column and rewrites that row and column.
+        The base rows' amplitudes are formed once; each step gathers the
+        running rows and exponentiates only column i + 1.
         """
         d, j = self.d, i + 1
         psi0 = coherent_amplitudes(base)
-        rho0 = _outer(psi0)
 
         def f(rows, t):
             self.evaluations += len(rows)
-            psi, rho = psi0[rows], rho0[rows]
-            psi[:, j] = _phases(t, d)
-            conj = psi.conj()
-            # _outer's products for row and column j, with the same operand order
-            np.multiply(psi[:, j, None], conj, out=rho[:, j])
-            np.multiply(psi, conj[:, j, None], out=rho[:, :, j])
-            return _by_rows(self._from_rho, rho, d * d)
+            psi = psi0[rows]
+            psi[:, j] = coherent_phases(t, d)
+            return _by_rows(self._from_psi, psi, d * d)
 
         return f
 
-    def _from_rho(self, rho: np.ndarray, w=None, absw=None) -> np.ndarray:
-        """Values of rho rows, shape (N, d, d); w and absw are optional output buffers."""
+    def _from_psi(self, psi: np.ndarray, conj=None, rho=None, w=None, absw=None) -> np.ndarray:
+        """Values of amplitude rows psi, shape (N, d); conj, rho, w and absw are optional output buffers."""
         d = self.d
+        rho = np.multiply(psi[:, :, None], np.conjugate(psi, out=conj)[:, None, :], out=rho)
         w = np.matmul(rho.reshape(len(rho), d * d), self.kernel, out=w)
         # numpy divides by the real d as (re + im * 0) * (1/d); scaling both
         # parts by 1/d can differ only in the sign of a zero, which abs drops
         w.view(float)[...] *= 1.0 / d
         return np.log(np.abs(w, out=absw).sum(axis=1))
-
-
-def _phases(thetas: np.ndarray, d: int) -> np.ndarray:
-    """e^{i theta} / sqrt(d) for each theta: the bits coherent_amplitudes gives a phase of a d-vector."""
-    amps = np.zeros(len(thetas), dtype=complex)
-    np.add(thetas, 0.0, out=amps.imag)
-    np.exp(amps, out=amps)
-    amps.view(float)[...] *= 1.0 / math.sqrt(d)
-    return amps
-
-
-def _outer(psi: np.ndarray, conj=None, out=None) -> np.ndarray:
-    """|psi><psi| for each row of psi, shape (N, d, d); conj and out are optional buffers."""
-    return np.multiply(psi[:, :, None], np.conjugate(psi, out=conj)[:, None, :], out=out)
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray):

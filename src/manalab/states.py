@@ -133,17 +133,25 @@ def coherent_amplitudes(thetas) -> np.ndarray:
     """(1, e^{i theta_1}, ..., e^{i theta_{d-1}})/sqrt(d) for each row of a (..., d-1) block of phases."""
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.shape[-1] + 1
-    amps = np.zeros(thetas.shape[:-1] + (n,), dtype=complex)
-    amps[..., 0] = 1.0
-    # the bits of exp(1j * thetas) / sqrt(n) without the complex temporaries:
+    amps = np.empty(thetas.shape[:-1] + (n,), dtype=complex)
+    amps[..., 0] = 1.0 / math.sqrt(n)  # 1 times 1/sqrt(n), with a +0.0 imaginary part
+    amps[..., 1:] = coherent_phases(thetas, n)
+    return amps
+
+
+def coherent_phases(thetas, d: int) -> np.ndarray:
+    """e^{i theta} / sqrt(d) for each theta of an array of any shape: the entries 1.. of coherent_amplitudes."""
+    thetas = np.asarray(thetas, dtype=float)
+    amps = np.zeros(thetas.size, dtype=complex)
+    # the bits of exp(1j * thetas) / sqrt(d) without the complex temporaries:
     # 1j * t has imaginary part 0 + t (so -0.0 becomes +0.0), and numpy
-    # divides by the real c = sqrt(n) as (re + im * 0, im - re * 0) * (1/c),
+    # divides by the real c = sqrt(d) as (re + im * 0, im - re * 0) * (1/c),
     # which is both parts times 1/c: no cosine of a double is zero, and a
     # zero sine is +0.0 here
-    np.add(thetas, 0.0, out=amps.imag[..., 1:])
-    np.exp(amps[..., 1:], out=amps[..., 1:])
-    amps.view(float)[...] *= 1.0 / math.sqrt(n)
-    return amps
+    np.add(thetas.ravel(), 0.0, out=amps.imag)
+    np.exp(amps, out=amps)
+    amps.view(float)[...] *= 1.0 / math.sqrt(d)
+    return amps.reshape(thetas.shape)
 
 
 _SQRT3 = math.sqrt(3.0)

@@ -178,6 +178,25 @@ def test_search_builds_no_phase_mesh():
     assert "meshgrid" not in _called_names(tree)
 
 
+def test_one_tail_for_the_coherent_objective():
+    # _CoherentObjective._from_psi alone forms |psi><psi| and takes the kernel
+    # product; states.coherent_phases alone exponentiates phases, so search
+    # keeps no second copy of the bits of e^{i theta} / sqrt(d)
+    tail = _functions("search")["_CoherentObjective._from_psi"]
+    inside = range(tail.lineno, tail.end_lineno + 1)
+    found = {}
+    for node in ast.walk(ast.parse((SRC / "search.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            name = "matmul"
+        else:
+            continue
+        if name in {"conjugate", "conj", "matmul", "exp"}:
+            found.setdefault(name, set()).add("_from_psi" if node.lineno in inside else node.lineno)
+    assert found == {"conjugate": {"_from_psi"}, "matmul": {"_from_psi"}}
+
+
 def test_measures_runs_no_scipy_optimizer_or_logm():
     # nonlocal_mana_upper runs its own lockstep Nelder-Mead and takes the
     # diagonalizing start's log from a Schur form

@@ -164,6 +164,15 @@ def test_sre_alpha_one_rejected():
         sre_alpha(maximally_mixed(3), -2.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_sre_rejects_a_non_finite_alpha(alpha):
+    # alpha <= 0 is False for NaN, and SRE_inf would need its own limit
+    with pytest.raises(ValueError, match="alpha"):
+        sre_alpha(maximally_mixed(3), alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        mutual_sre(tensor(maximally_mixed(3), maximally_mixed(3)), alpha)
+
+
 def test_sre_additivity():
     rng = np.random.default_rng(16)
     for _ in range(30):

@@ -224,6 +224,15 @@ def test_wigner_table_shape_and_sum_validation():
         WignerTable((3,), np.full((2, 2), 0.25))
 
 
+def test_wigner_table_rejects_a_sum_that_is_not_a_number():
+    # abs(nan - 1) > tol is False, so the check is written to fail on NaN
+    opposite_infinities = np.full((3, 3), 1.0 / 9.0)
+    opposite_infinities[0, :2] = np.inf, -np.inf
+    for values in (np.full((3, 3), np.nan), opposite_infinities):
+        with pytest.raises(ValueError, match="sums to nan"), np.errstate(invalid="ignore"):
+            WignerTable((3,), values)
+
+
 def test_operator_caches_are_read_only():
     with pytest.raises(ValueError):
         weyl_stack(3)[0, 0, 0, 0] = 5.0

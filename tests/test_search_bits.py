@@ -24,7 +24,7 @@ from test_search_lockstep import scalar_golden_max
 
 from manalab import measures
 from manalab.search import GOLDEN_TOL, _CoherentObjective, _golden_max, max_mana_coherent
-from manalab.states import coherent_amplitudes
+from manalab.states import coherent_amplitudes, coherent_phases
 
 PINS = json.loads((Path(__file__).parent / "data" / "coherent_search_pins.json").read_text(encoding="utf-8"))
 
@@ -60,6 +60,17 @@ phase_blocks = st.tuples(st.sampled_from([1, 2, 128]), st.sampled_from([3, 5, 7]
 def test_coherent_amplitudes_are_the_complex_expression(thetas):
     assert same_bits(coherent_amplitudes(thetas), reference_amplitudes(thetas))
     assert same_bits(coherent_amplitudes(thetas[0]), reference_amplitudes(thetas[0]))
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+def test_coherent_phases_take_any_shape(shape):
+    thetas = np.asarray(np.random.default_rng(3).uniform(-10.0, 10.0, shape))
+    thetas.flat[0] = -0.0
+    for d in (3, 5, 7):
+        phases = coherent_phases(thetas, d)
+        assert phases.shape == shape
+        # flat, since a 0-d complex array has no int64 view
+        assert same_bits(phases.ravel(), np.exp(1j * thetas.ravel()) / math.sqrt(d))
 
 
 def test_coherent_amplitudes_keep_the_sign_convention_of_a_zero_phase():

@@ -169,23 +169,29 @@ MUTANTS = {
     ),
     "amplitudes-np-empty": Mutant(
         "states.py",
-        "amps = np.zeros(thetas.shape[:-1] + (n,), dtype=complex)",
-        "amps = np.empty(thetas.shape[:-1] + (n,), dtype=complex)",
+        "amps = np.zeros(thetas.size, dtype=complex)",
+        "amps = np.empty(thetas.size, dtype=complex)",
         ("tests/test_search_bits.py",),
     ),
     "phases-without-plus-zero": Mutant(
         "states.py",
-        "np.add(thetas, 0.0, out=amps.imag[..., 1:])",
-        "amps.imag[..., 1:] = thetas",
+        "np.add(thetas.ravel(), 0.0, out=amps.imag)",
+        "amps.imag[...] = thetas.ravel()",
         ("tests/test_search_bits.py",),
     ),
-    "amplitudes-over-n": Mutant(
+    "phases-over-d": Mutant(
         "states.py",
-        "amps.view(float)[...] *= 1.0 / math.sqrt(n)",
-        "amps.view(float)[...] *= 1.0 / n",
+        "amps.view(float)[...] *= 1.0 / math.sqrt(d)",
+        "amps.view(float)[...] *= 1.0 / d",
         ("tests/test_search_bits.py",),
     ),
     # the coherent search
+    "rho-without-conjugate": Mutant(
+        "search.py",
+        "np.conjugate(psi, out=conj)[:, None, :]",
+        "psi[:, None, :]",
+        ("tests/test_search_bits.py",),
+    ),
     "objective-times-d": Mutant(
         "search.py",
         "w.view(float)[...] *= 1.0 / d",
@@ -217,16 +223,10 @@ MUTANTS = {
         ("tests/test_search_bits.py", "tests/test_search_lockstep.py"),
     ),
     # the streamed grid and the golden-section lines
-    "phases-over-d": Mutant(
+    "line-writes-column-i": Mutant(
         "search.py",
-        "amps.view(float)[...] *= 1.0 / math.sqrt(d)",
-        "amps.view(float)[...] *= 1.0 / d",
-        ("tests/test_search_bits.py",),
-    ),
-    "line-rho-column-kept": Mutant(
-        "search.py",
-        "np.multiply(psi, conj[:, j, None], out=rho[:, :, j])",
-        "rho[:, :, j]",
+        "psi[:, j] = coherent_phases(t, d)",
+        "psi[:, i] = coherent_phases(t, d)",
         ("tests/test_search_bits.py",),
     ),
     "grid-axes-reversed": Mutant(
