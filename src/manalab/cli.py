@@ -23,7 +23,7 @@ from .circuits import csum_spec
 from .errors import ManalabError
 from .measures import LogBase
 from .search import max_mana_coherent
-from .states import DensityState, maximally_mixed, named_state, noisy_matrices, noisy_mix, state_from_json
+from .states import DensityState, NoisyRows, maximally_mixed, named_state, noisy_mix, state_from_json
 from .verify import IGNORED_FLAGS, SUITES, Check
 
 
@@ -107,7 +107,7 @@ def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
     # of fig1 peaks about 4 MB higher
     for p in fig.p_axis if fig.p_axis is not None else [1.0]:
         block = {
-            state: mz.output_measures(spec, noisy_matrices(amps, float(p)), [n for s, n in columns if s == state])
+            state: mz.output_measures(spec, NoisyRows(amps, float(p)), [n for s, n in columns if s == state])
             for state, amps in amplitudes.items()
         }
         blocks.append(np.column_stack([block[state][name] for state, name in columns]))
@@ -118,9 +118,15 @@ def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
 
 def write_figure_csv(figure_id: str, path: str | None):
     header, rows = figure_rows(figure_id)
-    # one % pass; "%.17g" % x is format(x, ".17g") for every float
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    _write_text(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
+    # each column's distinct values formatted once ("%.17g" % x is
+    # format(x, ".17g") for every float), keyed on their bits so that -0.0
+    # and 0.0 stay apart, then one % pass over the rows
+    cells = np.empty(rows.shape, dtype=object)
+    for j, column in enumerate(rows.T):
+        _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
+        cells[:, j] = np.array(["%.17g" % x for x in column[first].tolist()], dtype=object)[inverse]
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
+    _write_text(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(cells.ravel().tolist()))
 
 
 # --- commands -----------------------------------------------------------------

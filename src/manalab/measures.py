@@ -67,7 +67,7 @@ from .phasespace import (
     point_kernel,
     wigner,
 )
-from .states import EIG_FLOOR, DensityState, check_density, partial_trace
+from .states import EIG_FLOOR, DensityState, NoisyRows, check_density, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
 
@@ -551,8 +551,27 @@ def _log_abs_sum(values: np.ndarray, axes) -> np.ndarray:
     return np.log(np.abs(values).sum(axis=axes))
 
 
+_VACUUM_CACHE: dict[tuple[int, str], np.ndarray] = {}
+
+
+def _build_vacuum_table(key: tuple[int, str]) -> np.ndarray:
+    d, kind = key
+    vacuum = np.zeros((d, d), dtype=complex)
+    vacuum[0, 0] = 1.0
+    return (_wigner_values if kind == "wigner" else _char_values)(vacuum, (d,))
+
+
+def _vacuum_table(d: int, kind: str) -> np.ndarray:
+    """The vacuum |0><0|'s single-qudit table: kind "wigner" or "char", built once per d, read-only.
+
+    It is the transform itself (_wigner_values or _char_values), not a
+    closed form, so its bits are those of transforming the vacuum afresh.
+    """
+    return _cached(_VACUUM_CACHE, (d, kind), _build_vacuum_table)
+
+
 def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray]:
-    """Registry measures of B_G (rho x |0><0|) B_G^dag for each rho of an (n, d, d) stack.
+    """Registry measures of B_G (rho x |0><0|) B_G^dag for each input of a block.
 
     No d^2 x d^2 output is formed.  The output's Wigner and characteristic
     tables are the products of the input's and the vacuum's single-qudit
@@ -562,13 +581,18 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     unitary and the vacuum pure, and the marginal matrices are rebuilt from
     the marginal Wigner tables.
 
-    The inputs get DensityState's checks (states.check_density).  names is
-    a subset of OUTPUT_MEASURES; each value is an array of n natural-log
-    values equal to MEASURES[name][0](beamsplitter_output(spec, rho)) up to
-    rounding.
+    rhos is a raw (n, d, d) stack or a states.NoisyRows of n rows.  A raw
+    stack gets DensityState's checks (states.check_density).  A NoisyRows
+    is evaluated on its matrices() unchecked: its constructor checked each
+    amplitude row by PureVector's rule and p by check_noise, and that
+    margin already makes each mixture Hermitian, unit-trace and positive.
+    names is a subset of OUTPUT_MEASURES; each value is an array of n
+    natural-log values equal to
+    MEASURES[name][0](beamsplitter_output(spec, rho)) up to rounding.
     """
     d = spec.dim
-    mats = np.asarray(rhos, dtype=complex)
+    noisy = isinstance(rhos, NoisyRows)
+    mats = rhos.matrices() if noisy else np.asarray(rhos, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (d, d):
         raise ValueError(f"B_G at d={d} takes single {d}-level inputs, got an array of shape {mats.shape}")
     unknown = [name for name in names if name not in OUTPUT_MEASURES]
@@ -576,19 +600,18 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
         raise ValueError(f"output_measures does not evaluate {unknown[0]!r}")
     if not len(mats):
         return {name: np.empty(0) for name in names}
-    check_density(mats)
+    if not noisy:
+        check_density(mats)
     perm = phase_permutation(spec)
-    vacuum = np.zeros((d, d), dtype=complex)
-    vacuum[0, 0] = 1.0
 
     def evaluate(rows):
         values = {}
         if {"mutual_mana", "mutual_information"} & set(names):
-            w = _output_table(perm, _wigner_values(rows, (d,)), _wigner_values(vacuum, (d,)))
+            w = _output_table(perm, _wigner_values(rows, (d,)), _vacuum_table(d, "wigner"))
             w_a, w_b = w.sum(axis=2), w.sum(axis=1)
             values["mutual_mana"] = _log_abs_sum(w, (1, 2)) - _log_abs_sum(w_a, 1) - _log_abs_sum(w_b, 1)
         if {"mutual_l1", "sre2"} & set(names):
-            chi = _output_table(perm, _char_values(rows, (d,)), _char_values(vacuum, (d,)))
+            chi = _output_table(perm, _char_values(rows, (d,)), _vacuum_table(d, "char"))
             values["mutual_l1"] = (
                 _log_abs_sum(chi, (1, 2)) - _log_abs_sum(chi[:, :, 0], 1) - _log_abs_sum(chi[:, 0, :], 1)
             )

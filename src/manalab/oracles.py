@@ -12,7 +12,8 @@ a record of both values with their difference; it never auto-resolves a
 discrepancy.  `oracle_vs_numeric(oid)` is compare of one id.  compare
 evaluates each closed form and checks each numeric input in list order,
 then makes one output_measures call per table row, on all that row's
-inputs with one noise value each (`noisy_matrices` takes a p per row).  All
+inputs with one noise value each, as one states.NoisyRows (it takes a p
+per row), which output_measures evaluates without check_density.  All
 thresholds share one bisection, run in lockstep: 61 calls of k rows.
 output_measures evaluates its block by measures._by_rows, so each row's
 value is bit-identical to its own one-row call, which
@@ -45,7 +46,7 @@ import numpy as np
 from . import measures as mz
 from .circuits import beamsplitter_output, csum_spec
 from .errors import BadParams
-from .states import DensityState, PureVector, check_noise, named_state, noisy_matrices, noisy_mix
+from .states import DensityState, NoisyRows, PureVector, check_noise, named_state, noisy_mix
 
 SQRT3 = math.sqrt(3.0)
 
@@ -432,7 +433,7 @@ THRESHOLD_LEVEL = 1e-9  # output mutual mana a p_crit threshold's bisection must
 def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
     """Table row `measure` of the controlled-SUM output of each noisy input: amps (n, 3), ps (n,) -> (n,)."""
     name = _row_name(measure)
-    return mz.output_measures(csum_spec(3), noisy_matrices(amps, ps), [name])[name]
+    return mz.output_measures(csum_spec(3), NoisyRows(amps, ps), [name])[name]
 
 
 class _NumericInput(NamedTuple):

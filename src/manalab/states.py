@@ -167,10 +167,11 @@ _FIXED_QUTRIT_STATES = {
 }
 # named states defined only at d = 3 (max_coherent and basis take any odd prime)
 QUTRIT_STATES = (*_FIXED_QUTRIT_STATES, "phi_lambda", "psi_theta")
+STATE_NAMES = (*QUTRIT_STATES, "max_coherent", "basis")
 
 
 def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
-    """Build one of the named pure states; params are real numbers.
+    """Build one of the named pure states; params are finite real numbers (else ParamOutOfRange).
 
     dim=None means the state's own dimension: 3, or the phase count + 1 for
     max_coherent.  A given dim that disagrees raises ParamOutOfRange.
@@ -182,6 +183,11 @@ def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
         if len(params) != n:
             raise BadParamCount(f"{name} takes {n} parameter(s), got {len(params)}")
 
+    if name not in STATE_NAMES:
+        raise UnknownState(f"unknown state name {name!r}")
+    nonfinite = [x for x in params if not math.isfinite(x)]
+    if nonfinite:  # no state vector is built from it: its norm would be NaN
+        raise ParamOutOfRange(f"vector norm nan: {name} parameter {nonfinite[0]} is not finite")
     if name in QUTRIT_STATES and dim not in (None, 3):
         raise ParamOutOfRange(f"{name} is a qutrit state; dim={dim} is not 3")
     if name in _FIXED_QUTRIT_STATES:
@@ -209,14 +215,13 @@ def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
         except ValueError as exc:
             raise ParamOutOfRange(f"{len(params)} phases do not fit an odd prime dimension") from exc
         return PureVector(d, coherent_amplitudes(params))
-    if name == "basis":
-        need(1)
-        j = params[0]
-        d = _dim(3 if dim is None else dim)
-        if not (j.is_integer() and 0 <= j < d):
-            raise ParamOutOfRange(f"basis index {j} is not an integer in [0, {d})")
-        return PureVector(d, np.eye(d, dtype=complex)[int(j)])
-    raise UnknownState(f"unknown state name {name!r}")
+    # basis
+    need(1)
+    j = params[0]
+    d = _dim(3 if dim is None else dim)
+    if not (j.is_integer() and 0 <= j < d):
+        raise ParamOutOfRange(f"basis index {j} is not an integer in [0, {d})")
+    return PureVector(d, np.eye(d, dtype=complex)[int(j)])
 
 
 def noisy_mix(psi: PureVector, p: float) -> DensityState:
@@ -241,6 +246,39 @@ def noisy_matrices(amps: np.ndarray, p) -> np.ndarray:
     p = check_noise(p)[..., None, None]
     d = amps.shape[-1]
     return p * (amps[..., :, None] * amps[..., None, :].conj()) + (1.0 - p) * np.eye(d) / d
+
+
+@dataclass(frozen=True)
+class NoisyRows:
+    """Checked inputs p|psi><psi| + (1-p) 1/d: amplitude rows (..., d) and p, one value or one per row.
+
+    Each row passes PureVector's rule (its projector's trace within
+    HERM_TOL / 2 of 1), tested for all rows at once; ValueError names the
+    first row that fails.  p passes check_noise.  By PureVector's margin
+    every mixture then passes check_density, so a consumer may skip it.
+    Both arrays are read-only copies.
+    """
+
+    amplitudes: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=complex)
+        row_traces = (amps * amps.conj()).sum(axis=-1).ravel()  # each projector's trace, PureVector's bits
+        failed = np.flatnonzero(~(np.abs(row_traces - 1.0) <= HERM_TOL / 2))  # a NaN trace fails too
+        if len(failed):
+            row = failed[0]
+            trace = row_traces[row].real
+            raise ValueError(f"amplitude row {row} has projector trace {trace}, not within {HERM_TOL / 2} of 1")
+        p = np.array(check_noise(self.p))
+        amps.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "p", p)
+
+    def matrices(self) -> np.ndarray:
+        """The (..., d, d) mixtures, noisy_matrices(amplitudes, p)."""
+        return noisy_matrices(self.amplitudes, self.p)
 
 
 def tensor(a: DensityState, b: DensityState) -> DensityState:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -227,6 +228,19 @@ def test_measure_max_coherent_rejects_a_dim_its_phases_disagree_with(capsys):
                          "--measures", "mana")
     assert code == 2 and out == "" and "error:" in err
     assert "2 phases" in err and "dim=5" in err
+
+
+@pytest.mark.parametrize(
+    "state,params,value",
+    [("max_coherent", "nan,0", "nan"), ("psi_theta", "inf", "inf"), ("phi_lambda", "-inf", "-inf")],
+)
+def test_measure_non_finite_state_parameter_is_named(capsys, state, params, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "measure", "--state", state, f"--params={params}", "--measures", "mana")
+    assert caught == []
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: vector norm nan: {state} parameter {value} is not finite"]
 
 
 def test_measure_max_coherent_with_its_own_dim_is_the_default(capsys):

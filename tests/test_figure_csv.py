@@ -56,3 +56,13 @@ def test_edge_values_print_as_format_prints_them(width, monkeypatch, tmp_path):
     text = _written("edge", tmp_path)
     assert text == _per_value_csv(header, np.array(table))
     assert text.splitlines()[1:] == [",".join(format(x, ".17g") for x in row) for row in table]
+
+
+def test_repeated_and_signed_zero_values_print_as_format_prints_them(monkeypatch, tmp_path):
+    # a dedupe keyed on float values would merge 0.0 with -0.0 (they compare
+    # equal) and print one of them for both
+    column = [0.0, -0.0, 0.0, math.nan, 1.0 / 3.0, -0.0, 1.0 / 3.0, math.nan, 0.0, -0.0]
+    table = [[x, column[-1 - i]] for i, x in enumerate(column)]
+    monkeypatch.setattr(cli, "figure_rows", lambda figure_id: (["a", "b"], np.array(table)))
+    text = _written("repeats", tmp_path)
+    assert text.splitlines()[1:] == [",".join(format(x, ".17g") for x in row) for row in table]

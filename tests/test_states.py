@@ -97,6 +97,15 @@ def test_named_state_errors():
         named_state("max_coherent", [0.1, 0.2, 0.3])  # d=4 is not an odd prime
 
 
+def test_non_finite_parameter_is_named_after_the_state_name_is_checked():
+    with pytest.raises(ParamOutOfRange, match="basis parameter nan is not finite"):
+        named_state("basis", [math.nan])
+    with pytest.raises(ParamOutOfRange, match="max_coherent parameter -inf is not finite"):
+        named_state("max_coherent", [0.1, -math.inf])
+    with pytest.raises(UnknownState):
+        named_state("nope", [math.nan])
+
+
 def test_max_coherent_rejects_a_dim_its_phases_disagree_with():
     with pytest.raises(ParamOutOfRange, match="2 phases .* dim=5"):
         named_state("max_coherent", [0.1, 0.2], dim=5)

@@ -67,6 +67,12 @@ MUTANTS = {
         "vacuum[0, 1] = 1.0",
         ("tests/test_output_measures.py",),
     ),
+    "vacuum-wigner-table-for-chi": Mutant(
+        "measures.py",
+        '_vacuum_table(d, "char")',
+        '_vacuum_table(d, "wigner")',
+        ("tests/test_output_measures.py",),
+    ),
     "permutation-cache-by-dim": Mutant(
         "circuits.py",
         "_cached(_PERMUTATION_CACHE, spec, _build_phase_permutation)",
@@ -167,6 +173,12 @@ MUTANTS = {
         "if not abs(trace - 1.0) <= HERM_TOL:",
         ("tests/test_pure_vector.py",),
     ),
+    "noisy-rows-full-herm-tol": Mutant(
+        "states.py",
+        "np.abs(row_traces - 1.0) <= HERM_TOL / 2",
+        "np.abs(row_traces - 1.0) <= HERM_TOL",
+        ("tests/test_noisy_rows.py",),
+    ),
     "amplitudes-np-empty": Mutant(
         "states.py",
         "amps = np.zeros(thetas.size, dtype=complex)",
@@ -262,8 +274,14 @@ MUTANTS = {
     ),
     "csv-sixteen-digits": Mutant(
         "cli.py",
-        '["%.17g"]',
-        '["%.16g"]',
+        '"%.17g" % x for x',
+        '"%.16g" % x for x',
+        ("tests/test_figure_csv.py",),
+    ),
+    "csv-dedupe-by-float-value": Mutant(
+        "cli.py",
+        "np.unique(column.view(np.int64),",
+        "np.unique(column,",
         ("tests/test_figure_csv.py",),
     ),
     "tolerance-without-finiteness": Mutant(
