@@ -26,16 +26,20 @@ Neither the grid nor a line recomputes what it has.  The grid's phases take
 only `grid` values per axis, so each is exponentiated once, into one table,
 and each piece that _by_rows cuts from the grid's flat indices gathers its
 amplitudes from that table; no (grid^(d-1), d-1) mesh of phases is built.
-A piece's psi, conj psi, rho, W and |W| are written into buffers made once
-per grid.  Fresh arrays of that size (4 MB at d = 5) would each be mapped
-and faulted in anew, since glibc serves them by mmap unless a larger block
-freed earlier has raised its threshold, as the mesh used to: 87,600 minor
-faults per d = 5 grid against 4,900 with the buffers.  Along a
-golden-section line on coordinate i only column i + 1 of psi moves, so the
-line's amplitude rows are formed once and each step exponentiates that one
-column.  All three ways of getting amplitude rows end in the one tail,
-_from_psi, which forms |psi><psi| and its Wigner values, and every row keeps
-the bits and the evaluation count of batch.
+The objective keeps its amplitudes component-major, psi of shape (d, N), so
+that every elementwise loop runs over N contiguous rows rather than over d.
+A piece's psi, conj psi, rho, W and |W| are prefixes of flat buffers made
+once per grid (rho and W are 4 MB each at d = 5).  In a fresh process the
+d = 5 grid takes 6,500 minor faults with them and 8,500 with fresh arrays
+per piece: glibc maps the first piece's arrays and, once they are freed,
+raises its mmap threshold and serves the later ones from its heap.  Along a
+golden-section line on coordinate i only row i + 1 of psi moves, and only
+the row and column i + 1 of rho with it.  A line holds its base rows' psi,
+conj psi, rho, W and |W|; a step on all of them in order exponentiates the
+one moving row in place, and _from_psi recomputes 2d - 1 of rho's d^2 rows.
+Any other set of rows is gathered.  All three ways of getting amplitudes
+end in the one tail, _from_psi, which forms |psi><psi| and its Wigner
+values, and every row keeps the bits and the evaluation count of batch.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class _CoherentObjective:
     def batch(self, theta_block: np.ndarray) -> np.ndarray:
         """Values for a block of phase vectors, shape (N, d-1), evaluated by _by_rows."""
         self.evaluations += len(theta_block)
-        return _by_rows(self._from_psi, coherent_amplitudes(theta_block), self.d * self.d)
+        return self._of_rows(coherent_amplitudes(theta_block))
 
     def grid(self, axis: np.ndarray) -> np.ndarray:
         """Values at every phase vector with all d-1 phases from axis, shape (len(axis),) * (d-1).
@@ -133,40 +137,75 @@ class _CoherentObjective:
 
         def values(piece):
             n = len(piece)
+            shapes = ((d, n), (d, n), (d, d, n), (n, d * d), (n, d * d))
             if not buffers:  # _by_rows passes its largest piece first
-                psi = np.empty((n, d), dtype=complex)
-                psi[:, 0] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry
-                w = np.empty((n, d * d), dtype=complex)
-                buffers.extend([psi, np.empty_like(psi), np.empty((n, d, d), dtype=complex), w, np.empty(w.shape)])
-            psi, conj, rho, w, absw = (b[:n] for b in buffers)
+                buffers.extend(np.empty(math.prod(s), dtype=t) for s, t in zip(shapes, [complex] * 4 + [float]))
+                buffers[0][:n] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry, row 0 of psi
+            # each array is a prefix of its flat buffer, so a shorter piece's
+            # are contiguous too, and its row 0 of psi lies in the first piece's
+            psi, conj, rho, w, absw = (b[: math.prod(s)].reshape(s) for b, s in zip(buffers, shapes))
+            # col is always in range; numpy fills out through a temporary
+            # under take's default mode="raise", and writes it directly under "wrap"
             for k, col in enumerate(np.unravel_index(piece, shape), start=1):
-                psi[:, k] = table[col]
-            return self._from_psi(psi, conj, rho, w, absw)
+                np.take(table, col, out=psi[k], mode="wrap")
+            return self._from_psi(psi, (conj, rho, w, absw))
 
         return _by_rows(values, flat, d * d).reshape(shape)
 
     def line(self, base: np.ndarray, i: int):
         """f(rows, t) for _golden_max: the values of base[rows] with phase i set to t.
 
-        The base rows' amplitudes are formed once; each step gathers the
-        running rows and exponentiates only column i + 1.
+        The line holds the base rows' psi, conj psi, rho, W and |W|.  A step
+        on all rows in order writes row i + 1 of psi in place, and _from_psi
+        recomputes only the row and column of rho that it moves; any other
+        rows are gathered and go through _by_rows.
         """
-        d, j = self.d, i + 1
-        psi0 = coherent_amplitudes(base)
+        d, j, n = self.d, i + 1, len(base)
+        psi = np.ascontiguousarray(coherent_amplitudes(base).T)
+        w = np.empty((n, d * d), dtype=complex)
+        buffers = (np.empty_like(psi), np.empty((d, d, n), dtype=complex), w, np.empty(w.shape))
+        every = np.arange(n)
+        moved = None  # the first step on all rows fills all of rho
 
         def f(rows, t):
+            nonlocal moved
             self.evaluations += len(rows)
-            psi = psi0[rows]
-            psi[:, j] = coherent_phases(t, d)
-            return _by_rows(self._from_psi, psi, d * d)
+            # a one-row line takes _by_rows' doubled row: a lone row's product goes to gemv
+            if n >= 2 and len(rows) == n and (rows == every).all():
+                coherent_phases(t, d, out=psi[j])
+                values = self._from_psi(psi, buffers, moved)
+                moved = j
+                return values
+            sub = np.take(psi, rows, axis=1)
+            coherent_phases(t, d, out=sub[j])
+            return self._of_rows(sub.T)
 
         return f
 
-    def _from_psi(self, psi: np.ndarray, conj=None, rho=None, w=None, absw=None) -> np.ndarray:
-        """Values of amplitude rows psi, shape (N, d); conj, rho, w and absw are optional output buffers."""
-        d = self.d
-        rho = np.multiply(psi[:, :, None], np.conjugate(psi, out=conj)[:, None, :], out=rho)
-        w = np.matmul(rho.reshape(len(rho), d * d), self.kernel, out=w)
+    def _of_rows(self, psi: np.ndarray) -> np.ndarray:
+        """Values of amplitude rows psi, shape (N, d), in _by_rows pieces."""
+        return _by_rows(lambda piece: self._from_psi(piece.T), psi, self.d * self.d)
+
+    def _from_psi(self, psi: np.ndarray, buffers=None, moved=None) -> np.ndarray:
+        """Values of amplitude columns psi, shape (d, N), at least two of them.
+
+        buffers, optional, are conj psi (d, N), rho (d, d, N), W (N, d^2) and
+        |W| (N, d^2), C-contiguous, to write into.  With moved = j only row j
+        of psi differs from the call that filled them, so only conj[j] and
+        the row and column j of rho are recomputed: every element of rho is
+        the same product psi[a] * conj[b] as in a full pass.
+        """
+        d, n = self.d, psi.shape[1]
+        conj, rho, w, absw = buffers or (None, np.empty((d, d, n), dtype=complex), None, None)
+        if moved is None:
+            np.multiply(psi[:, None, :], np.conjugate(psi, out=conj)[None, :, :], out=rho)
+        else:
+            np.conjugate(psi[moved], out=conj[moved])
+            np.multiply(psi[moved], conj, out=rho[moved])
+            np.multiply(psi, conj[moved], out=rho[:, moved])
+        # W = rho_flat @ K on the (N, d^2) transposed view: a C-order W, and
+        # the bits of the row-major product
+        w = np.matmul(rho.reshape(d * d, n).T, self.kernel, out=w)
         # numpy divides by the real d as (re + im * 0) * (1/d); scaling both
         # parts by 1/d can differ only in the sign of a zero, which abs drops
         w.view(float)[...] *= 1.0 / d

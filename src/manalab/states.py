@@ -139,10 +139,20 @@ def coherent_amplitudes(thetas) -> np.ndarray:
     return amps
 
 
-def coherent_phases(thetas, d: int) -> np.ndarray:
-    """e^{i theta} / sqrt(d) for each theta of an array of any shape: the entries 1.. of coherent_amplitudes."""
+def coherent_phases(thetas, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{i theta} / sqrt(d) for each theta of an array of any shape: the entries 1.. of coherent_amplitudes.
+
+    out, when given, is a C-contiguous complex array of thetas' shape that
+    receives the values (whatever it held before) and is returned.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    amps = np.zeros(thetas.size, dtype=complex)
+    if out is None:
+        amps = np.zeros(thetas.size, dtype=complex)
+    else:
+        if out.shape != thetas.shape or out.dtype != complex or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous complex array of shape {thetas.shape}")
+        amps = out.reshape(-1)  # a view, since out is contiguous
+        amps.real = 0.0
     # the bits of exp(1j * thetas) / sqrt(d) without the complex temporaries:
     # 1j * t has imaginary part 0 + t (so -0.0 becomes +0.0), and numpy
     # divides by the real c = sqrt(d) as (re + im * 0, im - re * 0) * (1/c),
@@ -151,7 +161,7 @@ def coherent_phases(thetas, d: int) -> np.ndarray:
     np.add(thetas.ravel(), 0.0, out=amps.imag)
     np.exp(amps, out=amps)
     amps.view(float)[...] *= 1.0 / math.sqrt(d)
-    return amps.reshape(thetas.shape)
+    return amps.reshape(thetas.shape) if out is None else out
 
 
 _SQRT3 = math.sqrt(3.0)

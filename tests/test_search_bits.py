@@ -80,6 +80,39 @@ def test_coherent_amplitudes_keep_the_sign_convention_of_a_zero_phase():
     assert math.copysign(1.0, coherent_amplitudes(thetas)[0, 2].imag) == 1.0
 
 
+def test_coherent_phases_into_a_buffer_are_the_fresh_values():
+    # out's old contents (a nonzero real part, NaN garbage) must not leak
+    # into the values, and a -0.0 phase keeps its +0.0 imaginary part
+    thetas = np.array([0.3, -0.0, 0.0, -math.pi, 1e6])
+    for d in (3, 5, 7):
+        fresh = coherent_phases(thetas, d)
+        stale = np.full(thetas.shape, complex(7.0, math.nan))
+        stale[1] = complex(math.nan, -3.0)
+        assert coherent_phases(thetas, d, out=stale) is stale
+        assert same_bits(stale, fresh)
+        assert math.copysign(1.0, stale[1].imag) == 1.0
+        # row 2 of a (d, n) buffer, the others left as they were
+        block = np.full((d, len(thetas)), complex(-1.0, math.nan))
+        coherent_phases(thetas, d, out=block[2])
+        assert same_bits(block[2], fresh)
+        assert np.isnan(np.delete(block, 2, axis=0).imag).all()
+        # a 0-d phase into a 0-d buffer
+        zero = np.array(complex(5.0, math.nan))
+        coherent_phases(np.array(-0.0), d, out=zero)
+        assert same_bits(zero.ravel(), coherent_phases(-0.0, d).ravel())
+        assert math.copysign(1.0, zero.imag) == 1.0
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty(4, dtype=complex), np.empty(5), np.empty((2, 5), dtype=complex), np.empty((5, 2), dtype=complex)[:, 0]],
+    ids=["short", "real", "two-d", "strided"],
+)
+def test_coherent_phases_reject_an_out_they_cannot_fill(out):
+    with pytest.raises(ValueError, match="C-contiguous complex array"):
+        coherent_phases(np.zeros(5), 3, out=out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(phase_blocks)
 def test_objective_is_the_complex_expression(thetas):
@@ -114,6 +147,26 @@ def test_streamed_grid_is_batch_on_the_mesh(grid, data):
     assert obj.evaluations == len(mesh)
 
 
+@pytest.mark.parametrize(
+    "d, size, step",
+    # 100, 81 and 64 grid points: a last piece of 2 or 4 rows, or of one
+    # row (evaluated doubled), behind pieces of `step` rows
+    [(3, 10, 7), (3, 10, 9), (5, 3, 7), (5, 3, 8), (7, 2, 5), (7, 2, 9)],
+)
+def test_grid_pieces_of_any_length_are_batch(d, size, step):
+    # a last piece shorter than the rest, of one row or more, fills a prefix
+    # of the grid's buffers
+    axis = np.random.default_rng(size * step).uniform(-7.0, 7.0, size)
+    axis[0] = -0.0
+    mesh = np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
+    obj = _CoherentObjective(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "ROW_BUDGET", step * d * d)
+        values = obj.grid(axis)
+    assert same_bits(values.ravel(), _CoherentObjective(d).batch(mesh))
+    assert obj.evaluations == len(mesh)
+
+
 # (d, rows in the running subset) over a fixed block of 128 base rows
 line_cases = st.tuples(st.sampled_from([3, 5, 7]), st.sampled_from([1, 2, 128]))
 
@@ -133,6 +186,31 @@ def test_line_is_batch_on_the_same_phase_vectors(case, data):
     line(rows, t + 1.0)  # a step must leave the line's fixed rows as they were
     assert same_bits(line(rows, t), _CoherentObjective(d).batch(thetas))
     assert obj.evaluations == 2 * k
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_line_steps_in_any_order_are_batch(d, n):
+    # steps on all rows in order update the line's rho in place; a
+    # permutation of all rows, a subset and a single row go through batch's
+    # path; each must leave the in-place rho right for the steps after it
+    rng = np.random.default_rng(10 * d + n)
+    base = rng.uniform(-7.0, 7.0, (n, d - 1))
+    every = np.arange(n)
+    permuted = np.roll(every, 1)[::-1] if n > 2 else every[::-1]
+    calls = [every, every, every, permuted, every[n // 2 :][::-1], every[-1:], every, every]
+    for i in range(d - 1):
+        obj = _CoherentObjective(d)
+        line = obj.line(base, i)
+        total = 0
+        for rows in calls:
+            t = rng.uniform(-7.0, 7.0, len(rows))
+            t[0] = -0.0
+            thetas = base[rows]
+            thetas[:, i] = t
+            assert same_bits(line(rows, t), _CoherentObjective(d).batch(thetas)), (i, rows)
+            total += len(rows)
+            assert obj.evaluations == total
 
 
 @pytest.mark.parametrize("key", sorted(PINS))

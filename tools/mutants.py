@@ -191,6 +191,12 @@ MUTANTS = {
         "amps.imag[...] = thetas.ravel()",
         ("tests/test_search_bits.py",),
     ),
+    "phases-out-real-kept": Mutant(
+        "states.py",
+        "amps.real = 0.0",
+        "pass",
+        ("tests/test_search_bits.py",),
+    ),
     "phases-over-d": Mutant(
         "states.py",
         "amps.view(float)[...] *= 1.0 / math.sqrt(d)",
@@ -200,8 +206,8 @@ MUTANTS = {
     # the coherent search
     "rho-without-conjugate": Mutant(
         "search.py",
-        "np.conjugate(psi, out=conj)[:, None, :]",
-        "psi[:, None, :]",
+        "np.conjugate(psi, out=conj)[None, :, :]",
+        "psi[None, :, :]",
         ("tests/test_search_bits.py",),
     ),
     "objective-times-d": Mutant(
@@ -237,8 +243,32 @@ MUTANTS = {
     # the streamed grid and the golden-section lines
     "line-writes-column-i": Mutant(
         "search.py",
-        "psi[:, j] = coherent_phases(t, d)",
-        "psi[:, i] = coherent_phases(t, d)",
+        "d, j, n = self.d, i + 1, len(base)",
+        "d, j, n = self.d, i, len(base)",
+        ("tests/test_search_bits.py",),
+    ),
+    "line-moved-row-only": Mutant(
+        "search.py",
+        "np.multiply(psi, conj[moved], out=rho[:, moved])",
+        "pass",
+        ("tests/test_search_bits.py",),
+    ),
+    "line-conj-row-stale": Mutant(
+        "search.py",
+        "np.conjugate(psi[moved], out=conj[moved])",
+        "pass",
+        ("tests/test_search_bits.py",),
+    ),
+    "line-full-rows-by-length": Mutant(
+        "search.py",
+        "len(rows) == n and (rows == every).all()",
+        "len(rows) == n",
+        ("tests/test_search_bits.py",),
+    ),
+    "line-one-row-in-place": Mutant(
+        "search.py",
+        "if n >= 2 and len(rows) == n",
+        "if len(rows) == n",
         ("tests/test_search_bits.py",),
     ),
     "grid-axes-reversed": Mutant(
@@ -249,8 +279,8 @@ MUTANTS = {
     ),
     "grid-buffers-unsliced": Mutant(
         "search.py",
-        "psi, conj, rho, w, absw = (b[:n] for b in buffers)",
-        "psi, conj, rho, w, absw = buffers",
+        "(b[: math.prod(s)].reshape(s) for b, s in zip(buffers, shapes))",
+        "(b.reshape(s) for b, s in zip(buffers, shapes))",
         ("tests/test_search_bits.py",),
     ),
     "box-max-wrap-off-by-one": Mutant(
