@@ -28,18 +28,16 @@ and each piece that _by_rows cuts from the grid's flat indices gathers its
 amplitudes from that table; no (grid^(d-1), d-1) mesh of phases is built.
 The objective keeps its amplitudes component-major, psi of shape (d, N), so
 that every elementwise loop runs over N contiguous rows rather than over d.
-A piece's psi, conj psi, rho, W and |W| are prefixes of flat buffers made
-once per grid (rho and W are 4 MB each at d = 5).  In a fresh process the
-d = 5 grid takes 6,500 minor faults with them and 8,500 with fresh arrays
-per piece: glibc maps the first piece's arrays and, once they are freed,
-raises its mmap threshold and serves the later ones from its heap.  Along a
-golden-section line on coordinate i only row i + 1 of psi moves, and only
-the row and column i + 1 of rho with it.  A line holds its base rows' psi,
-conj psi, rho, W and |W|; a step on all of them in order exponentiates the
-one moving row in place, and _from_psi recomputes 2d - 1 of rho's d^2 rows.
-Any other set of rows is gathered.  All three ways of getting amplitudes
-end in the one tail, _from_psi, which forms |psi><psi| and its Wigner
-values, and every row keeps the bits and the evaluation count of batch.
+Only a golden-section line keeps arrays from one call to the next.  Along a
+line on coordinate i only row i + 1 of psi moves, and only the row and
+column i + 1 of rho with it.  A line holds its base rows' psi, conj psi and
+rho; a step on all of them in order writes the one moving row of psi, and
+_from_psi recomputes 2d - 1 of rho's d^2 rows.  Any other set of rows is
+gathered.  A grid piece, a batch and a gathered set of rows get fresh
+arrays, and so do W and |W| everywhere.  All three ways of getting
+amplitudes end in the one tail, _from_psi, which forms |psi><psi| and its
+Wigner values, and every row keeps the bits and the evaluation count of
+batch.
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ class _CoherentObjective:
     def __init__(self, d: int):
         self.d = d
         # K[(i, j), p] = A_p[j, i], so W = rho_flat @ K: one (N, d^2) @ (d^2, d^2)
-        # product per block, written into the caller's buffer
+        # product per block
         self.kernel = point_kernel(d)
         self.evaluations = 0
 
@@ -133,37 +131,27 @@ class _CoherentObjective:
         # allocated before any piece, so a grid too large for memory fails at once
         flat = np.arange(math.prod(shape))
         self.evaluations += flat.size
-        buffers = []
 
         def values(piece):
-            n = len(piece)
-            shapes = ((d, n), (d, n), (d, d, n), (n, d * d), (n, d * d))
-            if not buffers:  # _by_rows passes its largest piece first
-                buffers.extend(np.empty(math.prod(s), dtype=t) for s, t in zip(shapes, [complex] * 4 + [float]))
-                buffers[0][:n] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry, row 0 of psi
-            # each array is a prefix of its flat buffer, so a shorter piece's
-            # are contiguous too, and its row 0 of psi lies in the first piece's
-            psi, conj, rho, w, absw = (b[: math.prod(s)].reshape(s) for b, s in zip(buffers, shapes))
-            # col is always in range; numpy fills out through a temporary
-            # under take's default mode="raise", and writes it directly under "wrap"
+            psi = np.empty((d, len(piece)), dtype=complex)
+            psi[0] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry
             for k, col in enumerate(np.unravel_index(piece, shape), start=1):
-                np.take(table, col, out=psi[k], mode="wrap")
-            return self._from_psi(psi, (conj, rho, w, absw))
+                psi[k] = table[col]
+            return self._from_psi(psi)
 
         return _by_rows(values, flat, d * d).reshape(shape)
 
     def line(self, base: np.ndarray, i: int):
         """f(rows, t) for _golden_max: the values of base[rows] with phase i set to t.
 
-        The line holds the base rows' psi, conj psi, rho, W and |W|.  A step
-        on all rows in order writes row i + 1 of psi in place, and _from_psi
+        The line holds the base rows' psi, conj psi and rho.  A step on all
+        rows in order writes row i + 1 of psi in place, and _from_psi
         recomputes only the row and column of rho that it moves; any other
         rows are gathered and go through _by_rows.
         """
         d, j, n = self.d, i + 1, len(base)
         psi = np.ascontiguousarray(coherent_amplitudes(base).T)
-        w = np.empty((n, d * d), dtype=complex)
-        buffers = (np.empty_like(psi), np.empty((d, d, n), dtype=complex), w, np.empty(w.shape))
+        buffers = (np.empty_like(psi), np.empty((d, d, n), dtype=complex))
         every = np.arange(n)
         moved = None  # the first step on all rows fills all of rho
 
@@ -172,12 +160,12 @@ class _CoherentObjective:
             self.evaluations += len(rows)
             # a one-row line takes _by_rows' doubled row: a lone row's product goes to gemv
             if n >= 2 and len(rows) == n and (rows == every).all():
-                coherent_phases(t, d, out=psi[j])
+                psi[j] = coherent_phases(t, d)
                 values = self._from_psi(psi, buffers, moved)
                 moved = j
                 return values
             sub = np.take(psi, rows, axis=1)
-            coherent_phases(t, d, out=sub[j])
+            sub[j] = coherent_phases(t, d)
             return self._of_rows(sub.T)
 
         return f
@@ -189,14 +177,14 @@ class _CoherentObjective:
     def _from_psi(self, psi: np.ndarray, buffers=None, moved=None) -> np.ndarray:
         """Values of amplitude columns psi, shape (d, N), at least two of them.
 
-        buffers, optional, are conj psi (d, N), rho (d, d, N), W (N, d^2) and
-        |W| (N, d^2), C-contiguous, to write into.  With moved = j only row j
+        buffers, optional, are a golden line's conj psi (d, N) and rho
+        (d, d, N), C-contiguous, to write into.  With moved = j only row j
         of psi differs from the call that filled them, so only conj[j] and
         the row and column j of rho are recomputed: every element of rho is
         the same product psi[a] * conj[b] as in a full pass.
         """
         d, n = self.d, psi.shape[1]
-        conj, rho, w, absw = buffers or (None, np.empty((d, d, n), dtype=complex), None, None)
+        conj, rho = buffers or (None, np.empty((d, d, n), dtype=complex))
         if moved is None:
             np.multiply(psi[:, None, :], np.conjugate(psi, out=conj)[None, :, :], out=rho)
         else:
@@ -205,11 +193,11 @@ class _CoherentObjective:
             np.multiply(psi, conj[moved], out=rho[:, moved])
         # W = rho_flat @ K on the (N, d^2) transposed view: a C-order W, and
         # the bits of the row-major product
-        w = np.matmul(rho.reshape(d * d, n).T, self.kernel, out=w)
+        w = rho.reshape(d * d, n).T @ self.kernel
         # numpy divides by the real d as (re + im * 0) * (1/d); scaling both
         # parts by 1/d can differ only in the sign of a zero, which abs drops
         w.view(float)[...] *= 1.0 / d
-        return np.log(np.abs(w, out=absw).sum(axis=1))
+        return np.log(np.abs(w).sum(axis=1))
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray):

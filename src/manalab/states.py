@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,20 +140,10 @@ def coherent_amplitudes(thetas) -> np.ndarray:
     return amps
 
 
-def coherent_phases(thetas, d: int, out: np.ndarray | None = None) -> np.ndarray:
-    """e^{i theta} / sqrt(d) for each theta of an array of any shape: the entries 1.. of coherent_amplitudes.
-
-    out, when given, is a C-contiguous complex array of thetas' shape that
-    receives the values (whatever it held before) and is returned.
-    """
+def coherent_phases(thetas, d: int) -> np.ndarray:
+    """e^{i theta} / sqrt(d) for each theta of an array of any shape: the entries 1.. of coherent_amplitudes."""
     thetas = np.asarray(thetas, dtype=float)
-    if out is None:
-        amps = np.zeros(thetas.size, dtype=complex)
-    else:
-        if out.shape != thetas.shape or out.dtype != complex or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous complex array of shape {thetas.shape}")
-        amps = out.reshape(-1)  # a view, since out is contiguous
-        amps.real = 0.0
+    amps = np.zeros(thetas.size, dtype=complex)
     # the bits of exp(1j * thetas) / sqrt(d) without the complex temporaries:
     # 1j * t has imaginary part 0 + t (so -0.0 becomes +0.0), and numpy
     # divides by the real c = sqrt(d) as (re + im * 0, im - re * 0) * (1/c),
@@ -161,7 +152,7 @@ def coherent_phases(thetas, d: int, out: np.ndarray | None = None) -> np.ndarray
     np.add(thetas.ravel(), 0.0, out=amps.imag)
     np.exp(amps, out=amps)
     amps.view(float)[...] *= 1.0 / math.sqrt(d)
-    return amps.reshape(thetas.shape) if out is None else out
+    return amps.reshape(thetas.shape)
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -197,7 +188,7 @@ def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
         raise UnknownState(f"unknown state name {name!r}")
     nonfinite = [x for x in params if not math.isfinite(x)]
     if nonfinite:  # no state vector is built from it: its norm would be NaN
-        raise ParamOutOfRange(f"vector norm nan: {name} parameter {nonfinite[0]} is not finite")
+        raise ParamOutOfRange(f"{name} parameter {nonfinite[0]} is not finite")
     if name in QUTRIT_STATES and dim not in (None, 3):
         raise ParamOutOfRange(f"{name} is a qutrit state; dim={dim} is not 3")
     if name in _FIXED_QUTRIT_STATES:
@@ -305,7 +296,9 @@ def partial_trace(rho: DensityState, keep) -> DensityState:
     """Reduce a bipartite state to one subsystem (keep 0/'a' or 1/'b')."""
     if len(rho.dims) != 2:
         raise NotBipartite(f"state has {len(rho.dims)} subsystems, need 2")
-    keep = {"a": 0, "b": 1, 0: 0, 1: 1}.get(keep)
+    # True == 1 and 1.0 == 1 would find an int key, so only a str or a non-bool int is looked up
+    lookup = isinstance(keep, (str, numbers.Integral)) and not isinstance(keep, bool)
+    keep = {"a": 0, "b": 1, 0: 0, 1: 1}.get(keep) if lookup else None
     if keep is None:
         raise ValueError("keep must be 'a'/'b'/0/1")
     da, db = rho.dims

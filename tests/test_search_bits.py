@@ -80,39 +80,6 @@ def test_coherent_amplitudes_keep_the_sign_convention_of_a_zero_phase():
     assert math.copysign(1.0, coherent_amplitudes(thetas)[0, 2].imag) == 1.0
 
 
-def test_coherent_phases_into_a_buffer_are_the_fresh_values():
-    # out's old contents (a nonzero real part, NaN garbage) must not leak
-    # into the values, and a -0.0 phase keeps its +0.0 imaginary part
-    thetas = np.array([0.3, -0.0, 0.0, -math.pi, 1e6])
-    for d in (3, 5, 7):
-        fresh = coherent_phases(thetas, d)
-        stale = np.full(thetas.shape, complex(7.0, math.nan))
-        stale[1] = complex(math.nan, -3.0)
-        assert coherent_phases(thetas, d, out=stale) is stale
-        assert same_bits(stale, fresh)
-        assert math.copysign(1.0, stale[1].imag) == 1.0
-        # row 2 of a (d, n) buffer, the others left as they were
-        block = np.full((d, len(thetas)), complex(-1.0, math.nan))
-        coherent_phases(thetas, d, out=block[2])
-        assert same_bits(block[2], fresh)
-        assert np.isnan(np.delete(block, 2, axis=0).imag).all()
-        # a 0-d phase into a 0-d buffer
-        zero = np.array(complex(5.0, math.nan))
-        coherent_phases(np.array(-0.0), d, out=zero)
-        assert same_bits(zero.ravel(), coherent_phases(-0.0, d).ravel())
-        assert math.copysign(1.0, zero.imag) == 1.0
-
-
-@pytest.mark.parametrize(
-    "out",
-    [np.empty(4, dtype=complex), np.empty(5), np.empty((2, 5), dtype=complex), np.empty((5, 2), dtype=complex)[:, 0]],
-    ids=["short", "real", "two-d", "strided"],
-)
-def test_coherent_phases_reject_an_out_they_cannot_fill(out):
-    with pytest.raises(ValueError, match="C-contiguous complex array"):
-        coherent_phases(np.zeros(5), 3, out=out)
-
-
 @settings(max_examples=60, deadline=None)
 @given(phase_blocks)
 def test_objective_is_the_complex_expression(thetas):
@@ -154,8 +121,7 @@ def test_streamed_grid_is_batch_on_the_mesh(grid, data):
     [(3, 10, 7), (3, 10, 9), (5, 3, 7), (5, 3, 8), (7, 2, 5), (7, 2, 9)],
 )
 def test_grid_pieces_of_any_length_are_batch(d, size, step):
-    # a last piece shorter than the rest, of one row or more, fills a prefix
-    # of the grid's buffers
+    # a last piece shorter than the rest, of one row or more
     axis = np.random.default_rng(size * step).uniform(-7.0, 7.0, size)
     axis[0] = -0.0
     mesh = np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)

@@ -161,6 +161,15 @@ def test_partial_trace_schmidt_diagonal():
     assert np.abs(red - np.diag([0.5, 0.5, 0.0])).max() < 1e-14
 
 
+@pytest.mark.parametrize("keep", [True, False, np.True_, 1.0, 0.0, np.float64(1.0), 0.5, 2, "c", None])
+def test_partial_trace_keeps_only_a_name_or_an_integer_index(keep):
+    # True == 1 and 1.0 == 1, so a bool or a float must not pass as an index
+    both = tensor(random_density(3, np.random.default_rng(5)), random_density(5, np.random.default_rng(6)))
+    with pytest.raises(ValueError, match="keep must be 'a'/'b'/0/1"):
+        partial_trace(both, keep)
+    assert partial_trace(both, np.int64(1)).dims == (5,)
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         DensityState((3,), np.eye(3))  # trace 3

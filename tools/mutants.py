@@ -173,6 +173,12 @@ MUTANTS = {
         "if not abs(trace - 1.0) <= HERM_TOL:",
         ("tests/test_pure_vector.py",),
     ),
+    "partial-trace-takes-bool": Mutant(
+        "states.py",
+        "lookup = isinstance(keep, (str, numbers.Integral)) and not isinstance(keep, bool)",
+        "lookup = isinstance(keep, (str, numbers.Integral))",
+        ("tests/test_states.py::test_partial_trace_keeps_only_a_name_or_an_integer_index",),
+    ),
     "noisy-rows-full-herm-tol": Mutant(
         "states.py",
         "np.abs(row_traces - 1.0) <= HERM_TOL / 2",
@@ -189,12 +195,6 @@ MUTANTS = {
         "states.py",
         "np.add(thetas.ravel(), 0.0, out=amps.imag)",
         "amps.imag[...] = thetas.ravel()",
-        ("tests/test_search_bits.py",),
-    ),
-    "phases-out-real-kept": Mutant(
-        "states.py",
-        "amps.real = 0.0",
-        "pass",
         ("tests/test_search_bits.py",),
     ),
     "phases-over-d": Mutant(
@@ -271,16 +271,16 @@ MUTANTS = {
         "if len(rows) == n",
         ("tests/test_search_bits.py",),
     ),
+    "grid-first-amplitude": Mutant(
+        "search.py",
+        "psi[0] = 1.0 / math.sqrt(d)",
+        "psi[0] = 1.0 / d",
+        ("tests/test_search_bits.py",),
+    ),
     "grid-axes-reversed": Mutant(
         "search.py",
         "enumerate(np.unravel_index(piece, shape), start=1)",
         "enumerate(np.unravel_index(piece, shape)[::-1], start=1)",
-        ("tests/test_search_bits.py",),
-    ),
-    "grid-buffers-unsliced": Mutant(
-        "search.py",
-        "(b[: math.prod(s)].reshape(s) for b, s in zip(buffers, shapes))",
-        "(b.reshape(s) for b, s in zip(buffers, shapes))",
         ("tests/test_search_bits.py",),
     ),
     "box-max-wrap-off-by-one": Mutant(
