@@ -23,7 +23,7 @@ from .circuits import csum_spec
 from .errors import ManalabError
 from .measures import LogBase
 from .search import max_mana_coherent
-from .states import DensityState, NoisyRows, maximally_mixed, named_state, noisy_mix, state_from_json
+from .states import FAMILY_AMPLITUDES, DensityState, NoisyRows, maximally_mixed, named_state, noisy_mix, state_from_json
 from .verify import IGNORED_FLAGS, SUITES, Check
 
 
@@ -95,10 +95,10 @@ def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
         )
         for m in fig.measures
     ]
-    family = fig.family[1] if fig.family else [None]
-    # amplitude rows of each state variant over the family axis
+    # amplitude rows of each state variant: a family's formula over its whole
+    # axis, or the one row of a table state
     amplitudes = {
-        state: np.stack([named_state(state, () if x is None else (float(x),)).amplitudes for x in family])
+        state: FAMILY_AMPLITUDES[state](fig.family[1]) if fig.family else named_state(state).amplitudes[None]
         for state in dict.fromkeys(state for state, _ in columns)
     }
     spec = csum_spec(3)
@@ -153,7 +153,7 @@ def _build_state(args) -> DensityState:
 
 def cmd_measure(args) -> int:
     rho = _build_state(args)
-    if args.measures:
+    if args.measures is not None:  # "" names one empty measure, a usage error
         names = args.measures.split(",")
     else:
         names = ["mana", "l1", "sre2"]

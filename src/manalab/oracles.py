@@ -10,10 +10,12 @@ id's concrete noisy input with output_measures, the figures' path, which
 forms no output state (`csum_output` is the dense reference), and returns
 a record of both values with their difference; it never auto-resolves a
 discrepancy.  `oracle_vs_numeric(oid)` is compare of one id.  compare
-evaluates each closed form and checks each numeric input in list order,
-then makes one output_measures call per table row, on all that row's
-inputs with one noise value each, as one states.NoisyRows (it takes a p
-per row), which output_measures evaluates without check_density.  All
+evaluates each closed form and checks each numeric input in list order.
+It builds and checks each distinct input (an id without its noise p) once
+per call, and checks every id's p.  Then it makes one output_measures call
+per table row, on all that row's inputs with one noise value each, as one
+states.NoisyRows (it takes a p per row), which output_measures evaluates
+without check_density.  All
 thresholds share one bisection, run in lockstep: 61 calls of k rows.
 output_measures evaluates its block by measures._by_rows, so each row's
 value is bit-identical to its own one-row call, which
@@ -60,8 +62,8 @@ class OracleId:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(x) for x in self.params))
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
 
 
 @dataclass(frozen=True)
@@ -439,32 +441,52 @@ def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
 class _NumericInput(NamedTuple):
     measure: str  # table row
     amps: np.ndarray  # input amplitudes, (3,)
-    p: float | None  # noise; None for a threshold, which is bisected over p
     note: str
 
 
+# the noise p of the ids that take none as a parameter; None for a
+# threshold, which is bisected over p.  Every other id's p is its last parameter.
+FIXED_NOISE = {"ex5_set": 1.0, "ex6_set": 1.0, "p_crit": None}
+
+
+def _input_key(oid: OracleId) -> tuple[tuple, float | None]:
+    """The key of oid's numeric input (oid without its noise p), and that p.
+
+    The parameters in the key are their bits, so that -0.0 and 0.0 name
+    different inputs.
+    """
+    if oid.name in FIXED_NOISE:
+        head, p = oid.params, FIXED_NOISE[oid.name]
+    else:
+        *head, p = oid.params
+    return (oid.name, oid.labels, tuple(map(float.hex, head))), p
+
+
 def _numeric_input(oid: OracleId) -> _NumericInput:
-    """What the numeric side of oid evaluates, with the input's checks made here."""
+    """The input the numeric side of oid evaluates, built and checked here, without its noise p."""
     name = oid.name
     if name == "p_crit":
         psi_name = _table_state_name("m_mana", oid.labels[0])
-        return _NumericInput("m_mana", named_state(psi_name).amplitudes, None, f"bisection threshold ({psi_name})")
+        return _NumericInput("m_mana", named_state(psi_name).amplitudes, f"bisection threshold ({psi_name})")
     if name == "ex1":
-        *mu, p = oid.params
-        measure, psi = "m_mana", PureVector(3, mu)
+        measure, psi = "m_mana", PureVector(3, oid.params[:-1])
     elif name in ("ex2", "ex3", "ex4"):
-        *head, p = oid.params
-        measure, psi = "m_mana", named_state(EXAMPLE_FAMILIES[name], head)
+        measure, psi = "m_mana", named_state(EXAMPLE_FAMILIES[name], oid.params[:-1])
     elif name in ("ex5_set", "ex6_set"):
-        measure, psi, p = oid.labels[0], named_state(EXAMPLE_FAMILIES[name], oid.params[:1]), 1.0
+        measure, psi = oid.labels[0], named_state(EXAMPLE_FAMILIES[name], oid.params[:1])
     elif name == "table1_cell" or name in H_FORMS:
         measure, state = oid.labels if name == "table1_cell" else (H_FORMS[name], "H")
-        psi, p = named_state(_table_state_name(measure, state)), oid.params[0]
+        psi = named_state(_table_state_name(measure, state))
     else:
         raise BadParams(f"unknown oracle {name!r}")
-    note = _row_name(measure)
-    check_noise(p)
-    return _NumericInput(measure, psi.amplitudes, p, note)
+    return _NumericInput(measure, psi.amplitudes, _row_name(measure))
+
+
+def _checked_noise(p: float | None) -> float | None:
+    """p, unless it lies outside [0, 1] (NaN too): then check_noise's ParamOutOfRange."""
+    if p is not None and not 0.0 <= p <= 1.0:
+        check_noise(p)
+    return p
 
 
 def _bisect(mutual_mana, n: int, level: float) -> np.ndarray:
@@ -498,26 +520,32 @@ def oracle_vs_numeric(oid: OracleId, tol: float = 1e-9) -> ComparisonRecord:
 def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
     """oracle_vs_numeric for each id, its numeric side evaluated in blocks.
 
-    Each id's closed form and numeric input are evaluated in list order, so
-    the first bad id raises what oracle_vs_numeric raises on it.  Then each
-    table row's ids make one _row_value block and the thresholds one
-    lockstep bisection.
+    Each id's closed form, numeric input and noise p are checked in list
+    order, so the first bad id raises what oracle_vs_numeric raises on it.
+    Each distinct input (the id without its p) is built and checked once
+    per call, and every id's p is checked.  Then each table row's ids make
+    one _row_value block and the thresholds one lockstep bisection.
     """
     oids = list(oids)
-    oracle_values, inputs = [], []
+    oracle_values, inputs, noise = [], [], []
+    built: dict[tuple, _NumericInput] = {}
     for oid in oids:
         oracle_values.append(closed_form(oid))
-        inputs.append(_numeric_input(oid))
+        key, p = _input_key(oid)
+        if key not in built:
+            built[key] = _numeric_input(oid)
+        inputs.append(built[key])
+        noise.append(_checked_noise(p))
     rows: dict[str, list[int]] = {}
     thresholds = []
-    for i, x in enumerate(inputs):
-        if x.p is None:
+    for i, (x, p) in enumerate(zip(inputs, noise)):
+        if p is None:
             thresholds.append(i)
         else:
             rows.setdefault(x.measure, []).append(i)
     numeric = np.empty(len(oids))
     for measure, block in rows.items():
-        numeric[block] = _row_value(measure, np.stack([inputs[i].amps for i in block]), [inputs[i].p for i in block])
+        numeric[block] = _row_value(measure, np.stack([inputs[i].amps for i in block]), [noise[i] for i in block])
     if thresholds:
         amps = np.stack([inputs[i].amps for i in thresholds])
         numeric[thresholds] = _bisect(lambda ps: _row_value("m_mana", amps, ps), len(thresholds), THRESHOLD_LEVEL)

@@ -155,6 +155,29 @@ def coherent_phases(thetas, d: int) -> np.ndarray:
     return amps.reshape(thetas.shape)
 
 
+def phi_lambda_amplitudes(lams) -> np.ndarray:
+    """(lambda, lambda, sqrt(1 - 2 lambda^2)) for each lambda of an array of any shape, (..., 3); unchecked."""
+    lams = np.asarray(lams, dtype=float)
+    amps = np.zeros(lams.shape + (3,), dtype=complex)
+    amps[..., 0] = lams
+    amps[..., 1] = lams
+    amps[..., 2] = np.sqrt(np.maximum(1.0 - 2.0 * lams * lams, 0.0))  # 0 just past 1/sqrt(2)
+    return amps
+
+
+def psi_theta_amplitudes(thetas) -> np.ndarray:
+    """(cos theta, sin theta, 0) for each theta of an array of any shape, (..., 3); unchecked."""
+    thetas = np.asarray(thetas, dtype=float)
+    amps = np.zeros(thetas.shape + (3,), dtype=complex)
+    amps[..., 0] = np.cos(thetas)
+    amps[..., 1] = np.sin(thetas)
+    return amps
+
+
+# the one-parameter qutrit families: each one formula, which named_state
+# evaluates on one value after its checks and the figures on a whole axis
+FAMILY_AMPLITUDES = {"phi_lambda": phi_lambda_amplitudes, "psi_theta": psi_theta_amplitudes}
+
 _SQRT3 = math.sqrt(3.0)
 # the named qutrit states without parameters, built once
 _FIXED_QUTRIT_STATES = {
@@ -199,14 +222,10 @@ def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
         lam = params[0]
         if not (0.0 <= lam <= 1.0 / math.sqrt(2.0) + 1e-12):
             raise ParamOutOfRange(f"lambda={lam} outside [0, 1/sqrt(2)]")
-        rest = max(1.0 - 2.0 * lam * lam, 0.0)
-        amps = np.array([lam, lam, math.sqrt(rest)], dtype=complex)
-        return PureVector(3, amps)
+        return PureVector(3, phi_lambda_amplitudes(lam))
     if name == "psi_theta":
         need(1)
-        th = params[0]
-        amps = np.array([math.cos(th), math.sin(th), 0.0], dtype=complex)
-        return PureVector(3, amps)
+        return PureVector(3, psi_theta_amplitudes(params[0]))
     if name == "max_coherent":
         d = len(params) + 1
         if dim not in (None, d):

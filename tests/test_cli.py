@@ -428,3 +428,10 @@ def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
 def test_verify_prop2_passes(capsys):
     code, out, _ = run(capsys, "verify", "prop2")
     assert code == 0 and out.count("[pass]") == 8 and out.endswith("all 8 checks passed\n")
+
+
+@pytest.mark.parametrize("measures", ["", "mana,,mana"], ids=["empty", "empty-between-commas"])
+def test_an_empty_measure_name_is_a_usage_error(capsys, measures):
+    # an empty --measures names one empty measure; it does not mean the default set
+    code, out, err = run(capsys, "measure", "--state", "strange", "--measures", measures)
+    assert (code, out, err) == (2, "", "error: unknown measure ''\n")

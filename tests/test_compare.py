@@ -113,6 +113,84 @@ def test_a_bad_id_raises_what_the_sequential_loop_raises(bad):
     assert _raised(lambda: compare(oids)) == expected
 
 
+# keys repeat, and the H variants interleave: m_mana/H uses h_fourier, the
+# other H rows and forms use h
+REPEATED = [
+    OracleId("table1_cell", (0.2,), ("m_mana", "H")),
+    OracleId("table1_cell", (0.2,), ("m_l1", "H")),
+    OracleId("ml1_h", (0.3,)),
+    OracleId("table1_cell", (0.7,), ("m_mana", "H")),
+    OracleId("msre2_h", (0.2,)),
+    OracleId("table1_cell", (0.9,), ("m_l1", "H")),
+    OracleId("ml1_h", (0.8,)),
+    OracleId("p_crit", (), ("H",)),
+    OracleId("table1_cell", (0.3,), ("I", "H")),
+    OracleId("table1_cell", (0.3,), ("I", "S")),
+    OracleId("ex3", (0.31, 0.77)),
+    OracleId("ex3", (0.31, 0.2)),
+    OracleId("ex3", (0.5, 0.77)),
+    OracleId("ex5_set", (0.3,), ("m_l1",)),
+    OracleId("ex5_set", (0.3,), ("m_sre2",)),
+    OracleId("ex5_set", (0.3,), ("m_l1",)),
+    OracleId("p_crit", (), ("H",)),
+    OracleId("table1_cell", (1.0,), ("m_mana", "H")),
+]
+
+
+def test_repeated_inputs_equal_the_sequential_records():
+    assert compare(REPEATED) == [oracle_vs_numeric(oid) for oid in REPEATED]
+
+
+def test_each_id_keeps_its_own_input_bits(monkeypatch):
+    # 0.0 and -0.0 are equal but name different inputs: phi_lambda(-0.0)
+    # has -0.0 amplitudes
+    blocks = []
+    row_value = oracles._row_value
+
+    def spy(measure, amps, ps):
+        blocks.append(amps)
+        return row_value(measure, amps, ps)
+
+    monkeypatch.setattr(oracles, "_row_value", spy)
+    lams = [0.0, -0.0, 0.0, -0.0, 0.3]
+    compare([OracleId("ex3", (lam, 0.5)) for lam in lams])
+    expected = np.stack([named_state("phi_lambda", (lam,)).amplitudes for lam in lams])
+    assert len(blocks) == 1 and np.array_equal(blocks[0].view(np.int64), expected.view(np.int64))
+
+
+def test_a_cached_input_still_checks_its_noise():
+    # the second id reuses the first one's input; its p is past check_noise's
+    # range but inside the closed form's 1e-12 slack, and it raises before the
+    # later id's bad closed form
+    oids = [
+        OracleId("table1_cell", (0.5,), ("m_l1", "T")),
+        OracleId("table1_cell", (1.0 + 1e-13,), ("m_l1", "T")),
+        OracleId("ex9"),
+    ]
+    with pytest.raises(ParamOutOfRange) as info:
+        compare(oids)
+    assert str(info.value) == f"p={1.0 + 1e-13} outside [0, 1]"
+    assert _raised(lambda: compare(oids)) == _raised(lambda: [oracle_vs_numeric(oid) for oid in oids])
+
+
+def test_table1_builds_each_of_its_16_inputs_once(monkeypatch):
+    calls = []
+    build = oracles.named_state
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracles, "named_state", counting)
+    grid = np.linspace(0.0, 1.0, 101)
+    oids = [
+        OracleId("table1_cell", (float(p),), (m, s))
+        for m in oracles.TABLE_MEASURES for s in oracles.TABLE_STATES for p in grid
+    ]
+    assert len(compare(oids)) == 1616
+    assert len(calls) == 16
+
+
 def _called_names(func) -> set[str]:
     return {
         node.func.id if isinstance(node.func, ast.Name) else node.func.attr

@@ -23,7 +23,9 @@ from manalab import (
     tensor,
     wigner,
 )
+from manalab import states
 from manalab.circuits import csum_spec
+from manalab.cli import LAMBDA_AXIS, THETA_AXIS
 from manalab.errors import (
     BadParamCount,
     DimensionTooLarge,
@@ -69,6 +71,42 @@ def test_h_state_variants():
 def test_phi_lambda_uniform_point():
     amps = named_state("phi_lambda", [1 / SQRT3]).amplitudes
     assert np.abs(amps - 1 / SQRT3).max() < 1e-12
+
+
+EDGES = {
+    "phi_lambda": [-0.0, 0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0) + 1e-12],
+    "psi_theta": [-0.0, 0.0, math.pi / 2.0],
+}
+
+
+@pytest.mark.parametrize("name, axis", [("phi_lambda", LAMBDA_AXIS[1]), ("psi_theta", THETA_AXIS[1])])
+def test_a_family_formula_on_an_array_is_named_state_per_value(name, axis):
+    values = np.concatenate([axis, EDGES[name]])
+    rows = states.FAMILY_AMPLITUDES[name](values)
+    reference = np.stack([named_state(name, (x,)).amplitudes for x in values.tolist()])
+    assert rows.shape == (len(values), 3)
+    assert np.array_equal(rows.view(np.int64), reference.view(np.int64))
+    grid = states.FAMILY_AMPLITUDES[name](values[:6].reshape(2, 3))  # any shape of parameters
+    assert np.array_equal(grid.reshape(6, 3).view(np.int64), reference[:6].view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "name, params, error, message",
+    [
+        ("phi_lambda", [0.9], ParamOutOfRange, "lambda=0.9 outside [0, 1/sqrt(2)]"),
+        ("phi_lambda", [-1e-300], ParamOutOfRange, "lambda=-1e-300 outside [0, 1/sqrt(2)]"),
+        # 1/sqrt(2) + 2e-12, past the range's 1e-12 slack
+        ("phi_lambda", [0.7071067811885474], ParamOutOfRange, "lambda=0.7071067811885474 outside [0, 1/sqrt(2)]"),
+        ("phi_lambda", [math.nan], ParamOutOfRange, "phi_lambda parameter nan is not finite"),
+        ("psi_theta", [-math.inf], ParamOutOfRange, "psi_theta parameter -inf is not finite"),
+        ("phi_lambda", [], BadParamCount, "phi_lambda takes 1 parameter(s), got 0"),
+        ("psi_theta", [0.1, 0.2], BadParamCount, "psi_theta takes 1 parameter(s), got 2"),
+    ],
+)
+def test_a_family_state_checks_its_parameter_before_the_formula(name, params, error, message):
+    with pytest.raises(error) as info:
+        named_state(name, params)
+    assert str(info.value) == message
 
 
 def test_psi_theta_and_max_coherent():

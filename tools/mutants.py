@@ -203,6 +203,31 @@ MUTANTS = {
         "amps.view(float)[...] *= 1.0 / d",
         ("tests/test_search_bits.py",),
     ),
+    "phi-lambda-one-square": Mutant(
+        "states.py",
+        "np.sqrt(np.maximum(1.0 - 2.0 * lams * lams, 0.0))",
+        "np.sqrt(np.maximum(1.0 - lams * lams, 0.0))",
+        ("tests/test_states.py",),
+    ),
+    # the oracle comparison's per-call input cache
+    "input-key-without-labels": Mutant(
+        "oracles.py",
+        "return (oid.name, oid.labels, tuple(map(float.hex, head))), p",
+        "return (oid.name, tuple(map(float.hex, head))), p",
+        ("tests/test_compare.py",),
+    ),
+    "input-key-by-value": Mutant(
+        "oracles.py",
+        "return (oid.name, oid.labels, tuple(map(float.hex, head))), p",
+        "return (oid.name, oid.labels, tuple(head)), p",
+        ("tests/test_compare.py",),
+    ),
+    "cached-input-skips-noise-check": Mutant(
+        "oracles.py",
+        "            built[key] = _numeric_input(oid)\n        inputs.append(built[key])\n        noise.append(_checked_noise(p))",
+        "            built[key] = _numeric_input(oid)\n            p = _checked_noise(p)\n        inputs.append(built[key])\n        noise.append(p)",
+        ("tests/test_compare.py",),
+    ),
     # the coherent search
     "rho-without-conjugate": Mutant(
         "search.py",
