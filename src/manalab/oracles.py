@@ -12,14 +12,21 @@ a record of both values with their difference; it never auto-resolves a
 discrepancy.  `oracle_vs_numeric(oid)` is compare of one id.  compare
 evaluates each closed form and checks each numeric input in list order.
 It builds and checks each distinct input (an id without its noise p) once
-per call, and checks every id's p.  Then it makes one output_measures call
-per table row, on all that row's inputs with one noise value each, as one
+per call, stacks their amplitudes once, and checks every id's p.  Then it
+makes one output_measures call per table row, on all that row's inputs
+(gathered from the stack) with one noise value each, as one
 states.NoisyRows (it takes a p per row), which output_measures evaluates
 without check_density.  All
 thresholds share one bisection, run in lockstep: 61 calls of k rows.
 output_measures evaluates its block by measures._by_rows, so each row's
 value is bit-identical to its own one-row call, which
 `threshold_by_bisection` makes.
+
+An id (`OracleId`: name, params, labels) and a `ComparisonRecord` are
+named tuples, immutable and compared and hashed by value (so each also
+equals a plain tuple of its fields); an id stores its params as floats and
+its labels as str, also through `_make` and `_replace`.  `closed_form`
+finds the form with one `match` on the name.
 
 Two conventions behind the encoded closed forms matter when pairing them
 with numerics:
@@ -40,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,21 +59,32 @@ from .states import DensityState, NoisyRows, PureVector, check_noise, named_stat
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class OracleId:
-    """A closed-form identifier: name, real parameters, and text labels."""
-
+class _OracleIdFields(NamedTuple):
     name: str
     params: tuple[float, ...] = ()
     labels: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(map(float, self.params)))
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
+
+class OracleId(_OracleIdFields):
+    """A closed-form identifier: name, real parameters, and text labels.
+
+    A named tuple: params are stored as floats and labels as str, by the
+    constructor and by `_make` and `_replace`.  Like any tuple it equals a
+    plain tuple of its fields, and `dataclasses.replace` does not apply.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, params=(), labels=()):
+        return tuple.__new__(cls, (name, tuple(map(float, params)), tuple(map(str, labels))))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's _replace builds through _make, so both normalize
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
+class ComparisonRecord(NamedTuple):
     """Result of one oracle-vs-numeric check."""
 
     oracle_id: OracleId
@@ -302,8 +319,8 @@ TABLE_MEASURES = ("I", "m_mana", "m_l1", "m_sre2")
 def table1_cell(measure: str, state: str, p: float) -> float:
     """Closed form of one comparison-table cell at noise p (natural log)."""
     _check_p(p)
-    h_global = shannon_entropy((1 - p) / 3.0, (1 - p) / 3.0, (1 + 2 * p) / 3.0)
     if measure == "I":
+        h_global = shannon_entropy((1 - p) / 3.0, (1 - p) / 3.0, (1 + 2 * p) / 3.0)
         if state == "S":
             return 2 * shannon_entropy((1 - p) / 3.0, (2 + p) / 6.0, (2 + p) / 6.0) - h_global
         if state == "N":
@@ -356,23 +373,31 @@ def p_crit(state: str) -> float:
 
 def closed_form(oid: OracleId) -> float:
     """Evaluate the literal closed form named by the id; no simulation."""
-    # name -> (closed form, its parameter names, its label names); called as form(*labels, *params)
-    forms = {
-        "ex1": (example1, ("mu0", "mu1", "mu2", "p"), ()),
-        "ex2": (example2, ("theta1", "theta2", "p"), ()),
-        "ex3": (example3, ("lam", "p"), ()),
-        "ex4": (example4, ("theta", "p"), ()),
-        "ex5_set": (example5, ("lam",), ("measure",)),
-        "ex6_set": (example6, ("theta",), ("measure",)),
-        "table1_cell": (table1_cell, ("p",), ("measure", "state")),
-        "ml1_h": (ml1_h, ("p",), ()),
-        "msre2_h": (msre2_h, ("p",), ()),
-        "p_crit": (p_crit, (), ("state",)),
-    }
-    if oid.name not in forms:
-        raise BadParams(f"unknown oracle {oid.name!r}")
-    form, params, labels = forms[oid.name]
-    if (len(oid.params), len(oid.labels)) != (len(params), len(labels)):
+    # the closed form, its parameter names and its label names; called as form(*labels, *params)
+    match oid.name:
+        case "ex1":
+            form, params, labels = example1, ("mu0", "mu1", "mu2", "p"), ()
+        case "ex2":
+            form, params, labels = example2, ("theta1", "theta2", "p"), ()
+        case "ex3":
+            form, params, labels = example3, ("lam", "p"), ()
+        case "ex4":
+            form, params, labels = example4, ("theta", "p"), ()
+        case "ex5_set":
+            form, params, labels = example5, ("lam",), ("measure",)
+        case "ex6_set":
+            form, params, labels = example6, ("theta",), ("measure",)
+        case "table1_cell":
+            form, params, labels = table1_cell, ("p",), ("measure", "state")
+        case "ml1_h":
+            form, params, labels = ml1_h, ("p",), ()
+        case "msre2_h":
+            form, params, labels = msre2_h, ("p",), ()
+        case "p_crit":
+            form, params, labels = p_crit, (), ("state",)
+        case _:
+            raise BadParams(f"unknown oracle {oid.name!r}")
+    if len(oid.params) != len(params) or len(oid.labels) != len(labels):
         raise BadParams(
             f"{oid.name} takes parameters ({', '.join(params)}) and labels ({', '.join(labels)}), "
             f"got {len(oid.params)} parameter(s) and {len(oid.labels)} label(s)"
@@ -524,33 +549,40 @@ def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
     order, so the first bad id raises what oracle_vs_numeric raises on it.
     Each distinct input (the id without its p) is built and checked once
     per call, and every id's p is checked.  Then each table row's ids make
-    one _row_value block and the thresholds one lockstep bisection.
+    one _row_value block, gathered from the distinct inputs' amplitudes
+    stacked once, and the thresholds one lockstep bisection.
     """
     oids = list(oids)
-    oracle_values, inputs, noise = [], [], []
-    built: dict[tuple, _NumericInput] = {}
-    for oid in oids:
+    oracle_values, slots, noise = [], [], []
+    inputs: list[_NumericInput] = []  # each distinct input once, in order of first use
+    built: dict[tuple, int] = {}  # input key -> its slot in inputs
+    rows: dict[str, list[int]] = {}  # table row -> the positions of its ids
+    thresholds = []
+    for i, oid in enumerate(oids):
         oracle_values.append(closed_form(oid))
         key, p = _input_key(oid)
-        if key not in built:
-            built[key] = _numeric_input(oid)
-        inputs.append(built[key])
+        slot = built.get(key)
+        if slot is None:
+            inputs.append(_numeric_input(oid))
+            slot = built[key] = len(inputs) - 1
+        slots.append(slot)
         noise.append(_checked_noise(p))
-    rows: dict[str, list[int]] = {}
-    thresholds = []
-    for i, (x, p) in enumerate(zip(inputs, noise)):
         if p is None:
             thresholds.append(i)
         else:
-            rows.setdefault(x.measure, []).append(i)
+            rows.setdefault(inputs[slot].measure, []).append(i)
+    # each distinct input's amplitudes stacked once, (len(inputs), 3); a block gathers its rows by slot
+    amps = np.array([x.amps for x in inputs])
     numeric = np.empty(len(oids))
     for measure, block in rows.items():
-        numeric[block] = _row_value(measure, np.stack([inputs[i].amps for i in block]), [noise[i] for i in block])
+        numeric[block] = _row_value(measure, amps[[slots[i] for i in block]], [noise[i] for i in block])
     if thresholds:
-        amps = np.stack([inputs[i].amps for i in thresholds])
-        numeric[thresholds] = _bisect(lambda ps: _row_value("m_mana", amps, ps), len(thresholds), THRESHOLD_LEVEL)
+        threshold_amps = amps[[slots[i] for i in thresholds]]
+        numeric[thresholds] = _bisect(
+            lambda ps: _row_value("m_mana", threshold_amps, ps), len(thresholds), THRESHOLD_LEVEL
+        )
     records = []
-    for oid, oracle_value, numeric_value, x in zip(oids, oracle_values, numeric.tolist(), inputs):
+    for oid, oracle_value, numeric_value, slot in zip(oids, oracle_values, numeric.tolist(), slots):
         diff = abs(oracle_value - numeric_value)
-        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, x.note))
+        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, inputs[slot].note))
     return records

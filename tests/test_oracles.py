@@ -1,5 +1,6 @@
 """Closed-form oracles against the numeric pipeline."""
 
+import inspect
 import math
 
 import numpy as np
@@ -12,8 +13,13 @@ from manalab.errors import BadParams
 from manalab.oracles import (
     TABLE_MEASURES,
     TABLE_STATES,
+    ComparisonRecord,
     example1,
     example2,
+    example3,
+    example4,
+    example5,
+    example6,
     ml1_h,
     msre2_h,
     shannon_entropy,
@@ -236,3 +242,119 @@ def test_unknown_oracle_rejected():
 def test_ml1h_msre2h_p0():
     assert abs(ml1_h(0.0) - math.log(3.0)) < 1e-12
     assert abs(msre2_h(0.0)) < 1e-12
+
+
+# --- the record types and the closed-form lookup -------------------------------
+
+
+def test_an_oracle_id_stores_floats_and_strings():
+    oid = OracleId("ex1", np.array([0.6, 0, 0.8, 0.35]))
+    assert oid.params == (0.6, 0.0, 0.8, 0.35)
+    assert [type(x) for x in oid.params] == [float] * 4
+    (label,) = OracleId("ex5_set", (0.3,), (np.str_("m_l1"),)).labels
+    assert type(label) is str and label == "m_l1"
+
+
+def test_make_and_replace_normalize_as_the_constructor_does():
+    oid = OracleId("ex3", (0.25, 1.0))
+    replaced = oid._replace(params=np.array([0.25, 1]), labels=[np.str_("x")])
+    made = OracleId._make(("ex3", np.array([0.25, 1]), [np.str_("x")]))
+    for new in (replaced, made):
+        assert type(new) is OracleId and new == OracleId("ex3", (0.25, 1.0), ("x",))
+        assert [type(x) for x in new.params + new.labels] == [float, float, str]
+        assert hash(new) == hash(OracleId("ex3", (0.25, 1.0), ("x",)))
+    with pytest.raises(ValueError):
+        oid._replace(param=(0.5,))
+    with pytest.raises(TypeError):
+        OracleId._make(("ex3", (), (), "extra"))
+
+
+def test_ids_from_equal_values_of_other_types_are_one_id():
+    ids = [
+        OracleId("ex3", (0.25, 1.0), ("x",)),
+        OracleId("ex3", np.array([0.25, 1.0]), [np.str_("x")]),
+        OracleId("ex3", [np.float32(0.25), np.int64(1)], ("x",)),
+        OracleId("ex3", (0.25, 1), (np.str_("x"),)),
+    ]
+    assert all(oid == ids[0] and hash(oid) == hash(ids[0]) for oid in ids)
+    assert len(set(ids)) == 1
+
+
+RECORD = ComparisonRecord(OracleId("p_crit", (), ("T",)), 1.0, 2.0, 1.0, False)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(RECORD.oracle_id, f) for f in ("name", "params", "labels")]
+    + [(RECORD, f) for f in ("oracle_id", "oracle_value", "numeric_value", "difference", "ok", "note")],
+)
+def test_record_fields_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def _fields(cls):
+    return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_the_record_types_keep_their_fields_defaults_and_repr():
+    empty = inspect.Parameter.empty
+    assert _fields(OracleId) == [("name", empty), ("params", ()), ("labels", ())]
+    assert _fields(ComparisonRecord) == [
+        ("oracle_id", empty), ("oracle_value", empty), ("numeric_value", empty),
+        ("difference", empty), ("ok", empty), ("note", ""),
+    ]
+    assert OracleId("ml1_h") == OracleId("ml1_h", (), ())
+    assert RECORD.note == ""
+    assert repr(OracleId("p_crit", (), ("T",))) == "OracleId(name='p_crit', params=(), labels=('T',))"
+    assert repr(RECORD) == (
+        "ComparisonRecord(oracle_id=OracleId(name='p_crit', params=(), labels=('T',)), "
+        "oracle_value=1.0, numeric_value=2.0, difference=1.0, ok=False, note='')"
+    )
+
+
+# one valid id per closed form, with the form called directly
+DISPATCH = {
+    "ex1": (OracleId("ex1", (0.6, 0.0, 0.8, 0.35)), lambda: example1(0.6, 0.0, 0.8, 0.35)),
+    "ex2": (OracleId("ex2", (0.4, 2.1, 0.7)), lambda: example2(0.4, 2.1, 0.7)),
+    "ex3": (OracleId("ex3", (0.31, 0.77)), lambda: example3(0.31, 0.77)),
+    "ex4": (OracleId("ex4", (0.6, 0.9)), lambda: example4(0.6, 0.9)),
+    "ex5_set": (OracleId("ex5_set", (0.3,), ("m_l1",)), lambda: example5("m_l1", 0.3)),
+    "ex6_set": (OracleId("ex6_set", (0.9,), ("I",)), lambda: example6("I", 0.9)),
+    "table1_cell": (OracleId("table1_cell", (0.45,), ("m_sre2", "H")), lambda: table1_cell("m_sre2", "H", 0.45)),
+    "ml1_h": (OracleId("ml1_h", (0.6,)), lambda: ml1_h(0.6)),
+    "msre2_h": (OracleId("msre2_h", (0.25,)), lambda: msre2_h(0.25)),
+    "p_crit": (OracleId("p_crit", (), ("H",)), lambda: p_crit("H")),
+}
+
+
+@pytest.mark.parametrize("name", list(DISPATCH))
+def test_closed_form_calls_the_form_it_names(name):
+    oid, direct = DISPATCH[name]
+    assert oid.name == name
+    assert closed_form(oid).hex() == direct().hex()
+
+
+@pytest.mark.parametrize(
+    "oid, message",
+    [
+        (OracleId("ex1", (0.6, 0.8, 0.35)),
+         "ex1 takes parameters (mu0, mu1, mu2, p) and labels (), got 3 parameter(s) and 0 label(s)"),
+        (OracleId("ex3", (0.3, 0.5, 0.7)), "ex3 takes parameters (lam, p) and labels (), got 3 parameter(s) and 0 label(s)"),
+        (OracleId("ml1_h", (0.5,), ("H",)), "ml1_h takes parameters (p) and labels (), got 1 parameter(s) and 1 label(s)"),
+        (OracleId("table1_cell", (0.5,), ("I",)),
+         "table1_cell takes parameters (p) and labels (measure, state), got 1 parameter(s) and 1 label(s)"),
+        (OracleId("table1_cell", (0.5,), ("I", "S", "T")),
+         "table1_cell takes parameters (p) and labels (measure, state), got 1 parameter(s) and 3 label(s)"),
+        (OracleId("ex6_set", (), ("I",)), "ex6_set takes parameters (theta) and labels (measure), got 0 parameter(s) and 1 label(s)"),
+        (OracleId("p_crit", (0.5,), ()), "p_crit takes parameters () and labels (state), got 1 parameter(s) and 0 label(s)"),
+        (OracleId("ex9", ()), "unknown oracle 'ex9'"),
+        (OracleId("ex9", (0.1, 0.2), ("S",)), "unknown oracle 'ex9'"),
+    ],
+    ids=["few-params", "many-params", "many-labels", "few-labels", "three-labels", "no-params", "both-wrong", "ex9",
+         "ex9-with-args"],
+)
+def test_closed_form_errors_keep_their_text(oid, message):
+    with pytest.raises(BadParams) as exc:
+        closed_form(oid)
+    assert str(exc.value) == message

@@ -224,9 +224,34 @@ MUTANTS = {
     ),
     "cached-input-skips-noise-check": Mutant(
         "oracles.py",
-        "            built[key] = _numeric_input(oid)\n        inputs.append(built[key])\n        noise.append(_checked_noise(p))",
-        "            built[key] = _numeric_input(oid)\n            p = _checked_noise(p)\n        inputs.append(built[key])\n        noise.append(p)",
+        "            slot = built[key] = len(inputs) - 1\n        slots.append(slot)\n        noise.append(_checked_noise(p))",
+        "            slot = built[key] = len(inputs) - 1\n            p = _checked_noise(p)\n        slots.append(slot)\n        noise.append(p)",
         ("tests/test_compare.py",),
+    ),
+    "gather-shifted-one-row": Mutant(
+        "oracles.py",
+        "amps[[slots[i] for i in block]]",
+        "amps[[slots[i] - 1 for i in block]]",
+        ("tests/test_compare.py",),
+    ),
+    # the record types, the closed-form lookup and the table cells
+    "oracle-id-raw-params": Mutant(
+        "oracles.py",
+        "tuple(map(float, params))",
+        "tuple(params)",
+        ("tests/test_oracles.py::test_an_oracle_id_stores_floats_and_strings",),
+    ),
+    "dispatch-ex3-to-example4": Mutant(
+        "oracles.py",
+        'form, params, labels = example3, ("lam", "p"), ()',
+        'form, params, labels = example4, ("lam", "p"), ()',
+        ("tests/test_oracles.py::test_closed_form_calls_the_form_it_names",),
+    ),
+    "i-cell-without-h-global": Mutant(
+        "oracles.py",
+        "return 2 * shannon_entropy((1 - p) / 3.0, (2 + p) / 6.0, (2 + p) / 6.0) - h_global",
+        "return 2 * shannon_entropy((1 - p) / 3.0, (2 + p) / 6.0, (2 + p) / 6.0)",
+        ("tests/test_compare.py::test_the_grouped_suites_pass",),
     ),
     # the coherent search
     "rho-without-conjugate": Mutant(
