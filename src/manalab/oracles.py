@@ -11,13 +11,15 @@ forms no output state (`csum_output` is the dense reference), and returns
 a record of both values with their difference; it never auto-resolves a
 discrepancy.  `oracle_vs_numeric(oid)` is compare of one id.  compare
 evaluates each closed form and checks each numeric input in list order.
-It builds and checks each distinct input (an id without its noise p) once
-per call, stacks their amplitudes once, and checks every id's p.  Then it
-makes one output_measures call per table row, on all that row's inputs
-(gathered from the stack) with one noise value each, as one
-states.NoisyRows (it takes a p per row), which output_measures evaluates
-without check_density.  All
-thresholds share one bisection, run in lockstep: 61 calls of k rows.
+`_numeric_input` only describes an id's input (table row, state name,
+state parameters, noise p); compare builds and checks each distinct state
+(name and parameter bits) once per call (`verify table1` builds 5),
+stacks their amplitudes once, and checks every id's p.  Then it makes one
+output_measures call per table row, on all that row's inputs (gathered
+from the stack) with one noise value each, as one states.NoisyRows (it
+takes a p per row), which output_measures evaluates without
+check_density.  All thresholds share one bisection, run in lockstep: 61
+calls of k rows.
 output_measures evaluates its block by measures._by_rows, so each row's
 value is bit-identical to its own one-row call, which
 `threshold_by_bisection` makes.
@@ -420,17 +422,6 @@ TABLE_ROW_MEASURES = {
     "m_sre2": "sre2",
 }
 
-# Input family each example sweeps; its last parameter (if any) is the noise p.
-EXAMPLE_FAMILIES = {
-    "ex2": "max_coherent",
-    "ex3": "phi_lambda",
-    "ex4": "psi_theta",
-    "ex5_set": "phi_lambda",
-    "ex6_set": "psi_theta",
-}
-# The long H-column closed forms -> their table row.
-H_FORMS = {"ml1_h": "m_l1", "msre2_h": "m_sre2"}
-
 
 def _table_state_name(measure: str, state: str) -> str:
     if state == "H":
@@ -465,53 +456,47 @@ def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
 
 class _NumericInput(NamedTuple):
     measure: str  # table row
-    amps: np.ndarray  # input amplitudes, (3,)
+    state: str  # named input state; "" for ex1, whose params are the amplitudes
+    params: tuple[float, ...]  # the state's parameters
+    p: float | None  # noise; None for a threshold, which is bisected over p
     note: str
 
 
-# the noise p of the ids that take none as a parameter; None for a
-# threshold, which is bisected over p.  Every other id's p is its last parameter.
-FIXED_NOISE = {"ex5_set": 1.0, "ex6_set": 1.0, "p_crit": None}
-
-
-def _input_key(oid: OracleId) -> tuple[tuple, float | None]:
-    """The key of oid's numeric input (oid without its noise p), and that p.
-
-    The parameters in the key are their bits, so that -0.0 and 0.0 name
-    different inputs.
-    """
-    if oid.name in FIXED_NOISE:
-        head, p = oid.params, FIXED_NOISE[oid.name]
-    else:
-        *head, p = oid.params
-    return (oid.name, oid.labels, tuple(map(float.hex, head))), p
-
-
 def _numeric_input(oid: OracleId) -> _NumericInput:
-    """The input the numeric side of oid evaluates, built and checked here, without its noise p."""
-    name = oid.name
-    if name == "p_crit":
-        psi_name = _table_state_name("m_mana", oid.labels[0])
-        return _NumericInput("m_mana", named_state(psi_name).amplitudes, f"bisection threshold ({psi_name})")
-    if name == "ex1":
-        measure, psi = "m_mana", PureVector(3, oid.params[:-1])
-    elif name in ("ex2", "ex3", "ex4"):
-        measure, psi = "m_mana", named_state(EXAMPLE_FAMILIES[name], oid.params[:-1])
-    elif name in ("ex5_set", "ex6_set"):
-        measure, psi = oid.labels[0], named_state(EXAMPLE_FAMILIES[name], oid.params[:1])
-    elif name == "table1_cell" or name in H_FORMS:
-        measure, state = oid.labels if name == "table1_cell" else (H_FORMS[name], "H")
-        psi = named_state(_table_state_name(measure, state))
-    else:
-        raise BadParams(f"unknown oracle {name!r}")
-    return _NumericInput(measure, psi.amplitudes, _row_name(measure))
+    """What the numeric side of oid evaluates; it builds and checks nothing.
+
+    closed_form has checked oid's arity.  The examples' last parameter is
+    their noise p; the pure-output curves are noiseless, p = 1.
+    """
+    params = oid.params
+    match oid.name:
+        case "ex1":
+            measure, state, params, p = "m_mana", "", params[:-1], params[-1]
+        case "ex2":
+            measure, state, params, p = "m_mana", "max_coherent", params[:-1], params[-1]
+        case "ex3":
+            measure, state, params, p = "m_mana", "phi_lambda", params[:-1], params[-1]
+        case "ex4":
+            measure, state, params, p = "m_mana", "psi_theta", params[:-1], params[-1]
+        case "ex5_set" | "ex6_set":
+            measure, p = oid.labels[0], 1.0
+            state = "phi_lambda" if oid.name == "ex5_set" else "psi_theta"
+        case "table1_cell":
+            (measure, column), params, p = oid.labels, (), params[0]
+            state = _table_state_name(measure, column)
+        case "ml1_h" | "msre2_h":
+            measure = "m_l1" if oid.name == "ml1_h" else "m_sre2"
+            state, params, p = _table_state_name(measure, "H"), (), params[0]
+        case "p_crit":
+            state = _table_state_name("m_mana", oid.labels[0])
+            return _NumericInput("m_mana", state, (), None, f"bisection threshold ({state})")
+    return _NumericInput(measure, state, params, p, _row_name(measure))
 
 
-def _checked_noise(p: float | None) -> float | None:
-    """p, unless it lies outside [0, 1] (NaN too): then check_noise's ParamOutOfRange."""
+def _checked_noise(p: float | None) -> None:
+    """check_noise's ParamOutOfRange if p lies outside [0, 1] (NaN too); a threshold's None passes."""
     if p is not None and not 0.0 <= p <= 1.0:
         check_noise(p)
-    return p
 
 
 def _bisect(mutual_mana, n: int, level: float) -> np.ndarray:
@@ -547,42 +532,44 @@ def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
 
     Each id's closed form, numeric input and noise p are checked in list
     order, so the first bad id raises what oracle_vs_numeric raises on it.
-    Each distinct input (the id without its p) is built and checked once
-    per call, and every id's p is checked.  Then each table row's ids make
-    one _row_value block, gathered from the distinct inputs' amplitudes
-    stacked once, and the thresholds one lockstep bisection.
+    Each distinct state (its name and its parameters' bits, so that -0.0
+    and 0.0 differ) is built and checked once per call, and every id's p
+    is checked.  Then each table row's ids make one _row_value block,
+    gathered from the distinct states' amplitudes stacked once, and the
+    thresholds one lockstep bisection.
     """
     oids = list(oids)
-    oracle_values, slots, noise = [], [], []
-    inputs: list[_NumericInput] = []  # each distinct input once, in order of first use
-    built: dict[tuple, int] = {}  # input key -> its slot in inputs
+    oracle_values, inputs, slots = [], [], []
+    amps = []  # each distinct state's amplitudes once, in order of first use
+    built: dict[tuple, int] = {}  # (state, params' bits) -> its slot in amps
     rows: dict[str, list[int]] = {}  # table row -> the positions of its ids
     thresholds = []
     for i, oid in enumerate(oids):
         oracle_values.append(closed_form(oid))
-        key, p = _input_key(oid)
+        x = _numeric_input(oid)
+        key = x.state, tuple(map(float.hex, x.params))
         slot = built.get(key)
         if slot is None:
-            inputs.append(_numeric_input(oid))
-            slot = built[key] = len(inputs) - 1
+            amps.append((named_state(x.state, x.params) if x.state else PureVector(3, x.params)).amplitudes)
+            slot = built[key] = len(amps) - 1
+        _checked_noise(x.p)
+        inputs.append(x)
         slots.append(slot)
-        noise.append(_checked_noise(p))
-        if p is None:
+        if x.p is None:
             thresholds.append(i)
         else:
-            rows.setdefault(inputs[slot].measure, []).append(i)
-    # each distinct input's amplitudes stacked once, (len(inputs), 3); a block gathers its rows by slot
-    amps = np.array([x.amps for x in inputs])
+            rows.setdefault(x.measure, []).append(i)
+    amps = np.array(amps)  # (len(built), 3); a block gathers its rows by slot
     numeric = np.empty(len(oids))
     for measure, block in rows.items():
-        numeric[block] = _row_value(measure, amps[[slots[i] for i in block]], [noise[i] for i in block])
+        numeric[block] = _row_value(measure, amps[[slots[i] for i in block]], [inputs[i].p for i in block])
     if thresholds:
         threshold_amps = amps[[slots[i] for i in thresholds]]
         numeric[thresholds] = _bisect(
             lambda ps: _row_value("m_mana", threshold_amps, ps), len(thresholds), THRESHOLD_LEVEL
         )
     records = []
-    for oid, oracle_value, numeric_value, slot in zip(oids, oracle_values, numeric.tolist(), slots):
+    for oid, oracle_value, numeric_value, x in zip(oids, oracle_values, numeric.tolist(), inputs):
         diff = abs(oracle_value - numeric_value)
-        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, inputs[slot].note))
+        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, x.note))
     return records

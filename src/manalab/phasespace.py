@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ from .errors import ImaginaryResidue
 
 # largest imaginary part a Wigner value may carry before ImaginaryResidue
 REAL_ERROR_TOL = 1e-8
+# the largest d whose d x d complex matrix numpy can address (sys.maxsize bytes)
+MAX_DIM = math.isqrt(sys.maxsize // 16)
 
 
 def is_odd_prime(n: int) -> bool:
@@ -51,13 +54,14 @@ def is_odd_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeDim:
-    """An odd prime local dimension d >= 3."""
+    """An odd prime local dimension 3 <= d <= MAX_DIM."""
 
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or not is_odd_prime(int(self.d)):
-            raise ValueError(f"dimension must be an odd prime >= 3, got {self.d!r}")
+        # a larger d is refused before is_odd_prime's sqrt(d) / 2 trial divisions
+        if not isinstance(self.d, (int, np.integer)) or self.d > MAX_DIM or not is_odd_prime(int(self.d)):
+            raise ValueError(f"dimension must be an odd prime from 3 to {MAX_DIM}, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
 
 

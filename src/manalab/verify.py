@@ -278,16 +278,14 @@ def suite_additivity(trials, seed, tol):
 
 
 def suite_table1(trials, seed, tol):
-    grid = np.linspace(0.0, 1.0, 101)
+    grid = np.linspace(0.0, 1.0, 101).tolist()
     # size of the SRE marginal terms the table convention drops
     out = oracles.csum_output("strange", 1.0)
     comp, glob = mz.mutual_sre(out, 2.0), mz.sre_alpha(out, 2.0)
     offset = f"; at p=1 global={glob:.6f}, mutual composition={comp:.6f}, marginal offset={glob - comp:.6f}"
     cells = [(measure, state) for measure in oracles.TABLE_MEASURES for state in oracles.TABLE_STATES]
     # one block of 4 x 101 inputs per table row
-    records = oracles.compare(
-        oracles.OracleId("table1_cell", (float(p),), cell) for cell in cells for p in grid
-    )
+    records = oracles.compare(oracles.OracleId("table1_cell", (p,), cell) for cell in cells for p in grid)
     checks = []
     for k, (measure, state) in enumerate(cells):
         detail = ""

@@ -67,10 +67,19 @@ def _random_ex1(n, seed):
     return oids
 
 
+# ex3 and ex5_set share phi_lambda(0.3); -0.0 and 0.0 are two states
+SHARED = [
+    OracleId("ex3", (0.3, 0.7)),
+    OracleId("ex5_set", (0.3,), ("m_l1",)),
+    OracleId("ex3", (-0.0, 0.7)),
+    OracleId("ex3", (0.0, 0.7)),
+]
+
+
 @pytest.mark.parametrize(
     "oids",
-    [MIXED, MIXED[::-1], [], [MIXED[0]], [MIXED[1]], MIXED[5:8], _random_ex1(60, 4)],
-    ids=["mixed", "reversed", "empty", "one-row", "one-threshold", "three-rows", "ex1-block"],
+    [MIXED, MIXED[::-1], [], [MIXED[0]], [MIXED[1]], MIXED[5:8], _random_ex1(60, 4), SHARED],
+    ids=["mixed", "reversed", "empty", "one-row", "one-threshold", "three-rows", "ex1-block", "shared-states"],
 )
 def test_compare_equals_the_sequential_records(oids):
     assert compare(oids) == [oracle_vs_numeric(oid) for oid in oids]
@@ -173,22 +182,35 @@ def test_a_cached_input_still_checks_its_noise():
     assert _raised(lambda: compare(oids)) == _raised(lambda: [oracle_vs_numeric(oid) for oid in oids])
 
 
-def test_table1_builds_each_of_its_16_inputs_once(monkeypatch):
+def _counted_builds(monkeypatch) -> list:
+    """The (name, params) of each named_state call compare makes from now on, params as float.hex."""
     calls = []
     build = oracles.named_state
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
+    def counting(name, params):
+        calls.append((name, tuple(map(float.hex, params))))
+        return build(name, params)
 
     monkeypatch.setattr(oracles, "named_state", counting)
+    return calls
+
+
+def test_table1_builds_each_of_its_5_states_once(monkeypatch):
+    calls = _counted_builds(monkeypatch)
     grid = np.linspace(0.0, 1.0, 101)
     oids = [
         OracleId("table1_cell", (float(p),), (m, s))
         for m in oracles.TABLE_MEASURES for s in oracles.TABLE_STATES for p in grid
     ]
     assert len(compare(oids)) == 1616
-    assert len(calls) == 16
+    assert len(calls) == 5
+    assert {name for name, _ in calls} == {"strange", "norrell", "t", "h", "h_fourier"}
+
+
+def test_ids_of_one_state_share_its_build(monkeypatch):
+    calls = _counted_builds(monkeypatch)
+    compare(SHARED)
+    assert calls == [("phi_lambda", (h,)) for h in ((0.3).hex(), (-0.0).hex(), (0.0).hex())]
 
 
 def _called_names(func) -> set[str]:

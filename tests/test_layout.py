@@ -87,6 +87,15 @@ def test_oracle_pairing_stays_off_the_dense_output_path():
     assert "output_measures" in called["_row_value"]
 
 
+def test_the_numeric_description_builds_nothing():
+    # oracles._numeric_input only names an id's input state and noise;
+    # compare builds and checks each distinct state once per call
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_numeric_input"]
+    builders = {"named_state", "PureVector", "NoisyRows", "check_noise", "_checked_noise", "output_measures", "_row_value"}
+    assert _called_names(func) & builders == set()
+
+
 # The operator tables, gates, B_G, stabilizer states and coherent vectors are
 # evaluated on integer index arrays; a Python loop over indices here is a
 # second, slower copy of a formula.  Wrapping rows of an array into objects

@@ -209,23 +209,29 @@ MUTANTS = {
         "np.sqrt(np.maximum(1.0 - lams * lams, 0.0))",
         ("tests/test_states.py",),
     ),
-    # the oracle comparison's per-call input cache
-    "input-key-without-labels": Mutant(
+    # the oracle comparison's per-call state cache and the states it names
+    "input-key-without-labels": Mutant(  # a key without the state name: table1's S/N/T/H inputs collapse
         "oracles.py",
-        "return (oid.name, oid.labels, tuple(map(float.hex, head))), p",
-        "return (oid.name, tuple(map(float.hex, head))), p",
+        "key = x.state, tuple(map(float.hex, x.params))",
+        "key = tuple(map(float.hex, x.params))",
         ("tests/test_compare.py",),
     ),
     "input-key-by-value": Mutant(
         "oracles.py",
-        "return (oid.name, oid.labels, tuple(map(float.hex, head))), p",
-        "return (oid.name, oid.labels, tuple(head)), p",
+        "key = x.state, tuple(map(float.hex, x.params))",
+        "key = x.state, x.params",
         ("tests/test_compare.py",),
     ),
     "cached-input-skips-noise-check": Mutant(
         "oracles.py",
-        "            slot = built[key] = len(inputs) - 1\n        slots.append(slot)\n        noise.append(_checked_noise(p))",
-        "            slot = built[key] = len(inputs) - 1\n            p = _checked_noise(p)\n        slots.append(slot)\n        noise.append(p)",
+        "            slot = built[key] = len(amps) - 1\n        _checked_noise(x.p)\n",
+        "            slot = built[key] = len(amps) - 1\n            _checked_noise(x.p)\n",
+        ("tests/test_compare.py",),
+    ),
+    "ex5-family-swapped": Mutant(
+        "oracles.py",
+        'state = "phi_lambda" if oid.name == "ex5_set" else "psi_theta"',
+        'state = "psi_theta" if oid.name == "ex5_set" else "phi_lambda"',
         ("tests/test_compare.py",),
     ),
     "gather-shifted-one-row": Mutant(
@@ -369,6 +375,12 @@ MUTANTS = {
         "if not math.isfinite(value) or value < 0:",
         "if value < 0:",
         ("tests/test_cli_flags.py",),
+    ),
+    "error-line-on-stdout": Mutant(
+        "cli.py",
+        'print(f"error: {exc}", file=sys.stderr)',
+        'print(f"error: {exc}")',
+        ("tests/test_cli_argv.py",),
     ),
     "out-of-memory-uncaught": Mutant(
         "cli.py",
