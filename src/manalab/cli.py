@@ -20,7 +20,7 @@ import numpy as np
 from . import measures as mz
 from . import oracles
 from .circuits import csum_spec
-from .errors import ManalabError
+from .errors import DimensionTooLarge, ManalabError
 from .measures import LogBase
 from .search import max_mana_coherent
 from .states import FAMILY_AMPLITUDES, DensityState, NoisyRows, maximally_mixed, named_state, noisy_mix, state_from_json
@@ -132,6 +132,17 @@ def write_figure_csv(figure_id: str, path: str | None):
 # --- commands -----------------------------------------------------------------
 
 
+# measure's phase-space tables cost about d^6 in time; a larger local dimension
+# is refused before any is built, as maximize refuses it
+MAX_MEASURE_DIM = 7
+
+
+def _capped(d: int) -> int:
+    if d > MAX_MEASURE_DIM:
+        raise DimensionTooLarge(f"measure capped at local dimension {MAX_MEASURE_DIM}, got {d}")
+    return d
+
+
 def _build_state(args) -> DensityState:
     if not (args.state or args.state_file):
         raise ValueError("measure needs --state or --state-file")
@@ -143,10 +154,15 @@ def _build_state(args) -> DensityState:
         raise ValueError(f"measure {source} ignores {', '.join(given)}")
     if args.state_file:
         with open(args.state_file, "r", encoding="utf-8") as fh:
-            return state_from_json(fh.read())
+            rho = state_from_json(fh.read())
+        # the file lists the state's entries, so building it costs what reading it did
+        _capped(max(rho.dims))
+        return rho
+    dim = 3 if args.dim is None else args.dim
     if args.state == "maxmixed":
-        return maximally_mixed(3 if args.dim is None else args.dim)
+        return maximally_mixed(_capped(dim))
     params = [float(x) for x in args.params.split(",")] if args.params else []
+    _capped(len(params) + 1 if args.state == "max_coherent" else dim)
     vec = named_state(args.state, params, dim=args.dim)
     return vec.density() if args.noise is None else noisy_mix(vec, args.noise)
 

@@ -273,28 +273,34 @@ def _params_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
 EXIT_TOL = 1e-12
 # an eigenvalue angle within this of -pi is taken as pi (see _params_from_unitary)
 BRANCH_TOL = 1e-12
-# array elements a batched evaluation forms at once (see _by_rows)
-ROW_BUDGET = 1 << 18
+# array elements a batched evaluation forms at once (see _by_rows): each
+# complex array of a piece is 1 MB.  Pieces of 2**17 elements raised
+# maximize --dim 5's peak memory by 4 MB, and of 2**15 slowed --dim 7's grid
+# by their page faults
+ROW_BUDGET = 1 << 16
 
 
-def _by_rows(f, rows, row_size: int) -> np.ndarray:
+def _by_rows(f, rows, row_size: int, out=None) -> np.ndarray:
     """f(rows) for a block, evaluated in pieces of at most max(2, ROW_BUDGET // row_size) rows.
 
     f maps a block of rows to one value (or one array of values) per row;
-    row_size is the number of elements f forms per row.  numpy sends a
-    one-row product to gemv, which rounds unlike gemm, so a one-row piece
-    is passed to f doubled and its first value kept: a row's value is then
-    the same bits whatever block it is evaluated in.  A block of one piece
-    and at least two rows is f(rows) itself, with no joining copy.
+    row_size is the number of elements f forms per row.  rows may be a
+    range, whose pieces are ranges.  numpy sends a one-row product to gemv,
+    which rounds unlike gemm, so a one-row piece is passed to f doubled (an
+    int array, for a range) and its first value kept: a row's value is then
+    the same bits whatever block it is evaluated in.  The pieces' values
+    are joined once, into out if it is given, and out is returned; without
+    out, a block of one piece and at least two rows is f(rows) itself, with
+    no joining copy.
     """
     step = max(2, ROW_BUDGET // row_size)
-    if 2 <= len(rows) <= step:
+    if out is None and 2 <= len(rows) <= step:
         return f(rows)
     values = []
     for start in range(0, len(rows), step):
         piece = rows[start : start + step]
         values.append(f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece))
-    return np.concatenate(values)
+    return np.concatenate(values, out=out)
 
 
 def _split_dims(dims):

@@ -24,8 +24,11 @@ by a real number.
 
 Neither the grid nor a line recomputes what it has.  The grid's phases take
 only `grid` values per axis, so each is exponentiated once, into one table,
-and each piece that _by_rows cuts from the grid's flat indices gathers its
-amplitudes from that table; no (grid^(d-1), d-1) mesh of phases is built.
+and each piece that _by_rows cuts from the range of the grid's flat indices
+gathers its amplitudes from that table; no (grid^(d-1), d-1) mesh of phases
+and no whole-grid index array is built.  The grid's output is allocated
+before any piece, so a grid too large for memory fails at once, and the
+pieces' values are joined into it once, at the end.
 The objective keeps its amplitudes component-major, psi of shape (d, N), so
 that every elementwise loop runs over N contiguous rows rather than over d.
 Only a golden-section line keeps arrays from one call to the next.  Along a
@@ -128,18 +131,21 @@ class _CoherentObjective:
         """
         d, shape = self.d, (len(axis),) * (self.d - 1)
         table = coherent_phases(axis, d)
+        n = math.prod(shape)
         # allocated before any piece, so a grid too large for memory fails at once
-        flat = np.arange(math.prod(shape))
-        self.evaluations += flat.size
+        out = np.empty(n)
+        self.evaluations += n
 
         def values(piece):
-            psi = np.empty((d, len(piece)), dtype=complex)
+            # a range of flat indices, or a lone row's doubled index array
+            flat = np.arange(piece.start, piece.stop) if isinstance(piece, range) else piece
+            psi = np.empty((d, len(flat)), dtype=complex)
             psi[0] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry
-            for k, col in enumerate(np.unravel_index(piece, shape), start=1):
+            for k, col in enumerate(np.unravel_index(flat, shape), start=1):
                 psi[k] = table[col]
             return self._from_psi(psi)
 
-        return _by_rows(values, flat, d * d).reshape(shape)
+        return _by_rows(values, range(n), d * d, out=out).reshape(shape)
 
     def line(self, base: np.ndarray, i: int):
         """f(rows, t) for _golden_max: the values of base[rows] with phase i set to t.
@@ -271,26 +277,26 @@ def _wrap_box_max(values: np.ndarray) -> np.ndarray:
 
     A box max is separable, so each axis in turn is reduced over the
     previous, the same and the next slice, wrapping at the ends; the result
-    equals scipy.ndimage.maximum_filter(values, size=3, mode="wrap").  Every
-    axis is reduced into one output array, from values for the first axis
-    and from a copy of the output in one scratch array after that, so the
-    call holds two arrays of values' size besides values, which it leaves as
-    it is.
+    equals scipy.ndimage.maximum_filter(values, size=3, mode="wrap").  The
+    output starts as a copy of values, which the call leaves as it is, and
+    every axis is reduced into it in place, one slice at a time: forwards
+    with the next slice, then backwards with the previous one.  Each pass
+    overwrites a slice that its last step still reads, so that slice is
+    kept first in a slice-sized buffer; the call holds one array of values'
+    size besides values.
     """
-    out, scratch = np.empty_like(values), np.empty_like(values)
-    for axis in range(values.ndim):
-        if axis:
-            np.copyto(scratch, out)
-        s, o = np.moveaxis(scratch if axis else values, axis, 0), np.moveaxis(out, axis, 0)
-        n = len(s)
-        np.maximum(s[:-2], s[1:-1], out=o[1:-1])
-        np.maximum(o[1:-1], s[2:], out=o[1:-1])
-        # the wrapped ends, as views (a 1-d array's [i, ...] is a 0-d view);
-        # s[1 - n] is s[1], and s[0] when n = 1
-        np.maximum(s[-1, ...], s[0, ...], out=o[0, ...])
-        np.maximum(o[0, ...], s[1 - n, ...], out=o[0, ...])
-        np.maximum(s[n - 2, ...], s[-1, ...], out=o[-1, ...])
-        np.maximum(o[-1, ...], s[0, ...], out=o[-1, ...])
+    out = np.array(values)
+    for axis in range(out.ndim):
+        o = np.moveaxis(out, axis, 0)  # o[i, ...] is a view, 0-d for a 1-d array
+        n = len(o)
+        kept = np.array(o[0, ...])  # the first slice, the last one's next
+        for i in range(n - 1):
+            np.maximum(o[i, ...], o[i + 1, ...], out=o[i, ...])
+        np.maximum(o[-1, ...], kept, out=o[-1, ...])
+        np.copyto(kept, o[-1, ...])  # the last slice, the first one's previous
+        for i in reversed(range(1, n)):
+            np.maximum(o[i - 1, ...], o[i, ...], out=o[i, ...])
+        np.maximum(kept, o[0, ...], out=o[0, ...])
     return out
 
 

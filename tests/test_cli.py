@@ -425,6 +425,42 @@ def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
     assert code == 2 and out == "" and err == "error: Unable to allocate 7.28 TiB for an array\n"
 
 
+def no_table(*args, **kwargs):
+    raise AssertionError("a state or table was built for a refused dimension")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "basis", "--params", "0", "--dim", "11"],
+        ["--state", "maxmixed", "--dim", "11"],
+        ["--state", "max_coherent", "--params", ",".join(["0.1"] * 10)],
+    ],
+    ids=["basis-dim", "maxmixed-dim", "max-coherent-phases"],
+)
+def test_measure_refuses_a_local_dimension_above_7_before_building(monkeypatch, capsys, argv):
+    # the phase-space tables cost about d^6 (18.7 s at d = 41), so the cap
+    # comes before any state or table of that size is built
+    for name in ("named_state", "maximally_mixed"):
+        monkeypatch.setattr(cli, name, no_table)
+    monkeypatch.setattr(cli.mz, "measure_report", no_table)
+    code, out, err = run(capsys, "measure", *argv, "--measures", "mana")
+    assert (code, out, err) == (2, "", "error: measure capped at local dimension 7, got 11\n")
+
+
+def test_measure_refuses_a_state_file_with_a_local_dimension_above_7(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "basis11.json"
+    path.write_text(json.dumps({"dims": [3, 11], "kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 32}))
+    monkeypatch.setattr(cli.mz, "measure_report", no_table)
+    code, out, err = run(capsys, "measure", "--state-file", str(path), "--measures", "mana")
+    assert (code, out, err) == (2, "", "error: measure capped at local dimension 7, got 11\n")
+
+
+def test_measure_takes_a_local_dimension_of_7(capsys):
+    code, out, err = run(capsys, "measure", "--state", "basis", "--params", "0", "--dim", "7", "--measures", "mana")
+    assert (code, out, err) == (0, "mana = 0.00000000\n", "")
+
+
 def test_verify_prop2_passes(capsys):
     code, out, _ = run(capsys, "verify", "prop2")
     assert code == 0 and out.count("[pass]") == 8 and out.endswith("all 8 checks passed\n")

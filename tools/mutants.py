@@ -94,9 +94,15 @@ MUTANTS = {
     ),
     "lone-row-on-one-piece-path": Mutant(
         "measures.py",
-        "if 2 <= len(rows) <= step:",
-        "if 1 <= len(rows) <= step:",
+        "if out is None and 2 <= len(rows) <= step:",
+        "if out is None and 1 <= len(rows) <= step:",
         ("tests/test_by_rows.py",),
+    ),
+    "pieces-joined-in-reverse": Mutant(
+        "measures.py",
+        "return np.concatenate(values, out=out)",
+        "return np.concatenate(values[::-1], out=out)",
+        ("tests/test_by_rows.py", "tests/test_search_bits.py"),
     ),
     # the lockstep Nelder-Mead and its starts
     "shrink-one-row-fewer": Mutant(
@@ -335,14 +341,20 @@ MUTANTS = {
     ),
     "grid-axes-reversed": Mutant(
         "search.py",
-        "enumerate(np.unravel_index(piece, shape), start=1)",
-        "enumerate(np.unravel_index(piece, shape)[::-1], start=1)",
+        "enumerate(np.unravel_index(flat, shape), start=1)",
+        "enumerate(np.unravel_index(flat, shape)[::-1], start=1)",
         ("tests/test_search_bits.py",),
     ),
     "box-max-wrap-off-by-one": Mutant(
         "search.py",
-        "np.maximum(o[-1, ...], s[0, ...], out=o[-1, ...])",
-        "np.maximum(o[-1, ...], s[1, ...], out=o[-1, ...])",
+        "kept = np.array(o[0, ...])",
+        "kept = np.array(o[1, ...])",
+        ("tests/test_numpy_runtime.py", "tests/test_kernel_bits.py"),
+    ),
+    "box-max-neighbour-overwritten": Mutant(
+        "search.py",
+        "np.maximum(kept, o[0, ...], out=o[0, ...])",
+        "np.maximum(o[-1, ...], o[0, ...], out=o[0, ...])",
         ("tests/test_numpy_runtime.py", "tests/test_kernel_bits.py"),
     ),
     "dedup-last-kept-only": Mutant(
