@@ -227,9 +227,7 @@ def prop3_expectation(rho: DensityState, spec: BeamsplitterSpec, side: str, pt) 
         raise BetaDeltaZero(f"beta*delta = {spec.beta}*{spec.delta} = 0 mod {d}")
     if rho.dims != (d,):
         raise ValueError(f"need a single {d}-dim state, got dims {rho.dims}")
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    big = np.kron(rho.matrix, vac)
+    big = np.kron(rho.matrix, named_state("basis", [0], dim=d).density().matrix)
     op = heisenberg_pullback(spec, side, pt)
     return float(np.trace(big @ op).real)
 

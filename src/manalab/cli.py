@@ -22,6 +22,7 @@ from . import oracles
 from .circuits import csum_spec
 from .errors import DimensionTooLarge, ManalabError
 from .measures import LogBase
+from .phasespace import DIM_CAP
 from .search import max_mana_coherent
 from .states import FAMILY_AMPLITUDES, DensityState, NoisyRows, maximally_mixed, named_state, noisy_mix, state_from_json
 from .verify import IGNORED_FLAGS, SUITES, Check
@@ -95,25 +96,18 @@ def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
         )
         for m in fig.measures
     ]
-    # amplitude rows of each state variant: a family's formula over its whole
-    # axis, or the one row of a table state
-    amplitudes = {
-        state: FAMILY_AMPLITUDES[state](fig.family[1]) if fig.family else named_state(state).amplitudes[None]
-        for state in dict.fromkeys(state for state, _ in columns)
-    }
-    spec = csum_spec(3)
-    blocks = []
-    # one output_measures call per noise value: one call over all 10,201 rows
-    # of fig1 peaks about 4 MB higher
-    for p in fig.p_axis if fig.p_axis is not None else [1.0]:
-        block = {
-            state: mz.output_measures(spec, NoisyRows(amps, float(p)), [n for s, n in columns if s == state])
-            for state, amps in amplitudes.items()
-        }
-        blocks.append(np.column_stack([block[state][name] for state, name in columns]))
+    # one call per state variant on every (p, family) row, p slowest: a
+    # family's formula over its whole axis, or the one row of a table state,
+    # once per noise value
+    ps = fig.p_axis if fig.p_axis is not None else np.array([1.0])
+    out = {}
+    for state in dict.fromkeys(state for state, _ in columns):
+        amps = FAMILY_AMPLITUDES[state](fig.family[1]) if fig.family else named_state(state).amplitudes[None]
+        rows = NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))
+        out[state] = mz.output_measures(csum_spec(3), rows, [n for s, n in columns if s == state])
     # the axis values, p slowest, beside the measure columns
     grid = [axis.ravel() for axis in np.meshgrid(*(values for _, values in axes), indexing="ij")]
-    return [name for name, _ in axes] + list(fig.measures), np.column_stack([*grid, np.concatenate(blocks)])
+    return [name for name, _ in axes] + list(fig.measures), np.column_stack([*grid, *(out[s][n] for s, n in columns)])
 
 
 def write_figure_csv(figure_id: str, path: str | None):
@@ -132,14 +126,10 @@ def write_figure_csv(figure_id: str, path: str | None):
 # --- commands -----------------------------------------------------------------
 
 
-# measure's phase-space tables cost about d^6 in time; a larger local dimension
-# is refused before any is built, as maximize refuses it
-MAX_MEASURE_DIM = 7
-
-
 def _capped(d: int) -> int:
-    if d > MAX_MEASURE_DIM:
-        raise DimensionTooLarge(f"measure capped at local dimension {MAX_MEASURE_DIM}, got {d}")
+    """d, or DimensionTooLarge before measure builds any phase-space table, as maximize refuses it."""
+    if d > DIM_CAP:
+        raise DimensionTooLarge(f"measure capped at local dimension {DIM_CAP}, got {d}")
     return d
 
 

@@ -67,7 +67,7 @@ from .phasespace import (
     point_kernel,
     wigner,
 )
-from .states import EIG_FLOOR, DensityState, NoisyRows, check_density, partial_trace
+from .states import EIG_FLOOR, DensityState, NoisyRows, check_density, named_state, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
 
@@ -562,8 +562,7 @@ _VACUUM_CACHE: dict[tuple[int, str], np.ndarray] = {}
 
 def _build_vacuum_table(key: tuple[int, str]) -> np.ndarray:
     d, kind = key
-    vacuum = np.zeros((d, d), dtype=complex)
-    vacuum[0, 0] = 1.0
+    vacuum = named_state("basis", [0], dim=d).density().matrix
     return (_wigner_values if kind == "wigner" else _char_values)(vacuum, (d,))
 
 

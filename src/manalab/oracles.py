@@ -454,17 +454,12 @@ def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
     return mz.output_measures(csum_spec(3), NoisyRows(amps, ps), [name])[name]
 
 
-class _NumericInput(NamedTuple):
-    measure: str  # table row
-    state: str  # named input state; "" for ex1, whose params are the amplitudes
-    params: tuple[float, ...]  # the state's parameters
-    p: float | None  # noise; None for a threshold, which is bisected over p
-    note: str
+def _numeric_input(oid: OracleId) -> tuple[str, str, tuple[float, ...], float | None, str]:
+    """What the numeric side of oid evaluates, (measure, state, params, p, note); it builds and checks nothing.
 
-
-def _numeric_input(oid: OracleId) -> _NumericInput:
-    """What the numeric side of oid evaluates; it builds and checks nothing.
-
+    measure is a table row; state a named input state, or "" for ex1, whose
+    params are the amplitudes; params the state's parameters; p the noise,
+    None for a threshold, which is bisected over p; note the record's note.
     closed_form has checked oid's arity.  The examples' last parameter is
     their noise p; the pure-output curves are noiseless, p = 1.
     """
@@ -489,8 +484,8 @@ def _numeric_input(oid: OracleId) -> _NumericInput:
             state, params, p = _table_state_name(measure, "H"), (), params[0]
         case "p_crit":
             state = _table_state_name("m_mana", oid.labels[0])
-            return _NumericInput("m_mana", state, (), None, f"bisection threshold ({state})")
-    return _NumericInput(measure, state, params, p, _row_name(measure))
+            return "m_mana", state, (), None, f"bisection threshold ({state})"
+    return measure, state, params, p, _row_name(measure)
 
 
 def _checked_noise(p: float | None) -> None:
@@ -539,37 +534,38 @@ def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
     thresholds one lockstep bisection.
     """
     oids = list(oids)
-    oracle_values, inputs, slots = [], [], []
+    oracle_values, noises, notes, slots = [], [], [], []
     amps = []  # each distinct state's amplitudes once, in order of first use
     built: dict[tuple, int] = {}  # (state, params' bits) -> its slot in amps
     rows: dict[str, list[int]] = {}  # table row -> the positions of its ids
     thresholds = []
     for i, oid in enumerate(oids):
         oracle_values.append(closed_form(oid))
-        x = _numeric_input(oid)
-        key = x.state, tuple(map(float.hex, x.params))
+        measure, state, params, p, note = _numeric_input(oid)
+        key = state, tuple(map(float.hex, params))
         slot = built.get(key)
         if slot is None:
-            amps.append((named_state(x.state, x.params) if x.state else PureVector(3, x.params)).amplitudes)
+            amps.append((named_state(state, params) if state else PureVector(3, params)).amplitudes)
             slot = built[key] = len(amps) - 1
-        _checked_noise(x.p)
-        inputs.append(x)
+        _checked_noise(p)
+        noises.append(p)
+        notes.append(note)
         slots.append(slot)
-        if x.p is None:
+        if p is None:
             thresholds.append(i)
         else:
-            rows.setdefault(x.measure, []).append(i)
+            rows.setdefault(measure, []).append(i)
     amps = np.array(amps)  # (len(built), 3); a block gathers its rows by slot
     numeric = np.empty(len(oids))
     for measure, block in rows.items():
-        numeric[block] = _row_value(measure, amps[[slots[i] for i in block]], [inputs[i].p for i in block])
+        numeric[block] = _row_value(measure, amps[[slots[i] for i in block]], [noises[i] for i in block])
     if thresholds:
         threshold_amps = amps[[slots[i] for i in thresholds]]
         numeric[thresholds] = _bisect(
             lambda ps: _row_value("m_mana", threshold_amps, ps), len(thresholds), THRESHOLD_LEVEL
         )
     records = []
-    for oid, oracle_value, numeric_value, x in zip(oids, oracle_values, numeric.tolist(), inputs):
+    for oid, oracle_value, numeric_value, note in zip(oids, oracle_values, numeric.tolist(), notes):
         diff = abs(oracle_value - numeric_value)
-        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, x.note))
+        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, note))
     return records

@@ -39,6 +39,9 @@ from .errors import ImaginaryResidue
 REAL_ERROR_TOL = 1e-8
 # the largest d whose d x d complex matrix numpy can address (sys.maxsize bytes)
 MAX_DIM = math.isqrt(sys.maxsize // 16)
+# the largest local dimension the stabilizer enumeration, the coherent search
+# and the measure command take: their cost grows as about d^6 or faster
+DIM_CAP = 7
 
 
 def is_odd_prime(n: int) -> bool:

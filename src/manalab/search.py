@@ -53,7 +53,7 @@ import numpy as np
 from .circuits import beamsplitter_output
 from .errors import BetaDeltaZero, DimensionTooLarge
 from .measures import _by_rows, _check_count, mana, mutual_mana
-from .phasespace import _dim, point_kernel
+from .phasespace import DIM_CAP, _dim, point_kernel
 from .states import PureVector, coherent_amplitudes, coherent_phases
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
@@ -317,8 +317,8 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     refine_iters an integer >= 0.
     """
     d = _dim(dim)
-    if d > 7:
-        raise DimensionTooLarge(f"grid search capped at d=7, got {d}")
+    if d > DIM_CAP:
+        raise DimensionTooLarge(f"grid search capped at d={DIM_CAP}, got {d}")
     grid = DEFAULT_GRIDS[d] if grid is None else _check_count("grid", grid, least=8)
     refine_iters = _check_count("refine_iters", refine_iters, least=0)
     obj = _CoherentObjective(d)

@@ -37,7 +37,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownState,
 )
-from .phasespace import PrimeDim, WignerTable, _dim, _from_wigner, _integer_dims, omega_power
+from .phasespace import DIM_CAP, PrimeDim, WignerTable, _dim, _from_wigner, _integer_dims, omega_power
 
 # Validation tolerances: hermiticity/trace soft at 1e-10, eigenvalue hard
 # floor at -1e-8 (roundoff from products of unitaries is clipped above it).
@@ -258,12 +258,21 @@ def check_noise(p) -> np.ndarray:
     return p
 
 
+def _row_noise(amps: np.ndarray, p) -> np.ndarray:
+    """check_noise(p) for amplitude rows amps (..., d); ValueError unless p is one value or one per row."""
+    p = check_noise(p)
+    if p.ndim and p.shape != amps.shape[:-1]:
+        raise ValueError(f"noise of shape {p.shape} is neither one value nor one per amplitude row {amps.shape[:-1]}")
+    return p
+
+
 def noisy_matrices(amps: np.ndarray, p) -> np.ndarray:
     """p|psi><psi| + (1-p) 1/d for each amplitude row of amps, shape (..., d) -> (..., d, d).
 
-    p is one noise value for every row or one per row, shape (...,).
+    p is one noise value for every row or one per row, shape (...,); any
+    other shape raises ValueError.
     """
-    p = check_noise(p)[..., None, None]
+    p = _row_noise(amps, p)[..., None, None]
     d = amps.shape[-1]
     return p * (amps[..., :, None] * amps[..., None, :].conj()) + (1.0 - p) * np.eye(d) / d
 
@@ -274,7 +283,8 @@ class NoisyRows:
 
     Each row passes PureVector's rule (its projector's trace within
     HERM_TOL / 2 of 1), tested for all rows at once; ValueError names the
-    first row that fails.  p passes check_noise.  By PureVector's margin
+    first row that fails.  p passes check_noise and has shape () or the
+    rows' (...,); ValueError names both shapes.  By PureVector's margin
     every mixture then passes check_density, so a consumer may skip it.
     Both arrays are read-only copies.
     """
@@ -290,7 +300,7 @@ class NoisyRows:
             row = failed[0]
             trace = row_traces[row].real
             raise ValueError(f"amplitude row {row} has projector trace {trace}, not within {HERM_TOL / 2} of 1")
-        p = np.array(check_noise(self.p))
+        p = np.array(_row_noise(amps, self.p))
         amps.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -330,13 +340,13 @@ def partial_trace(rho: DensityState, keep) -> DensityState:
 
 
 def enumerate_stabilizer_pure(dim) -> list[PureVector]:
-    """All d(d+1) pure stabilizer states for odd prime d <= 7.
+    """All d(d+1) pure stabilizer states for odd prime d <= DIM_CAP.
 
     Computational basis plus the d mutually unbiased Weyl eigenbases.
     """
     d = _dim(dim)
-    if d > 7:
-        raise DimensionTooLarge(f"stabilizer enumeration capped at d=7, got {d}")
+    if d > DIM_CAP:
+        raise DimensionTooLarge(f"stabilizer enumeration capped at d={DIM_CAP}, got {d}")
     inv2 = (d + 1) // 2  # inverse of 2 mod d
     r, b, n = np.indices((d, d, d))
     mubs = omega_power(d, inv2 * r * n * n + b * n).reshape(d * d, d) / math.sqrt(d)

@@ -44,6 +44,25 @@ def test_figure_rows_put_p_slowest():
     assert np.array_equal(rows[:, 1], np.tile(fig.family[1], len(fig.p_axis)))
 
 
+@pytest.mark.parametrize("figure_id, calls, rows", [("fig1", 1, 10_201), ("fig4d", 2, 101)])
+def test_each_input_state_is_one_output_measures_call(figure_id, calls, rows, monkeypatch):
+    built, evaluated = [], []
+    noisy_rows, output_measures = cli.NoisyRows, cli.mz.output_measures
+
+    def counted_rows(amps, p):
+        built.append(len(amps))
+        return noisy_rows(amps, p)
+
+    def counted_measures(spec, rhos, names):
+        evaluated.append(len(rhos.amplitudes))
+        return output_measures(spec, rhos, names)
+
+    monkeypatch.setattr(cli, "NoisyRows", counted_rows)
+    monkeypatch.setattr(cli.mz, "output_measures", counted_measures)
+    figure_rows(figure_id)
+    assert built == evaluated == [rows] * calls
+
+
 EDGE_VALUES = [-0.0, 5e-324, 1e308, 1.0 / 3.0, 1.0, math.nan, math.inf, -math.inf, 0.1, 1e-5, 1e16, -2.5e-7]
 
 

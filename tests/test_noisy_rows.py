@@ -1,6 +1,7 @@
 """NoisyRows: checked noisy inputs that output_measures evaluates without check_density, bit for bit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,3 +118,13 @@ def test_noisy_rows_keep_their_own_read_only_arrays():
     p[1] = 7.0
     assert np.array_equal(rows.matrices(), want)
     assert not rows.amplitudes.flags.writeable and not rows.p.flags.writeable
+
+
+@pytest.mark.parametrize("rows, p", [(1, [0.1, 0.5, 0.9]), (2, [0.1, 0.5, 0.9]), (3, [[0.5, 0.5, 0.5]]), (3, [0.5])])
+def test_noise_that_fits_neither_one_value_nor_the_rows_is_refused(rows, p):
+    amps = unit_rows(3, rows, 0)
+    shapes = re.escape(str(np.shape(p))) + ".*" + re.escape(str((rows,)))
+    with pytest.raises(ValueError, match=shapes):
+        NoisyRows(amps, p)
+    with pytest.raises(ValueError, match=shapes):
+        noisy_matrices(amps, p)

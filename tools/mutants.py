@@ -61,10 +61,12 @@ MUTANTS = {
         "_log_abs_sum(chi[:, 1, :], 1)",
         ("tests/test_output_measures.py",),
     ),
+    # the vacuum's 1 moved off the diagonal: another basis index would only
+    # shift the output by a local Weyl operator, which no measure sees
     "vacuum-index": Mutant(
         "measures.py",
-        "vacuum[0, 0] = 1.0",
-        "vacuum[0, 1] = 1.0",
+        'vacuum = named_state("basis", [0], dim=d).density().matrix',
+        'vacuum = named_state("basis", [0], dim=d).density().matrix[:, ::-1]',
         ("tests/test_output_measures.py",),
     ),
     "vacuum-wigner-table-for-chi": Mutant(
@@ -218,20 +220,20 @@ MUTANTS = {
     # the oracle comparison's per-call state cache and the states it names
     "input-key-without-labels": Mutant(  # a key without the state name: table1's S/N/T/H inputs collapse
         "oracles.py",
-        "key = x.state, tuple(map(float.hex, x.params))",
-        "key = tuple(map(float.hex, x.params))",
+        "key = state, tuple(map(float.hex, params))",
+        "key = tuple(map(float.hex, params))",
         ("tests/test_compare.py",),
     ),
     "input-key-by-value": Mutant(
         "oracles.py",
-        "key = x.state, tuple(map(float.hex, x.params))",
-        "key = x.state, x.params",
+        "key = state, tuple(map(float.hex, params))",
+        "key = state, params",
         ("tests/test_compare.py",),
     ),
     "cached-input-skips-noise-check": Mutant(
         "oracles.py",
-        "            slot = built[key] = len(amps) - 1\n        _checked_noise(x.p)\n",
-        "            slot = built[key] = len(amps) - 1\n            _checked_noise(x.p)\n",
+        "            slot = built[key] = len(amps) - 1\n        _checked_noise(p)\n",
+        "            slot = built[key] = len(amps) - 1\n            _checked_noise(p)\n",
         ("tests/test_compare.py",),
     ),
     "ex5-family-swapped": Mutant(
@@ -369,6 +371,12 @@ MUTANTS = {
         "float(np.maximum(values.max(), 0.0))",
         "float(max(0.0, *values))",
         ("tests/test_verify.py",),
+    ),
+    "figure-noise-fastest": Mutant(
+        "cli.py",
+        "NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))",
+        "NoisyRows(np.repeat(amps, len(ps), axis=0), np.tile(ps, len(amps)))",
+        ("tests/test_output_measures.py::test_figure_rows_match_dense_path",),
     ),
     "csv-sixteen-digits": Mutant(
         "cli.py",
