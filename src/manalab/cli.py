@@ -1,7 +1,8 @@
 """Command-line surface: measure, verify, figure, maximize.
 
-The commands parse arguments and format results; the verification suites
-live in `manalab.verify`.  Each command takes only the flags it reads, and
+The commands only parse arguments and print results: the verification
+suites and their flag defaults live in `manalab.verify`, and the figure
+sweeps in `manalab.oracles`, beside the closed forms they plot.  Each command takes only the flags it reads, and
 `verify` is the only one with a --seed.  Exit codes: 0 success, 1
 verification failure, 2 usage, I/O or out-of-memory error.  CSV output uses 17
 significant digits, '.' decimals, and '\\n' line endings.
@@ -13,19 +14,17 @@ import argparse
 import json
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
 from . import measures as mz
-from . import oracles
-from .circuits import csum_spec
 from .errors import DimensionTooLarge, ManalabError
 from .measures import LogBase
 from .phasespace import DIM_CAP
+from .oracles import CURVES, FIGURES, LAMBDA_AXIS, P_GRID, THETA_AXIS, Figure, figure_rows  # noqa: F401 (re-exported)
 from .search import max_mana_coherent
-from .states import FAMILY_AMPLITUDES, DensityState, NoisyRows, maximally_mixed, named_state, noisy_mix, state_from_json
-from .verify import IGNORED_FLAGS, SUITES, Check
+from .states import DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
+from .verify import SUITES, VERIFY_DEFAULTS, Check, run_suite
 
 
 def _write_text(path: str | None, text: str):
@@ -49,65 +48,6 @@ def _print_checks(checks: list[Check]) -> int:
         return 1
     print(f"all {len(checks)} checks passed")
     return 0
-
-
-# --- figures ------------------------------------------------------------------
-
-
-P_GRID = np.linspace(0.0, 1.0, 101)
-LAMBDA_AXIS = ("lambda", np.linspace(0.0, 1.0 / math.sqrt(2.0), 101))
-THETA_AXIS = ("theta", np.linspace(0.0, math.pi / 2.0, 101))
-CURVES = ("I", "m_l1", "m_sre2", "m_mana")
-
-
-class Figure(NamedTuple):
-    """One figure's sweep; its CSV columns are the swept axes, then the measures."""
-
-    p_axis: np.ndarray | None  # None: noiseless inputs, p = 1
-    family: tuple[str, np.ndarray] | None  # (column, values) of the input family's parameter
-    state: str  # named input family, or a table column label (S, N, T, H)
-    measures: tuple[str, ...]  # table rows (oracles.TABLE_MEASURES), in column order
-
-
-FIGURES = {
-    "fig1": Figure(P_GRID, LAMBDA_AXIS, "phi_lambda", ("m_mana",)),
-    "fig2": Figure(P_GRID, THETA_AXIS, "psi_theta", ("m_mana",)),
-    "fig3a": Figure(None, LAMBDA_AXIS, "phi_lambda", CURVES),
-    "fig3b": Figure(None, THETA_AXIS, "psi_theta", CURVES),
-    "fig4a": Figure(P_GRID, None, "S", CURVES),
-    "fig4b": Figure(P_GRID, None, "N", CURVES),
-    "fig4c": Figure(P_GRID, None, "T", CURVES),
-    "fig4d": Figure(P_GRID, None, "H", CURVES),
-}
-
-
-def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
-    """The figure's CSV header and its rows as one (rows, columns) float array."""
-    fig = FIGURES.get(figure_id)
-    if fig is None:
-        raise ValueError(f"unknown figure id {figure_id!r}")
-    axes = ([("p", fig.p_axis)] if fig.p_axis is not None else []) + ([fig.family] if fig.family else [])
-    # (input state, registry measure) per column; a table column label picks
-    # each measure's state variant
-    columns = [
-        (
-            oracles._table_state_name(m, fig.state) if fig.state in oracles.TABLE_STATES else fig.state,
-            oracles.TABLE_ROW_MEASURES[m],
-        )
-        for m in fig.measures
-    ]
-    # one call per state variant on every (p, family) row, p slowest: a
-    # family's formula over its whole axis, or the one row of a table state,
-    # once per noise value
-    ps = fig.p_axis if fig.p_axis is not None else np.array([1.0])
-    out = {}
-    for state in dict.fromkeys(state for state, _ in columns):
-        amps = FAMILY_AMPLITUDES[state](fig.family[1]) if fig.family else named_state(state).amplitudes[None]
-        rows = NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))
-        out[state] = mz.output_measures(csum_spec(3), rows, [n for s, n in columns if s == state])
-    # the axis values, p slowest, beside the measure columns
-    grid = [axis.ravel() for axis in np.meshgrid(*(values for _, values in axes), indexing="ij")]
-    return [name for name, _ in axes] + list(fig.measures), np.column_stack([*grid, *(out[s][n] for s, n in columns)])
 
 
 def write_figure_csv(figure_id: str, path: str | None):
@@ -174,17 +114,8 @@ def cmd_measure(args) -> int:
     return 0
 
 
-# applied when the flag is absent; a flag given to a suite that ignores it is an error
-VERIFY_DEFAULTS = {"trials": 100, "seed": 42, "tol": 1e-10}
-
-
 def cmd_verify(args) -> int:
-    given = {flag: getattr(args, flag) for flag in VERIFY_DEFAULTS}
-    ignored = [f"--{flag}" for flag in IGNORED_FLAGS.get(args.suite, ()) if given[flag] is not None]
-    if ignored:
-        raise ValueError(f"suite {args.suite} ignores {', '.join(ignored)}")
-    trials, seed, tol = (VERIFY_DEFAULTS[f] if v is None else v for f, v in given.items())
-    return _print_checks(SUITES[args.suite](trials, seed, tol))
+    return _print_checks(run_suite(args.suite, args.trials, args.seed, args.tol))
 
 
 def cmd_figure(args) -> int:
@@ -264,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--tol", type=_tolerance, default=None, help="default 1e-10")
-    p.add_argument("--seed", type=_nonnegative_int, default=None, help="default 42")
-    p.add_argument("--trials", type=_positive_int, default=None, help="default 100")
+    for flag, kind in (("tol", _tolerance), ("seed", _nonnegative_int), ("trials", _positive_int)):
+        p.add_argument(f"--{flag}", type=kind, default=None, help=f"default {VERIFY_DEFAULTS[flag]}")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("figure", parents=[output], help="emit figure data as CSV")

@@ -1,4 +1,4 @@
-"""Closed-form ground truth for the worked examples and the comparison table.
+"""Closed-form ground truth for the worked examples and the comparison table, and the figures' sweeps.
 
 The formulas here are transcribed arithmetic (math/cmath only) sharing no
 numerical machinery with the measures path, so the two sides check each
@@ -56,7 +56,7 @@ import numpy as np
 from . import measures as mz
 from .circuits import beamsplitter_output, csum_spec
 from .errors import BadParams
-from .states import DensityState, NoisyRows, PureVector, check_noise, named_state, noisy_mix
+from .states import FAMILY_AMPLITUDES, DensityState, NoisyRows, PureVector, check_noise, named_state, noisy_mix
 
 SQRT3 = math.sqrt(3.0)
 
@@ -569,3 +569,59 @@ def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
         diff = abs(oracle_value - numeric_value)
         records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, note))
     return records
+
+
+# --- figures -----------------------------------------------------------------
+
+
+P_GRID = np.linspace(0.0, 1.0, 101)
+LAMBDA_AXIS = ("lambda", np.linspace(0.0, 1.0 / math.sqrt(2.0), 101))
+THETA_AXIS = ("theta", np.linspace(0.0, math.pi / 2.0, 101))
+CURVES = ("I", "m_l1", "m_sre2", "m_mana")
+
+
+class Figure(NamedTuple):
+    """One figure's sweep; its CSV columns are the swept axes, then the measures."""
+
+    p_axis: np.ndarray | None  # None: noiseless inputs, p = 1
+    family: tuple[str, np.ndarray] | None  # (column, values) of the input family's parameter
+    state: str  # named input family, or a table column label (S, N, T, H)
+    measures: tuple[str, ...]  # table rows (TABLE_MEASURES), in column order
+
+
+FIGURES = {
+    "fig1": Figure(P_GRID, LAMBDA_AXIS, "phi_lambda", ("m_mana",)),
+    "fig2": Figure(P_GRID, THETA_AXIS, "psi_theta", ("m_mana",)),
+    "fig3a": Figure(None, LAMBDA_AXIS, "phi_lambda", CURVES),
+    "fig3b": Figure(None, THETA_AXIS, "psi_theta", CURVES),
+    "fig4a": Figure(P_GRID, None, "S", CURVES),
+    "fig4b": Figure(P_GRID, None, "N", CURVES),
+    "fig4c": Figure(P_GRID, None, "T", CURVES),
+    "fig4d": Figure(P_GRID, None, "H", CURVES),
+}
+
+
+def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
+    """The figure's CSV header and its rows as one (rows, columns) float array."""
+    fig = FIGURES.get(figure_id)
+    if fig is None:
+        raise ValueError(f"unknown figure id {figure_id!r}")
+    axes = ([("p", fig.p_axis)] if fig.p_axis is not None else []) + ([fig.family] if fig.family else [])
+    # (input state, registry measure) per column; a table column label picks
+    # each measure's state variant
+    columns = [
+        (_table_state_name(m, fig.state) if fig.state in TABLE_STATES else fig.state, TABLE_ROW_MEASURES[m])
+        for m in fig.measures
+    ]
+    # one call per state variant on every (p, family) row, p slowest: a
+    # family's formula over its whole axis, or the one row of a table state,
+    # once per noise value
+    ps = fig.p_axis if fig.p_axis is not None else np.array([1.0])
+    out = {}
+    for state in dict.fromkeys(state for state, _ in columns):
+        amps = FAMILY_AMPLITUDES[state](fig.family[1]) if fig.family else named_state(state).amplitudes[None]
+        rows = NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))
+        out[state] = mz.output_measures(csum_spec(3), rows, [n for s, n in columns if s == state])
+    # the axis values, p slowest, beside the measure columns
+    grid = [axis.ravel() for axis in np.meshgrid(*(values for _, values in axes), indexing="ij")]
+    return [name for name, _ in axes] + list(fig.measures), np.column_stack([*grid, *(out[s][n] for s, n in columns)])

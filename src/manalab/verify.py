@@ -3,7 +3,8 @@
 A suite takes (trials, seed, tol) and returns one Check per claim of the
 paper it tests.  It yields per-sample deviations and `Check.worst` reduces
 them, so a NaN sample fails its check and a check without samples is an
-error, never a pass.
+error, never a pass.  `run_suite` gives an absent flag its VERIFY_DEFAULTS
+value and refuses a flag that the suite ignores (IGNORED_FLAGS).
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def suite_additivity(trials, seed, tol):
 
 
 def suite_table1(trials, seed, tol):
-    grid = np.linspace(0.0, 1.0, 101).tolist()
+    grid = oracles.P_GRID.tolist()
     # size of the SRE marginal terms the table convention drops
     out = oracles.csum_output("strange", 1.0)
     comp, glob = mz.mutual_sre(out, 2.0), mz.sre_alpha(out, 2.0)
@@ -328,7 +329,8 @@ def suite_oracles(trials, seed, tol):
     return [Check.worst(name, (r.difference for r in oracles.compare(oids)), tol) for name, oids, tol in groups]
 
 
-# flags a suite does not read; `manalab verify` rejects them
+# applied when a flag is absent; a flag given to a suite that does not read it is an error
+VERIFY_DEFAULTS = {"trials": 100, "seed": 42, "tol": 1e-10}
 IGNORED_FLAGS = {
     "prop2": ("trials", "seed", "tol"),
     "prop3": ("tol",),
@@ -351,3 +353,12 @@ SUITES = {
     "table1": suite_table1,
     "oracles": suite_oracles,
 }
+
+
+def run_suite(name: str, trials: int | None, seed: int | None, tol: float | None) -> list[Check]:
+    """The suite's checks; None marks an absent flag, and a flag the suite ignores raises ValueError."""
+    given = {"trials": trials, "seed": seed, "tol": tol}
+    ignored = [f"--{flag}" for flag in IGNORED_FLAGS.get(name, ()) if given[flag] is not None]
+    if ignored:
+        raise ValueError(f"suite {name} ignores {', '.join(ignored)}")
+    return SUITES[name](*(VERIFY_DEFAULTS[flag] if value is None else value for flag, value in given.items()))

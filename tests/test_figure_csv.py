@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from manalab import cli
+from manalab import cli, oracles
 from manalab.cli import FIGURES, figure_rows, write_figure_csv
 
 
@@ -47,7 +47,7 @@ def test_figure_rows_put_p_slowest():
 @pytest.mark.parametrize("figure_id, calls, rows", [("fig1", 1, 10_201), ("fig4d", 2, 101)])
 def test_each_input_state_is_one_output_measures_call(figure_id, calls, rows, monkeypatch):
     built, evaluated = [], []
-    noisy_rows, output_measures = cli.NoisyRows, cli.mz.output_measures
+    noisy_rows, output_measures = oracles.NoisyRows, cli.mz.output_measures
 
     def counted_rows(amps, p):
         built.append(len(amps))
@@ -57,7 +57,7 @@ def test_each_input_state_is_one_output_measures_call(figure_id, calls, rows, mo
         evaluated.append(len(rhos.amplitudes))
         return output_measures(spec, rhos, names)
 
-    monkeypatch.setattr(cli, "NoisyRows", counted_rows)
+    monkeypatch.setattr(oracles, "NoisyRows", counted_rows)
     monkeypatch.setattr(cli.mz, "output_measures", counted_measures)
     figure_rows(figure_id)
     assert built == evaluated == [rows] * calls

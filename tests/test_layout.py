@@ -56,7 +56,7 @@ def test_closed_forms_use_only_math():
 def test_figure_rows_stay_off_the_dense_output_path():
     # the figures are computed from permuted single-qudit tables
     # (measures.output_measures); the per-state dense output is the reference
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
     (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "figure_rows"]
     called = {
         node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -65,6 +65,26 @@ def test_figure_rows_stay_off_the_dense_output_path():
     }
     assert called & {"csum_output", "beamsplitter_output", "DensityState"} == set()
     assert "output_measures" in called
+
+
+def test_cli_reads_no_private_name():
+    # the CLI only parses and prints: a module's private name read from cli
+    # is work that belongs in that module
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names} - {"*"}
+    found = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    found += [
+        f"from {node.module} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []
 
 
 def _called_names(func: ast.FunctionDef) -> set[str]:

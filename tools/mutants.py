@@ -248,6 +248,19 @@ MUTANTS = {
         "amps[[slots[i] - 1 for i in block]]",
         ("tests/test_compare.py",),
     ),
+    # the figure sweeps
+    "figure-noise-fastest": Mutant(
+        "oracles.py",
+        "NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))",
+        "NoisyRows(np.repeat(amps, len(ps), axis=0), np.tile(ps, len(amps)))",
+        ("tests/test_output_measures.py::test_figure_rows_match_dense_path",),
+    ),
+    "figure-h-variant": Mutant(  # every column takes the I row's variant, so fig4d's m_mana uses h
+        "oracles.py",
+        "_table_state_name(m, fig.state)",
+        '_table_state_name("I", fig.state)',
+        ("tests/test_registry.py::test_fig4d_mana_column_uses_fourier_variant",),
+    ),
     # the record types, the closed-form lookup and the table cells
     "oracle-id-raw-params": Mutant(
         "oracles.py",
@@ -372,11 +385,11 @@ MUTANTS = {
         "float(max(0.0, *values))",
         ("tests/test_verify.py",),
     ),
-    "figure-noise-fastest": Mutant(
-        "cli.py",
-        "NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))",
-        "NoisyRows(np.repeat(amps, len(ps), axis=0), np.tile(ps, len(amps)))",
-        ("tests/test_output_measures.py::test_figure_rows_match_dense_path",),
+    "verify-default-seed": Mutant(
+        "verify.py",
+        '"seed": 42',
+        '"seed": 41',
+        ("tests/test_verify.py::test_absent_flags_take_the_defaults",),
     ),
     "csv-sixteen-digits": Mutant(
         "cli.py",
