@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BetaDeltaZero, SingularG, UnknownGate
-from .phasespace import PhasePoint, _cached, _dim, _point, omega_power, tau_power, weyl_stack
+from .phasespace import PhasePoint, _cached, _dim, _integer, _point, omega_power, tau_power, weyl_stack
 from .states import DensityState, conjugate, named_state, tensor
 
 
@@ -52,7 +52,7 @@ class BeamsplitterSpec:
 
     def __post_init__(self):
         d = _dim(self.dim)
-        rows = tuple(tuple(int(x) % d for x in row) for row in self.g_matrix)
+        rows = tuple(tuple(_integer(x, "g_matrix entries") % d for x in row) for row in self.g_matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("g_matrix must be 2x2")
         object.__setattr__(self, "dim", d)

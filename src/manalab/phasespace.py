@@ -68,6 +68,14 @@ class PrimeDim:
         object.__setattr__(self, "d", int(self.d))
 
 
+def _integer(value, what: str) -> int:
+    """value as an int: 3, 3.0 and numpy ints pass; 1.7, True, "3" or None raise ValueError naming it."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A discrete phase-space point (k, l) with residues mod d."""
@@ -76,8 +84,11 @@ class PhasePoint:
     l: int
 
     def __post_init__(self):
-        if self.k < 0 or self.l < 0:
+        k, l = _integer(self.k, "phase point indices"), _integer(self.l, "phase point indices")
+        if k < 0 or l < 0:
             raise ValueError(f"phase point indices must be nonnegative, got {self}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
 
 def _dim(dim) -> int:
@@ -85,18 +96,12 @@ def _dim(dim) -> int:
 
 
 def _integer_dims(dims) -> tuple[int, ...]:
-    """Subsystem dimensions as ints: 3 and 3.0 pass; 3.7, True, "3" or None raise ValueError."""
-    out = []
-    for d in dims:
-        integral = isinstance(d, numbers.Integral) or isinstance(d, numbers.Real) and float(d).is_integer()
-        if isinstance(d, bool) or not integral:
-            raise ValueError(f"dims entries must be integers, got {d!r}")
-        out.append(int(d))
-    return tuple(out)
+    """Subsystem dimensions as ints, by _integer's rule."""
+    return tuple(_integer(d, "dims entries") for d in dims)
 
 
 def _point(pt, d: int) -> tuple[int, int]:
-    k, l = (pt.k, pt.l) if isinstance(pt, PhasePoint) else (int(pt[0]), int(pt[1]))
+    k, l = (pt.k, pt.l) if isinstance(pt, PhasePoint) else (_integer(x, "phase point indices") for x in (pt[0], pt[1]))
     if not (0 <= k < d and 0 <= l < d):
         raise ValueError(f"phase point {(k, l)} out of range for d={d}")
     return k, l

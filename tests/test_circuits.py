@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ from manalab.phasespace import omega_power, tau_power
 def test_singular_g_rejected():
     with pytest.raises(SingularG):
         BeamsplitterSpec(3, ((1, 2), (2, 1)))  # det = -3 = 0 mod 3
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1", None])
+def test_spec_refuses_non_integer_entries(bad):
+    # an entry is not truncated: delta = 1.9 was stored as 1
+    with pytest.raises(ValueError, match=f"g_matrix entries must be integers, got {re.escape(repr(bad))}$"):
+        BeamsplitterSpec(3, ((1, 2), (0, bad)))
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", None])
+def test_conjugate_weyl_refuses_non_integer_points(bad):
+    # PhasePoint(0.5, 1) came back as PhasePoint(k=0.5, l=0)
+    for p1, p2 in [((bad, 1), (1, 1)), ((1, 1), (1, bad))]:
+        with pytest.raises(ValueError, match="phase point indices must be integers"):
+            conjugate_weyl(csum_spec(3), p1, p2)
 
 
 def test_spec_inverse_determinant():

@@ -1,5 +1,7 @@
 """Displacement operators, point operators, and Wigner transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,22 @@ def test_wigner_table_takes_integral_dims():
     for dims in [(3,), (3.0,), (np.int64(3),)]:
         table = WignerTable(dims, np.ones((3, 3)) / 9)
         assert table.dims == (3,) and type(table.dims[0]) is int
+
+
+@pytest.mark.parametrize("bad", [1.7, True, np.True_, "1", None, float("nan")])
+def test_phase_points_refuse_non_integer_indices(bad):
+    # an index is not truncated (1.7 read as 1) nor taken as a boolean mask (True)
+    makers = (lambda: PhasePoint(bad, 0), lambda: PhasePoint(0, bad), lambda: weyl(3, (bad, 0)), lambda: weyl(3, (0, bad)))
+    for make in makers:
+        with pytest.raises(ValueError, match=f"phase point indices must be integers, got {re.escape(repr(bad))}$"):
+            make()
+
+
+def test_phase_points_take_integral_indices():
+    for k in (2, 2.0, np.int64(2)):
+        point = PhasePoint(k, 1)
+        assert point == PhasePoint(2, 1) and type(point.k) is int
+        assert np.array_equal(weyl(3, point), weyl(3, (2, 1))) and np.array_equal(weyl(3, (k, 1)), weyl(3, (2, 1)))
 
 
 @pytest.mark.parametrize("exponent", [1.5, 2.0, np.float64(2.0), np.array([1.0, 2.0]), np.array([1, 2], dtype=object)])

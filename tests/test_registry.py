@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from manalab import l1_magic, measure_report, mutual_mana, mutual_sre, sre_alpha
@@ -9,6 +10,8 @@ from manalab.cli import FIGURES, build_parser, figure_rows
 from manalab.measures import MEASURES
 from manalab.oracles import (
     TABLE_MEASURES,
+    OracleId,
+    compare,
     csum_output,
     example3,
     example4,
@@ -109,6 +112,30 @@ def test_figure_matches_closed_form(figure_id, monkeypatch):
                 column,
                 coords,
             )
+
+
+def _oracle_id(figure_id, column, coords) -> OracleId:
+    if figure_id == "fig1":
+        return OracleId("ex3", (coords["lambda"], coords["p"]))
+    if figure_id == "fig2":
+        return OracleId("ex4", (coords["theta"], coords["p"]))
+    if figure_id in ("fig3a", "fig3b"):
+        name, axis = ("ex5_set", "lambda") if figure_id == "fig3a" else ("ex6_set", "theta")
+        return OracleId(name, (coords[axis],), (column,))
+    return OracleId("table1_cell", (coords["p"],), (column, FIG4_STATES[figure_id]))
+
+
+@pytest.mark.parametrize("figure_id", list(FIGURES))
+def test_every_figure_value_is_a_verified_number(figure_id):
+    # compare's numeric side is the figures' path: on the whole grid each
+    # value is its oracle id's numeric value, bit for bit, and each id passes
+    fig = FIGURES[figure_id]
+    header, rows = figure_rows(figure_id)
+    axes = header[: len(header) - len(fig.measures)]
+    records = compare(_oracle_id(figure_id, m, dict(zip(axes, row))) for row in rows.tolist() for m in fig.measures)
+    numeric = np.array([r.numeric_value for r in records]).reshape(len(rows), len(fig.measures))
+    assert np.array_equal(numeric.view(np.int64), np.ascontiguousarray(rows[:, len(axes) :]).view(np.int64))
+    assert [r.oracle_id for r in records if not r.ok] == []
 
 
 def test_fig4d_mana_column_uses_fourier_variant():

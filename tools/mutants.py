@@ -163,6 +163,16 @@ MUTANTS = {
         ("tests/test_fast_paths.py",),
     ),
     # state validation and the coherent amplitudes
+    "point-truncates": Mutant(  # a non-integral index, dimension or G entry is cut to an int
+        "phasespace.py",
+        "isinstance(value, numbers.Real) and float(value).is_integer()",
+        "isinstance(value, numbers.Real) and math.isfinite(value)",
+        (
+            "tests/test_phasespace.py::test_phase_points_refuse_non_integer_indices",
+            "tests/test_circuits.py::test_spec_refuses_non_integer_entries",
+            "tests/test_circuits.py::test_conjugate_weyl_refuses_non_integer_points",
+        ),
+    ),
     "dims-product-in-int64": Mutant(
         "states.py",
         "total = math.prod(dims)",
