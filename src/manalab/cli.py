@@ -2,10 +2,11 @@
 
 The commands only parse arguments and print results: the verification
 suites and their flag defaults live in `manalab.verify`, and the figure
-sweeps in `manalab.oracles`, beside the closed forms they plot.  Each command takes only the flags it reads, and
-`verify` is the only one with a --seed.  Exit codes: 0 success, 1
-verification failure, 2 usage, I/O or out-of-memory error.  CSV output uses 17
-significant digits, '.' decimals, and '\\n' line endings.
+sweeps in `manalab.oracles`, beside the closed forms they plot.  Each
+command takes only the flags it reads, and `verify` is the only one with a
+--seed.  Exit codes: 0 success, 1 verification failure, 2 usage, I/O or
+out-of-memory error.  CSV output uses 17 significant digits, '.' decimals,
+and '\\n' line endings.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from . import measures as mz
 from .errors import DimensionTooLarge, ManalabError
 from .measures import LogBase
-from .phasespace import DIM_CAP
 from .oracles import CURVES, FIGURES, LAMBDA_AXIS, P_GRID, THETA_AXIS, Figure, figure_rows  # noqa: F401 (re-exported)
+from .phasespace import DIM_CAP
 from .search import max_mana_coherent
 from .states import DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
 from .verify import SUITES, VERIFY_DEFAULTS, Check, run_suite

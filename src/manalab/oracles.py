@@ -1,4 +1,4 @@
-"""Closed-form ground truth for the worked examples and the comparison table, and the figures' sweeps.
+"""Closed-form ground truth for the worked examples and the comparison table.
 
 The formulas here are transcribed arithmetic (math/cmath only) sharing no
 numerical machinery with the measures path, so the two sides check each
@@ -22,7 +22,9 @@ check_density.  All thresholds share one bisection, run in lockstep: 61
 calls of k rows.
 output_measures evaluates its block by measures._by_rows, so each row's
 value is bit-identical to its own one-row call, which
-`threshold_by_bisection` makes.
+`threshold_by_bisection` makes.  The figure sweeps (`FIGURES`,
+`figure_rows`) pair each column with its table row and state variant
+the same way.
 
 An id (`OracleId`: name, params, labels) and a `ComparisonRecord` are
 named tuples, immutable and compared and hashed by value (so each also
