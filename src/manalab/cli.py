@@ -24,7 +24,7 @@ from .measures import LogBase
 from .oracles import CURVES, FIGURES, LAMBDA_AXIS, P_GRID, THETA_AXIS, Figure, figure_rows  # noqa: F401 (re-exported)
 from .phasespace import DIM_CAP
 from .search import max_mana_coherent
-from .states import DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
+from .states import STATE_NAMES, DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
 from .verify import SUITES, VERIFY_DEFAULTS, Check, run_suite
 
 
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", parents=[values], help="evaluate measures of one state")
-    p.add_argument("--state", default=None, help="named state (strange, norrell, t, h, h_fourier, phi_lambda, psi_theta, max_coherent, basis, maxmixed)")
+    p.add_argument("--state", default=None, help=f"named state ({', '.join(STATE_NAMES)}, maxmixed)")
     p.add_argument("--params", default=None, help="comma-separated real parameters")
     p.add_argument("--noise", type=float, default=None, help="depolarizing weight p")
     p.add_argument("--state-file", default=None, help="JSON state file")

@@ -101,10 +101,14 @@ def _integer_dims(dims) -> tuple[int, ...]:
 
 
 def _point(pt, d: int) -> tuple[int, int]:
-    k, l = (pt.k, pt.l) if isinstance(pt, PhasePoint) else (_integer(x, "phase point indices") for x in (pt[0], pt[1]))
-    if not (0 <= k < d and 0 <= l < d):
-        raise ValueError(f"phase point {(k, l)} out of range for d={d}")
-    return k, l
+    """pt's (k, l) below d; a pt that is not a PhasePoint becomes one from exactly two entries."""
+    if not isinstance(pt, PhasePoint):
+        if len(pt) != 2:
+            raise ValueError(f"a phase point has two entries, got {pt!r}")
+        pt = PhasePoint(*pt)
+    if not (pt.k < d and pt.l < d):
+        raise ValueError(f"phase point {(pt.k, pt.l)} out of range for d={d}")
+    return pt.k, pt.l
 
 
 def _exponent(exponent):
@@ -227,6 +231,7 @@ class WignerTable:
 
     values has shape (d1, d1) for a single system and (d1, d1, d2, d2, ...)
     in general, indexed [k1, l1, k2, l2, ...]; the entries sum to 1.
+    values is a read-only copy.
     """
 
     dims: tuple[int, ...]
@@ -235,30 +240,18 @@ class WignerTable:
     def __post_init__(self):
         dims = _integer_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         expected = tuple(x for d in dims for x in (d, d))
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != {expected} for dims {dims}")
         total = vals.sum()
         if not abs(total - 1.0) <= 1e-8:  # a NaN total fails too
             raise ValueError(f"Wigner table sums to {total}, not 1")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def abs_sum(self) -> float:
         return float(np.abs(self.values).sum())
-
-
-def _unpack_state(rho, dims):
-    if dims is None:
-        dims = _integer_dims(rho.dims)
-        mat = np.asarray(rho.matrix, dtype=complex)
-    else:
-        dims = _integer_dims(dims)
-        mat = np.asarray(rho, dtype=complex)
-    total = math.prod(dims)
-    if mat.shape != (total, total):
-        raise ValueError(f"matrix shape {mat.shape} incompatible with dims {dims}")
-    return mat, dims
 
 
 def _kernel_transform(mat: np.ndarray, dims: tuple[int, ...], kernels) -> np.ndarray:
@@ -319,24 +312,20 @@ def _from_wigner(values: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return t.reshape(*values.shape[:nb], total, total)
 
 
-def wigner(rho, dims=None) -> WignerTable:
-    """Discrete Wigner function of a density state.
+def wigner(rho) -> WignerTable:
+    """Discrete Wigner function of a DensityState.
 
-    Accepts a DensityState-like object (with .matrix and .dims) or a raw
-    matrix plus explicit dims.  Raises ImaginaryResidue if any tr(rho A)
-    carries imaginary weight above 1e-8 (non-Hermitian input); residues
-    below that are discarded.
+    Raises ImaginaryResidue if any tr(rho A) carries imaginary weight above
+    1e-8 (non-Hermitian input); residues below that are discarded.
     """
-    mat, dims = _unpack_state(rho, dims)
-    shape = tuple(x for d in dims for x in (d, d))
-    return WignerTable(dims, _wigner_values(mat, dims).reshape(shape))
+    shape = tuple(x for d in rho.dims for x in (d, d))
+    return WignerTable(rho.dims, _wigner_values(rho.matrix, rho.dims).reshape(shape))
 
 
-def char_function(rho, dims=None) -> np.ndarray:
-    """Weyl characteristic function tr(rho D_p1 x D_p2 x ...).
+def char_function(rho) -> np.ndarray:
+    """Weyl characteristic function tr(rho D_p1 x D_p2 x ...) of a DensityState.
 
     Returns a complex array with one length-d_i^2 axis per subsystem; entry
     p = k*d + l corresponds to D(k,l).
     """
-    mat, dims = _unpack_state(rho, dims)
-    return _char_values(mat, dims)
+    return _char_values(rho.matrix, rho.dims)

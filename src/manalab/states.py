@@ -47,18 +47,20 @@ EIG_FLOOR = -1e-8
 
 @dataclass(frozen=True)
 class PureVector:
-    """A normalized state vector: its projector's trace is within HERM_TOL / 2 of 1.
+    """A normalized state vector: dim amplitudes, its projector's trace within HERM_TOL / 2 of 1.
 
     That is the trace check_density tests, with half its tolerance: the
     projector and each noisy mixture p|psi><psi| + (1-p) 1/d, whose trace
-    deviates p times as much plus rounding, pass check_density.
+    deviates p times as much plus rounding, pass check_density.  The
+    amplitudes are a read-only copy of a 1-D array; any other shape raises
+    ValueError.
     """
 
     dim: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got {amps.shape}")
         trace = np.outer(amps, amps.conj()).trace()
@@ -96,7 +98,7 @@ def check_density(mats: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityState:
-    """Positive unit-trace operator tagged with its subsystem dimensions."""
+    """Positive unit-trace operator tagged with its subsystem dimensions; matrix is a read-only copy."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -104,7 +106,7 @@ class DensityState:
 
     def __post_init__(self):
         dims = _integer_dims(self.dims)
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         total = math.prod(dims)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} != ({total},{total})")

@@ -10,6 +10,7 @@ import pytest
 from manalab import (
     BeamsplitterSpec,
     DensityState,
+    PhasePoint,
     apply_beamsplitter,
     beamsplitter,
     clifford_gate,
@@ -47,6 +48,37 @@ def test_conjugate_weyl_refuses_non_integer_points(bad):
     for p1, p2 in [((bad, 1), (1, 1)), ((1, 1), (1, bad))]:
         with pytest.raises(ValueError, match="phase point indices must be integers"):
             conjugate_weyl(csum_spec(3), p1, p2)
+
+
+def _point_users():
+    spec = csum_spec(3)
+    return (
+        lambda pt: weyl(3, pt),
+        lambda pt: phase_point_operator(3, pt),
+        lambda pt: conjugate_weyl(spec, pt, (0, 0)),
+        lambda pt: conjugate_weyl(spec, (0, 0), pt),
+        lambda pt: heisenberg_pullback(spec, "a", pt),
+    )
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 5), np.array([1, 2, 0]), ()])
+def test_phase_points_take_exactly_two_entries(bad):
+    # a 3-entry point is not read as its first two entries, nor a short one indexed past its end
+    for use in _point_users():
+        with pytest.raises(ValueError, match="two entries"):
+            use(bad)
+
+
+def test_phase_points_take_pairs_of_any_integer_form():
+    for use in _point_users():
+        want = use((1, 2))
+        for pt in [PhasePoint(1, 2), np.array([1, 2]), (np.int64(1), np.int32(2)), [1, 2]]:
+            got = use(pt)
+            assert got == want if isinstance(want, tuple) else np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            use((-1, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            use((1, 3))
 
 
 def test_spec_inverse_determinant():

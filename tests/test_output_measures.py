@@ -268,7 +268,7 @@ def test_single_qudit_batch_keeps_the_imaginary_residue_check():
     bad = np.eye(3, dtype=complex) / 3
     bad[0, 1] = 1e-6
     with pytest.raises(ImaginaryResidue):
-        wigner(bad, dims=(3,))
+        wigner(DensityState((3,), bad, validate=False))
     with pytest.raises(ImaginaryResidue):
         _wigner_values(np.stack([np.eye(3, dtype=complex) / 3, bad]), (3,))
 

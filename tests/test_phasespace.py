@@ -163,7 +163,7 @@ def test_wigner_imaginary_residue_raises():
     mat = np.eye(3, dtype=complex) / 3
     mat[0, 1] = 0.2j  # non-Hermitian
     with pytest.raises(ImaginaryResidue):
-        wigner(mat, dims=(3,))
+        wigner(DensityState((3,), mat, validate=False))
 
 
 def test_reconstruct_roundtrip_random():
@@ -179,9 +179,9 @@ def test_reconstruct_roundtrip_random():
 
 def test_wigner_rejects_non_prime_dims():
     with pytest.raises(ValueError):
-        wigner(np.eye(4, dtype=complex) / 4, dims=(4,))
+        wigner(DensityState((4,), np.eye(4, dtype=complex) / 4, validate=False))
     with pytest.raises(ValueError):
-        wigner(np.eye(2, dtype=complex) / 2, dims=(2,))
+        wigner(DensityState((2,), np.eye(2, dtype=complex) / 2, validate=False))
 
 
 def test_reconstruct_uniform_table_gives_maximally_mixed():
@@ -300,6 +300,14 @@ def test_phase_powers_stay_exact_for_huge_python_int_exponents():
 def test_wigner_table_rejects_non_integer_dims(dims):
     with pytest.raises(ValueError, match="dims"):
         WignerTable(dims, np.ones((3, 3)) / 9)
+
+
+def test_wigner_table_values_are_a_read_only_copy():
+    values = np.full((3, 3), 1.0 / 9.0)
+    table = WignerTable((3,), values)
+    assert values.flags.writeable and not table.values.flags.writeable
+    values[0, 0] = 5.0
+    assert table.values[0, 0] == 1.0 / 9.0
 
 
 def test_wigner_table_takes_integral_dims():

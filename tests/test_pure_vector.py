@@ -80,3 +80,19 @@ def test_the_probe_state_file_exits_2(tmp_path, capsys):
 def test_a_nan_vector_still_names_its_norm():
     with pytest.raises(ValueError, match="norm nan"):
         PureVector(3, np.array([math.nan, 1.0, 0.0]))
+
+
+def test_amplitudes_are_a_read_only_copy():
+    # a write into the caller's array cannot unnormalise the checked vector
+    amps = np.array([1.0, 0.0, 0.0], dtype=complex)
+    psi = PureVector(3, amps)
+    amps[0] = 5.0
+    assert psi.amplitudes.tolist() == [1.0, 0.0, 0.0]
+    assert not psi.amplitudes.flags.writeable and amps.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+def test_amplitudes_are_one_row_of_dim_entries(shape):
+    # a (1, d) or (d, 1) array is not flattened into d amplitudes
+    with pytest.raises(ValueError, match=r"expected 3 amplitudes, got \(" + ", ".join(map(str, shape)) + r"\)"):
+        PureVector(3, np.eye(3, dtype=complex)[0].reshape(shape))

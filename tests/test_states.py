@@ -350,12 +350,21 @@ def test_density_state_rejects_non_integer_dims(dims):
         DensityState(dims, np.eye(total) / total)
 
 
+def test_density_matrix_is_a_read_only_copy():
+    # the state neither shares nor freezes the caller's complex array
+    mat = np.eye(3, dtype=complex) / 3
+    rho = DensityState((3,), mat)
+    assert mat.flags.writeable and not rho.matrix.flags.writeable
+    mat[0, 0] = 5.0
+    assert rho.matrix[0, 0] == 1 / 3
+
+
 def test_density_state_takes_integral_dims():
     for dims in [(3,), (3.0,), (np.int64(3),)]:
         rho = DensityState(dims, np.eye(3) / 3)
         assert rho.dims == (3,) and type(rho.dims[0]) is int
     with pytest.raises(ValueError, match="dims"):
-        wigner(np.eye(3) / 3, (3.5,))
+        wigner(DensityState((3.5,), np.eye(3) / 3, validate=False))
 
 
 def test_density_state_dims_multiply_exactly():

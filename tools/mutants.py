@@ -173,6 +173,42 @@ MUTANTS = {
             "tests/test_circuits.py::test_conjugate_weyl_refuses_non_integer_points",
         ),
     ),
+    "point-reads-two-entries": Mutant(  # a 3-entry point read as its first two, a 1-entry one an IndexError
+        "phasespace.py",
+        """if len(pt) != 2:
+            raise ValueError(f"a phase point has two entries, got {pt!r}")
+        pt = PhasePoint(*pt)""",
+        "pt = PhasePoint(pt[0], pt[1])",
+        ("tests/test_circuits.py::test_phase_points_take_exactly_two_entries",),
+    ),
+    "wigner-table-aliases-values": Mutant(
+        "phasespace.py",
+        "vals = np.array(self.values, dtype=float)",
+        "vals = np.asarray(self.values, dtype=float)",
+        ("tests/test_phasespace.py::test_wigner_table_values_are_a_read_only_copy",),
+    ),
+    "pure-vector-aliases-amplitudes": Mutant(  # with its next line: NoisyRows makes the same np.array call
+        "states.py",
+        """amps = np.array(self.amplitudes, dtype=complex)
+        if amps.shape != (self.dim,):""",
+        """amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (self.dim,):""",
+        ("tests/test_pure_vector.py::test_amplitudes_are_a_read_only_copy",),
+    ),
+    "pure-vector-flattens": Mutant(
+        "states.py",
+        """amps = np.array(self.amplitudes, dtype=complex)
+        if amps.shape != (self.dim,):""",
+        """amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        if amps.shape != (self.dim,):""",
+        ("tests/test_pure_vector.py::test_amplitudes_are_one_row_of_dim_entries",),
+    ),
+    "density-state-aliases-matrix": Mutant(
+        "states.py",
+        "mat = np.array(self.matrix, dtype=complex)",
+        "mat = np.asarray(self.matrix, dtype=complex)",
+        ("tests/test_states.py::test_density_matrix_is_a_read_only_copy",),
+    ),
     "dims-product-in-int64": Mutant(
         "states.py",
         "total = math.prod(dims)",
