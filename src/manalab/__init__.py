@@ -20,7 +20,6 @@ from .circuits import (
     swap_spec,
 )
 from .measures import (
-    LogBase,
     MeasureReport,
     l1_magic,
     mana,
@@ -46,7 +45,6 @@ from .oracles import (
 )
 from .phasespace import (
     PhasePoint,
-    PrimeDim,
     WignerTable,
     phase_point_operator,
     weyl,

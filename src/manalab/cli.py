@@ -20,7 +20,6 @@ import numpy as np
 
 from . import measures as mz
 from .errors import DimensionTooLarge, ManalabError
-from .measures import LogBase
 from .oracles import CURVES, FIGURES, LAMBDA_AXIS, P_GRID, THETA_AXIS, Figure, figure_rows  # noqa: F401 (re-exported)
 from .phasespace import DIM_CAP
 from .search import max_mana_coherent
@@ -127,11 +126,11 @@ def cmd_figure(args) -> int:
 def cmd_maximize(args) -> int:
     dim = 3 if args.dim is None else args.dim
     result = max_mana_coherent(dim, grid=args.grid, refine_iters=args.refine)
-    base = LogBase(args.log_base)
+    factor = mz.LOG_BASE_FACTORS[args.log_base]
     bound = 0.5 * math.log(dim)
     lines = [
-        f"best value = {base.convert(result.best_value):.10f}",
-        f"upper bound (1/2) log d = {base.convert(bound):.10f}  [bound not certified attained]",
+        f"best value = {result.best_value * factor:.10f}",
+        f"upper bound (1/2) log d = {bound * factor:.10f}  [bound not certified attained]",
         f"evaluations = {result.evaluations}, grid = {result.grid_resolution}, refine sweeps = {result.refine_sweeps}",
         f"argmax set ({len(result.argmax)} phase vectors):",
     ]

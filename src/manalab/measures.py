@@ -1,7 +1,7 @@
 """Scalar magic and correlation measures.
 
 All logarithms are natural internally; measure_report converts the
-logarithmic measures to the requested display base (LogBase).
+logarithmic measures to the requested display base, one of LOG_BASE_FACTORS.
 
     mana(rho)         = log sum_p |W(p)|             (log of total Wigner mass)
     sum_negativity    = (sum_p |W(p)| - 1) / 2
@@ -70,20 +70,6 @@ from .phasespace import (
 from .states import EIG_FLOOR, DensityState, NoisyRows, check_density, named_state, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
-
-
-@dataclass(frozen=True)
-class LogBase:
-    """Display base for logarithmic measures: one of 'e', '2', '10'."""
-
-    name: str = "e"
-
-    def __post_init__(self):
-        if self.name not in LOG_BASE_FACTORS:
-            raise ValueError(f"log base must be one of {sorted(LOG_BASE_FACTORS)}")
-
-    def convert(self, natural_value: float) -> float:
-        return natural_value * LOG_BASE_FACTORS[self.name]
 
 
 @dataclass(frozen=True)
@@ -632,11 +618,13 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
 
 def measure_report(rho: DensityState, names, base: str = "e") -> MeasureReport:
     """Evaluate the requested measures; logarithmic ones converted to the log base named `base`."""
-    base = LogBase(base)
+    if base not in LOG_BASE_FACTORS:
+        raise ValueError(f"log base must be one of {sorted(LOG_BASE_FACTORS)}")
+    factor = LOG_BASE_FACTORS[base]
     values: dict[str, float] = {}
     for name in names:
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         fn, logarithmic = MEASURES[name]
-        values[name] = base.convert(fn(rho)) if logarithmic else fn(rho)
+        values[name] = fn(rho) * factor if logarithmic else fn(rho)
     return MeasureReport(values)

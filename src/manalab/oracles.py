@@ -413,7 +413,9 @@ def closed_form(oid: OracleId) -> float:
 
 # Which state variant each H-column row was computed from (see module docstring).
 H_VARIANT_BY_MEASURE = {"I": "h", "m_mana": "h_fourier", "m_l1": "h", "m_sre2": "h"}
-STATE_NAMES = {"S": "strange", "N": "norrell", "T": "t"}
+COLUMN_STATES = {"S": "strange", "N": "norrell", "T": "t"}
+# the qutrit controlled-SUM every comparison-table and figure value passes through
+TABLE_SPEC = csum_spec(3)
 
 # Table row -> measure registry name.  The m_sre2 row pairs with the GLOBAL
 # sre2 of the output, not mutual_sre2 (see module docstring).
@@ -428,7 +430,7 @@ TABLE_ROW_MEASURES = {
 def _table_state_name(measure: str, state: str) -> str:
     if state == "H":
         return H_VARIANT_BY_MEASURE[measure]
-    return STATE_NAMES[state]
+    return COLUMN_STATES[state]
 
 
 def _row_name(measure: str) -> str:
@@ -444,7 +446,7 @@ def row_measure(measure: str):
 
 def csum_output(psi: str, p: float, params=()) -> DensityState:
     """Noisy named input state, pushed through the qutrit controlled-SUM."""
-    return beamsplitter_output(csum_spec(3), noisy_mix(named_state(psi, params), p))
+    return beamsplitter_output(TABLE_SPEC, noisy_mix(named_state(psi, params), p))
 
 
 THRESHOLD_LEVEL = 1e-9  # output mutual mana a p_crit threshold's bisection must exceed
@@ -453,7 +455,7 @@ THRESHOLD_LEVEL = 1e-9  # output mutual mana a p_crit threshold's bisection must
 def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
     """Table row `measure` of the controlled-SUM output of each noisy input: amps (n, 3), ps (n,) -> (n,)."""
     name = _row_name(measure)
-    return mz.output_measures(csum_spec(3), NoisyRows(amps, ps), [name])[name]
+    return mz.output_measures(TABLE_SPEC, NoisyRows(amps, ps), [name])[name]
 
 
 def _numeric_input(oid: OracleId) -> tuple[str, str, tuple[float, ...], float | None, str]:
@@ -623,7 +625,7 @@ def figure_rows(figure_id: str) -> tuple[list[str], np.ndarray]:
     for state in dict.fromkeys(state for state, _ in columns):
         amps = FAMILY_AMPLITUDES[state](fig.family[1]) if fig.family else named_state(state).amplitudes[None]
         rows = NoisyRows(np.tile(amps, (len(ps), 1)), np.repeat(ps, len(amps)))
-        out[state] = mz.output_measures(csum_spec(3), rows, [n for s, n in columns if s == state])
+        out[state] = mz.output_measures(TABLE_SPEC, rows, [n for s, n in columns if s == state])
     # the axis values, p slowest, beside the measure columns
     grid = [axis.ravel() for axis in np.meshgrid(*(values for _, values in axes), indexing="ij")]
     return [name for name, _ in axes] + list(fig.measures), np.column_stack([*grid, *(out[s][n] for s, n in columns)])

@@ -55,19 +55,6 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeDim:
-    """An odd prime local dimension 3 <= d <= MAX_DIM."""
-
-    d: int
-
-    def __post_init__(self):
-        # a larger d is refused before is_odd_prime's sqrt(d) / 2 trial divisions
-        if not isinstance(self.d, (int, np.integer)) or self.d > MAX_DIM or not is_odd_prime(int(self.d)):
-            raise ValueError(f"dimension must be an odd prime from 3 to {MAX_DIM}, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-
-
 def _integer(value, what: str) -> int:
     """value as an int: 3, 3.0 and numpy ints pass; 1.7, True, "3" or None raise ValueError naming it."""
     integral = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
@@ -92,7 +79,11 @@ class PhasePoint:
 
 
 def _dim(dim) -> int:
-    return PrimeDim(dim).d
+    """dim as an int: an int or numpy integer that is an odd prime 3 <= d <= MAX_DIM, else ValueError."""
+    # a larger d is refused before is_odd_prime's sqrt(d) / 2 trial divisions
+    if not isinstance(dim, (int, np.integer)) or dim > MAX_DIM or not is_odd_prime(int(dim)):
+        raise ValueError(f"dimension must be an odd prime from 3 to {MAX_DIM}, got {dim!r}")
+    return int(dim)
 
 
 def _integer_dims(dims) -> tuple[int, ...]:
@@ -159,19 +150,6 @@ def _cached(cache: dict, key, build) -> np.ndarray:
     return stack
 
 
-def _per_dim(cache: dict[int, np.ndarray], d, build) -> np.ndarray:
-    """The cached table for dimension d; a plain int already cached skips PrimeDim.
-
-    Only a built int key is taken on trust: 3.0, 3+0j and True hash like 3,
-    so any other type goes through _dim and raises as it always did.
-    """
-    if type(d) is int:
-        stack = cache.get(d)
-        if stack is not None:
-            return stack
-    return _cached(cache, _dim(d), build)
-
-
 def _build_weyl_stack(d: int) -> np.ndarray:
     k, l, j = np.indices((d, d, d))
     stack = np.zeros((d, d, d, d), dtype=complex)
@@ -189,12 +167,12 @@ def weyl_stack(d: int) -> np.ndarray:
 
     Entry [k, l] is D(k,l); D(k,l)[(j+k) mod d, j] = tau^(k*l + 2*l*j).
     """
-    return _per_dim(_WEYL_CACHE, d, _build_weyl_stack)
+    return _cached(_WEYL_CACHE, _dim(d), _build_weyl_stack)
 
 
 def phase_point_stack(d: int) -> np.ndarray:
     """All d^2 phase-space point operators, shape (d, d, d, d), entry [k, l]."""
-    return _per_dim(_POINT_CACHE, d, _build_phase_point_stack)
+    return _cached(_POINT_CACHE, _dim(d), _build_phase_point_stack)
 
 
 def _kernel(stack: np.ndarray) -> np.ndarray:
@@ -210,12 +188,12 @@ def _kernel(stack: np.ndarray) -> np.ndarray:
 
 def weyl_kernel(d: int) -> np.ndarray:
     """The displacement operators as one (d^2, d^2) matrix, K[(i, j), p] = D_p[j, i]."""
-    return _per_dim(_WEYL_KERNEL_CACHE, d, lambda d: _kernel(weyl_stack(d)))
+    return _cached(_WEYL_KERNEL_CACHE, _dim(d), lambda d: _kernel(weyl_stack(d)))
 
 
 def point_kernel(d: int) -> np.ndarray:
     """The phase-space point operators as one (d^2, d^2) matrix, K[(i, j), p] = A_p[j, i]."""
-    return _per_dim(_POINT_KERNEL_CACHE, d, lambda d: _kernel(phase_point_stack(d)))
+    return _cached(_POINT_KERNEL_CACHE, _dim(d), lambda d: _kernel(phase_point_stack(d)))
 
 
 def phase_point_operator(dim, pt) -> np.ndarray:

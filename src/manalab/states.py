@@ -37,7 +37,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownState,
 )
-from .phasespace import DIM_CAP, PrimeDim, WignerTable, _dim, _from_wigner, _integer_dims, omega_power
+from .phasespace import DIM_CAP, WignerTable, _dim, _from_wigner, _integer_dims, omega_power
 
 # Validation tolerances: hermiticity/trace soft at 1e-10, eigenvalue hard
 # floor at -1e-8 (roundoff from products of unitaries is clipped above it).
@@ -233,7 +233,7 @@ def named_state(name: str, params=(), dim: int | None = None) -> PureVector:
         if dim not in (None, d):
             raise ParamOutOfRange(f"max_coherent with {len(params)} phases has dimension {d}, not dim={dim}")
         try:
-            PrimeDim(d)
+            _dim(d)
         except ValueError as exc:
             raise ParamOutOfRange(f"{len(params)} phases do not fit an odd prime dimension") from exc
         return PureVector(d, coherent_amplitudes(params))

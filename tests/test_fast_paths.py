@@ -1,7 +1,8 @@
 """Cached lookups and vectorised checks behave as the slow paths they replace.
 
-- point_kernel, weyl_kernel, phase_point_stack and weyl_stack skip PrimeDim
-  only for a plain int, so 3.0, 3+0j and True (which hash like 3) still raise;
+- point_kernel, weyl_kernel, phase_point_stack and weyl_stack validate d
+  through _dim on every lookup, so 3.0, 3+0j and True (which hash like 3)
+  still raise;
 - phase_permutation is built once per spec, not once per dimension, and
   the cache of specs stays bounded;
 - check_density names the first bad trace, as a loop over the traces did.

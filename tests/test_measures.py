@@ -2,13 +2,13 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from manalab import (
     DensityState,
-    LogBase,
     MeasureReport,
     clifford_gate,
     enumerate_stabilizer_pure,
@@ -388,7 +388,14 @@ def test_measure_report_bases():
     two = measure_report(rho, ["mana"], base="2")
     assert abs(nat.values["mana"] - math.log(5 / 3)) < 1e-12
     assert abs(two.values["mana"] - math.log2(5 / 3)) < 1e-12
-    assert LogBase("10").convert(math.log(10.0)) == pytest.approx(1.0)
+    ten = measure_report(rho, ["mana"], base="10")
+    assert abs(ten.values["mana"] - math.log10(5 / 3)) < 1e-12
+
+
+def test_measure_report_refuses_an_unknown_base():
+    rho = named_state("strange").density()
+    with pytest.raises(ValueError, match=re.escape("log base must be one of ['10', '2', 'e']")):
+        measure_report(rho, ["mana"], base="3")
 
 
 def test_measure_report_l1_raw_not_converted():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from manalab import (
     DensityState,
     PhasePoint,
-    PrimeDim,
     WignerTable,
     phase_point_operator,
     random_density,
@@ -19,7 +18,7 @@ from manalab import (
     wigner,
 )
 from manalab.errors import ImaginaryResidue
-from manalab.phasespace import omega_power, phase_point_stack, tau_power, weyl_stack
+from manalab.phasespace import _dim, omega_power, phase_point_stack, tau_power, weyl_stack
 
 DIMS = (3, 5, 7)
 
@@ -38,9 +37,9 @@ def brute_weyl(d, k, l):
 def test_prime_dim_validation():
     for bad in (2, 4, 6, 9, 1, 0, -3, 15):
         with pytest.raises(ValueError):
-            PrimeDim(bad)
-    assert PrimeDim(3).d == 3
-    assert PrimeDim(7).d == 7
+            _dim(bad)
+    assert _dim(3) == 3
+    assert _dim(7) == 7
 
 
 def test_phase_point_rejects_negative():

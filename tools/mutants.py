@@ -156,10 +156,10 @@ MUTANTS = {
         "stack.reshape(d * d, d, d).transpose(1, 2, 0)",
         ("tests/test_kernel_bits.py", "tests/test_phasespace.py"),
     ),
-    "cached-lookup-unguarded": Mutant(
+    "dim-takes-any-number": Mutant(  # 3.0, 3+0j and True hash like 3 and would reach the cached tables
         "phasespace.py",
-        "if type(d) is int:",
-        "if True:",
+        "if not isinstance(dim, (int, np.integer)) or dim > MAX_DIM",
+        "if dim > MAX_DIM",
         ("tests/test_fast_paths.py",),
     ),
     # state validation and the coherent amplitudes
@@ -423,6 +423,13 @@ MUTANTS = {
         "_angular_distance(x, unique[:count])",
         "_angular_distance(x, unique[max(count - 1, 0) : count])",
         ("tests/test_search_bits.py", "tests/test_search.py"),
+    ),
+    # the measure report's log base
+    "log-factor-on-raw-measures": Mutant(  # l1 is a sum, not a logarithm: base 2 would scale it too
+        "measures.py",
+        "fn(rho) * factor if logarithmic else fn(rho)",
+        "fn(rho) * factor",
+        ("tests/test_measures.py::test_measure_report_l1_raw_not_converted",),
     ),
     # verification and the CLI boundary
     "check-worst-python-max": Mutant(
