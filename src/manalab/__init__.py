@@ -20,7 +20,6 @@ from .circuits import (
     swap_spec,
 )
 from .measures import (
-    MeasureReport,
     l1_magic,
     mana,
     measure_report,

@@ -215,6 +215,12 @@ def heisenberg_pullback(spec: BeamsplitterSpec, side: str, pt) -> np.ndarray:
     return out / d
 
 
+def check_beta_delta(spec: BeamsplitterSpec) -> None:
+    """BetaDeltaZero unless beta*delta != 0 mod d, the hypothesis of Proposition 3 and of full conversion."""
+    if (spec.beta * spec.delta) % spec.dim == 0:
+        raise BetaDeltaZero(f"beta*delta = {spec.beta}*{spec.delta} = 0 mod {spec.dim}")
+
+
 def prop3_expectation(rho: DensityState, spec: BeamsplitterSpec, side: str, pt) -> float:
     """tr((rho x |0><0|) B_G^dag (A x 1 or 1 x A) B_G) for beta*delta != 0.
 
@@ -222,9 +228,8 @@ def prop3_expectation(rho: DensityState, spec: BeamsplitterSpec, side: str, pt) 
     (side 'a') or rho[j1,j1] (side 'b') with the indices in the module
     docstring.
     """
+    check_beta_delta(spec)
     d = spec.dim
-    if (spec.beta * spec.delta) % d == 0:
-        raise BetaDeltaZero(f"beta*delta = {spec.beta}*{spec.delta} = 0 mod {d}")
     if rho.dims != (d,):
         raise ValueError(f"need a single {d}-dim state, got dims {rho.dims}")
     big = np.kron(rho.matrix, named_state("basis", [0], dim=d).density().matrix)

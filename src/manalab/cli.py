@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import measures as mz
-from .errors import DimensionTooLarge, ManalabError
-from .oracles import CURVES, FIGURES, LAMBDA_AXIS, P_GRID, THETA_AXIS, Figure, figure_rows  # noqa: F401 (re-exported)
-from .phasespace import DIM_CAP
+from .errors import ManalabError
+from .oracles import FIGURES, figure_rows
+from .phasespace import capped
 from .search import max_mana_coherent
 from .states import STATE_NAMES, DensityState, maximally_mixed, named_state, noisy_mix, state_from_json
 from .verify import SUITES, VERIFY_DEFAULTS, Check, run_suite
@@ -66,13 +66,6 @@ def write_figure_csv(figure_id: str, path: str | None):
 # --- commands -----------------------------------------------------------------
 
 
-def _capped(d: int) -> int:
-    """d, or DimensionTooLarge before measure builds any phase-space table, as maximize refuses it."""
-    if d > DIM_CAP:
-        raise DimensionTooLarge(f"measure capped at local dimension {DIM_CAP}, got {d}")
-    return d
-
-
 def _build_state(args) -> DensityState:
     if not (args.state or args.state_file):
         raise ValueError("measure needs --state or --state-file")
@@ -86,13 +79,13 @@ def _build_state(args) -> DensityState:
         with open(args.state_file, "r", encoding="utf-8") as fh:
             rho = state_from_json(fh.read())
         # the file lists the state's entries, so building it costs what reading it did
-        _capped(max(rho.dims))
+        capped(max(rho.dims), "measure")
         return rho
     dim = 3 if args.dim is None else args.dim
     if args.state == "maxmixed":
-        return maximally_mixed(_capped(dim))
+        return maximally_mixed(capped(dim, "measure"))
     params = [float(x) for x in args.params.split(",")] if args.params else []
-    _capped(len(params) + 1 if args.state == "max_coherent" else dim)
+    capped(len(params) + 1 if args.state == "max_coherent" else dim, "measure")
     vec = named_state(args.state, params, dim=args.dim)
     return vec.density() if args.noise is None else noisy_mix(vec, args.noise)
 
@@ -109,7 +102,7 @@ def cmd_measure(args) -> int:
     for n in names:
         expanded += ["l1", "log_l1"] if n == "l1" else [n]
     report = mz.measure_report(rho, expanded, base=args.log_base)
-    lines = [f"{k} = {v:.8f}" for k, v in report.values.items()]
+    lines = [f"{k} = {v:.8f}" for k, v in report.items()]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -1,7 +1,9 @@
 """Scalar magic and correlation measures.
 
-All logarithms are natural internally; measure_report converts the
-logarithmic measures to the requested display base, one of LOG_BASE_FACTORS.
+All logarithms are natural internally; measure_report returns the named
+measures as a plain dict, the logarithmic ones converted to the requested
+display base, one of LOG_BASE_FACTORS, and refuses a mana or a mutual
+information below zero by more than roundoff.
 
     mana(rho)         = log sum_p |W(p)|             (log of total Wigner mass)
     sum_negativity    = (sum_p |W(p)| - 1) / 2
@@ -51,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,21 +71,6 @@ from .phasespace import (
 from .states import EIG_FLOOR, DensityState, NoisyRows, check_density, named_state, partial_trace
 
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Named measure values for one state, all in one log base."""
-
-    values: dict[str, float]
-
-    def __post_init__(self):
-        if self.values.get("mana", 0.0) < -1e-10:
-            raise ValueError(f"mana invariant violated: {self.values['mana']}")
-        if self.values.get("mutual_information", 0.0) < -1e-8:
-            raise ValueError(
-                f"mutual information invariant violated: {self.values['mutual_information']}"
-            )
 
 
 def _abs_wigner_sum(mats: np.ndarray, dims) -> np.ndarray:
@@ -616,8 +602,12 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     return dict(zip(names, _by_rows(evaluate, mats, d**4).T))
 
 
-def measure_report(rho: DensityState, names, base: str = "e") -> MeasureReport:
-    """Evaluate the requested measures; logarithmic ones converted to the log base named `base`."""
+def measure_report(rho: DensityState, names, base: str = "e") -> dict[str, float]:
+    """The requested measures by name; logarithmic ones converted to the log base named `base`.
+
+    A mana below -1e-10 or a mutual information below -1e-8 raises
+    ValueError: both are nonnegative up to roundoff.
+    """
     if base not in LOG_BASE_FACTORS:
         raise ValueError(f"log base must be one of {sorted(LOG_BASE_FACTORS)}")
     factor = LOG_BASE_FACTORS[base]
@@ -627,4 +617,8 @@ def measure_report(rho: DensityState, names, base: str = "e") -> MeasureReport:
             raise ValueError(f"unknown measure {name!r}")
         fn, logarithmic = MEASURES[name]
         values[name] = fn(rho) * factor if logarithmic else fn(rho)
-    return MeasureReport(values)
+    if values.get("mana", 0.0) < -1e-10:
+        raise ValueError(f"mana invariant violated: {values['mana']}")
+    if values.get("mutual_information", 0.0) < -1e-8:
+        raise ValueError(f"mutual information invariant violated: {values['mutual_information']}")
+    return values

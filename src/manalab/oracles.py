@@ -8,9 +8,11 @@ other.
 evaluates the matching measure of the qutrit controlled-SUM output of each
 id's concrete noisy input with output_measures, the figures' path, which
 forms no output state (`csum_output` is the dense reference), and returns
-a record of both values with their difference; it never auto-resolves a
-discrepancy.  `oracle_vs_numeric(oid)` is compare of one id.  compare
-evaluates each closed form and checks each numeric input in list order.
+a record of both values with their difference.  It gives no verdict: each
+caller judges the difference against its own tolerance (`verify` through
+`Check.worst`), and nothing auto-resolves a discrepancy.
+`oracle_vs_numeric(oid)` is compare of one id.  compare evaluates each
+closed form and checks each numeric input in list order.
 `_numeric_input` only describes an id's input (table row, state name,
 state parameters, noise p); compare builds and checks each distinct state
 (name and parameter bits) once per call (`verify table1` builds 5),
@@ -89,13 +91,12 @@ class OracleId(_OracleIdFields):
 
 
 class ComparisonRecord(NamedTuple):
-    """Result of one oracle-vs-numeric check."""
+    """One oracle-vs-numeric comparison: both values and their absolute difference, no verdict."""
 
     oracle_id: OracleId
     oracle_value: float
     numeric_value: float
     difference: float
-    ok: bool
     note: str = ""
 
 
@@ -498,35 +499,33 @@ def _checked_noise(p: float | None) -> None:
         check_noise(p)
 
 
-def _bisect(mutual_mana, n: int, level: float) -> np.ndarray:
-    """Smallest p at which each of n output mutual manas exceeds `level`, to 60 halvings.
+def _bisect(mutual_mana, n: int) -> np.ndarray:
+    """Smallest p at which each of n output mutual manas exceeds THRESHOLD_LEVEL, to 60 halvings.
 
     mutual_mana maps a block of n noise values to the n values.  The rows
     are bisected in lockstep, each taking the steps it would take alone.
     """
-    if not math.isfinite(level):
-        raise BadParams(f"bisection level {level} is not finite")
     lo, hi = np.zeros(n), np.ones(n)
-    above_at_zero = mutual_mana(lo) - level > 0
+    above_at_zero = mutual_mana(lo) - THRESHOLD_LEVEL > 0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        above = mutual_mana(mid) - level > 0
+        above = mutual_mana(mid) - THRESHOLD_LEVEL > 0
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     return np.where(above_at_zero, 0.0, hi)
 
 
-def threshold_by_bisection(psi_name: str, level: float = THRESHOLD_LEVEL) -> float:
-    """Smallest p at which the output mutual mana exceeds `level`, to 60 halvings."""
+def threshold_by_bisection(psi_name: str) -> float:
+    """Smallest p at which the output mutual mana exceeds THRESHOLD_LEVEL, to 60 halvings."""
     amps = named_state(psi_name).amplitudes[None]
-    return float(_bisect(lambda ps: _row_value("m_mana", amps, ps), 1, level)[0])
+    return float(_bisect(lambda ps: _row_value("m_mana", amps, ps), 1)[0])
 
 
-def oracle_vs_numeric(oid: OracleId, tol: float = 1e-9) -> ComparisonRecord:
-    """Compare the closed form against output_measures' value; flag if apart (compare of one id)."""
-    return compare([oid], tol)[0]
+def oracle_vs_numeric(oid: OracleId) -> ComparisonRecord:
+    """The closed form and output_measures' value side by side, with their difference (compare of one id)."""
+    return compare([oid])[0]
 
 
-def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
+def compare(oids) -> list[ComparisonRecord]:
     """oracle_vs_numeric for each id, its numeric side evaluated in blocks.
 
     Each id's closed form, numeric input and noise p are checked in list
@@ -565,14 +564,11 @@ def compare(oids, tol: float = 1e-9) -> list[ComparisonRecord]:
         numeric[block] = _row_value(measure, amps[[slots[i] for i in block]], [noises[i] for i in block])
     if thresholds:
         threshold_amps = amps[[slots[i] for i in thresholds]]
-        numeric[thresholds] = _bisect(
-            lambda ps: _row_value("m_mana", threshold_amps, ps), len(thresholds), THRESHOLD_LEVEL
-        )
-    records = []
-    for oid, oracle_value, numeric_value, note in zip(oids, oracle_values, numeric.tolist(), notes):
-        diff = abs(oracle_value - numeric_value)
-        records.append(ComparisonRecord(oid, oracle_value, numeric_value, diff, diff <= tol, note))
-    return records
+        numeric[thresholds] = _bisect(lambda ps: _row_value("m_mana", threshold_amps, ps), len(thresholds))
+    return [
+        ComparisonRecord(oid, oracle_value, numeric_value, abs(oracle_value - numeric_value), note)
+        for oid, oracle_value, numeric_value, note in zip(oids, oracle_values, numeric.tolist(), notes)
+    ]
 
 
 # --- figures -----------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImaginaryResidue
+from .errors import DimensionTooLarge, ImaginaryResidue
 
 # largest imaginary part a Wigner value may carry before ImaginaryResidue
 REAL_ERROR_TOL = 1e-8
@@ -86,9 +86,19 @@ def _dim(dim) -> int:
     return int(dim)
 
 
+def capped(d: int, what: str) -> int:
+    """d, or DimensionTooLarge naming the capped routine `what` if d exceeds DIM_CAP."""
+    if d > DIM_CAP:
+        raise DimensionTooLarge(f"{what} capped at local dimension {DIM_CAP}, got {d}")
+    return d
+
+
 def _integer_dims(dims) -> tuple[int, ...]:
-    """Subsystem dimensions as ints, by _integer's rule."""
-    return tuple(_integer(d, "dims entries") for d in dims)
+    """Subsystem dimensions as ints, by _integer's rule, each at least 1, else ValueError."""
+    dims = tuple(_integer(d, "dims entries") for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dims entries must be at least 1, got {dims}")
+    return dims
 
 
 def _point(pt, d: int) -> tuple[int, int]:

@@ -50,10 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import beamsplitter_output
-from .errors import BetaDeltaZero, DimensionTooLarge
+from .circuits import beamsplitter_output, check_beta_delta
 from .measures import _by_rows, _check_count, mana, mutual_mana
-from .phasespace import DIM_CAP, _dim, point_kernel
+from .phasespace import _dim, capped, point_kernel
 from .states import PureVector, coherent_amplitudes, coherent_phases
 
 DEFAULT_GRIDS = {3: 64, 5: 24, 7: 12}
@@ -316,9 +315,7 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     < 1e-3.  grid (default DEFAULT_GRIDS[d]) is an integer >= 8 and
     refine_iters an integer >= 0.
     """
-    d = _dim(dim)
-    if d > DIM_CAP:
-        raise DimensionTooLarge(f"grid search capped at d={DIM_CAP}, got {d}")
+    d = capped(_dim(dim), "grid search")
     grid = DEFAULT_GRIDS[d] if grid is None else _check_count("grid", grid, least=8)
     refine_iters = _check_count("refine_iters", refine_iters, least=0)
     obj = _CoherentObjective(d)
@@ -355,8 +352,7 @@ def mutual_mana_coherent_equals_mana(dim, theta: PhaseVector, spec) -> tuple[flo
     numbers agree for every theta.
     """
     d = _dim(dim)
-    if (spec.beta * spec.delta) % d == 0:
-        raise BetaDeltaZero(f"beta*delta = 0 mod {d}")
+    check_beta_delta(spec)
     psi = PureVector(d, theta.amplitudes())
     rho_in = psi.density()
     return mutual_mana(beamsplitter_output(spec, rho_in)), mana(rho_in)

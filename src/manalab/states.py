@@ -31,13 +31,12 @@ import numpy as np
 
 from .errors import (
     BadParamCount,
-    DimensionTooLarge,
     NegativeEigenvalue,
     NotBipartite,
     ParamOutOfRange,
     UnknownState,
 )
-from .phasespace import DIM_CAP, WignerTable, _dim, _from_wigner, _integer_dims, omega_power
+from .phasespace import WignerTable, _dim, _from_wigner, _integer_dims, capped, omega_power
 
 # Validation tolerances: hermiticity/trace soft at 1e-10, eigenvalue hard
 # floor at -1e-8 (roundoff from products of unitaries is clipped above it).
@@ -51,7 +50,8 @@ class PureVector:
 
     That is the trace check_density tests, with half its tolerance: the
     projector and each noisy mixture p|psi><psi| + (1-p) 1/d, whose trace
-    deviates p times as much plus rounding, pass check_density.  The
+    deviates p times as much plus rounding, pass check_density.  dim takes
+    the rule of DensityState's dims entries, an integer of at least 1.  The
     amplitudes are a read-only copy of a 1-D array; any other shape raises
     ValueError.
     """
@@ -60,16 +60,17 @@ class PureVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        (dim,) = _integer_dims((self.dim,))
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got {amps.shape}")
+        if amps.shape != (dim,):
+            raise ValueError(f"expected {dim} amplitudes, got {amps.shape}")
         trace = np.outer(amps, amps.conj()).trace()
         if not abs(trace - 1.0) <= HERM_TOL / 2:  # a NaN trace fails too
             norm = float(np.linalg.norm(amps))
             raise ValueError(f"vector norm {norm} deviates from 1: its projector's trace is {trace.real}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
 
     def density(self, dims=None) -> "DensityState":
         dims = (self.dim,) if dims is None else tuple(dims)
@@ -342,13 +343,11 @@ def partial_trace(rho: DensityState, keep) -> DensityState:
 
 
 def enumerate_stabilizer_pure(dim) -> list[PureVector]:
-    """All d(d+1) pure stabilizer states for odd prime d <= DIM_CAP.
+    """All d(d+1) pure stabilizer states for odd prime d up to the local-dimension cap.
 
     Computational basis plus the d mutually unbiased Weyl eigenbases.
     """
-    d = _dim(dim)
-    if d > DIM_CAP:
-        raise DimensionTooLarge(f"stabilizer enumeration capped at d={DIM_CAP}, got {d}")
+    d = capped(_dim(dim), "stabilizer enumeration")
     inv2 = (d + 1) // 2  # inverse of 2 mod d
     r, b, n = np.indices((d, d, d))
     mubs = omega_power(d, inv2 * r * n * n + b * n).reshape(d * d, d) / math.sqrt(d)

@@ -116,7 +116,7 @@ def test_criterion_03_thresholds():
     }
     worst = 0.0
     for name, target in targets.items():
-        found = threshold_by_bisection(name, level=1e-9)
+        found = threshold_by_bisection(name)
         worst = max(worst, abs(found - target))
     print(f"CRITERION 3: bisection thresholds within {worst:.2e} of closed forms")
     assert worst < 1e-3

@@ -461,6 +461,16 @@ def test_measure_takes_a_local_dimension_of_7(capsys):
     assert (code, out, err) == (0, "mana = 0.00000000\n", "")
 
 
+@pytest.mark.parametrize("measures", ["entropy,purity_bound", "mutual_information"])
+def test_measure_refuses_a_state_file_with_dims_below_1(tmp_path, capsys, measures):
+    # [-1, -3] multiplies to 3, the size of the 3 x 3 matrix the file holds
+    path = tmp_path / "negative.json"
+    data = [[[1.0 / 3.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"dims": [-1, -3], "kind": "mixed", "data": data}))
+    code, out, err = run(capsys, "measure", "--state-file", str(path), "--measures", measures)
+    assert (code, out, err) == (2, "", "error: dims entries must be at least 1, got (-1, -3)\n")
+
+
 def test_verify_prop2_passes(capsys):
     code, out, _ = run(capsys, "verify", "prop2")
     assert code == 0 and out.count("[pass]") == 8 and out.endswith("all 8 checks passed\n")

@@ -25,7 +25,6 @@ from manalab.oracles import (
     example6,
     oracle_vs_numeric,
     shannon_entropy,
-    threshold_by_bisection,
 )
 from manalab.states import named_state, noisy_matrices
 
@@ -83,7 +82,7 @@ SHARED = [
 )
 def test_compare_equals_the_sequential_records(oids):
     assert compare(oids) == [oracle_vs_numeric(oid) for oid in oids]
-    assert compare(iter(oids), tol=1e-15) == [oracle_vs_numeric(oid, tol=1e-15) for oid in oids]
+    assert compare(iter(oids)) == [oracle_vs_numeric(oid) for oid in oids]
 
 
 def test_table_rows_in_one_block_equal_their_cells():
@@ -276,16 +275,7 @@ def test_the_first_out_of_range_p_is_named():
         noisy_matrices(AMPS, [0.2, 2.0, NAN, -1.0])
 
 
-# --- non-finite bisection levels and closed-form parameters -------------------
-
-
-@pytest.mark.parametrize("level", [NAN, INF, -INF])
-def test_a_non_finite_bisection_level_is_rejected(level, monkeypatch):
-    with pytest.raises(BadParams, match="level"):
-        threshold_by_bisection("strange", level=level)
-    monkeypatch.setattr(oracles, "THRESHOLD_LEVEL", level)
-    with pytest.raises(BadParams, match="level"):
-        compare([OracleId("p_crit", (), ("S",)), OracleId("p_crit", (), ("T",))])
+# --- non-finite closed-form parameters ------------------------------------------
 
 
 @pytest.mark.parametrize("value", [NAN, INF])

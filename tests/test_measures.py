@@ -1,6 +1,5 @@
 """Magic measures and their algebraic properties."""
 
-import dataclasses
 import math
 import re
 
@@ -9,7 +8,6 @@ import pytest
 
 from manalab import (
     DensityState,
-    MeasureReport,
     clifford_gate,
     enumerate_stabilizer_pure,
     l1_magic,
@@ -32,6 +30,7 @@ from manalab import (
     tensor,
     von_neumann_entropy,
 )
+from manalab import measures
 from manalab.circuits import apply_beamsplitter
 from manalab.errors import AlphaOne, NegativeEigenvalue, NotBipartite
 from manalab.oracles import csum_output
@@ -386,10 +385,10 @@ def test_measure_report_bases():
     rho = named_state("strange").density()
     nat = measure_report(rho, ["mana"], base="e")
     two = measure_report(rho, ["mana"], base="2")
-    assert abs(nat.values["mana"] - math.log(5 / 3)) < 1e-12
-    assert abs(two.values["mana"] - math.log2(5 / 3)) < 1e-12
+    assert abs(nat["mana"] - math.log(5 / 3)) < 1e-12
+    assert abs(two["mana"] - math.log2(5 / 3)) < 1e-12
     ten = measure_report(rho, ["mana"], base="10")
-    assert abs(ten.values["mana"] - math.log10(5 / 3)) < 1e-12
+    assert abs(ten["mana"] - math.log10(5 / 3)) < 1e-12
 
 
 def test_measure_report_refuses_an_unknown_base():
@@ -401,17 +400,27 @@ def test_measure_report_refuses_an_unknown_base():
 def test_measure_report_l1_raw_not_converted():
     rho = maximally_mixed(3)
     rep = measure_report(rho, ["l1", "log_l1"], base="2")
-    assert abs(rep.values["l1"] - 1.0) < 1e-14
-    assert abs(rep.values["log_l1"]) < 1e-14
+    assert abs(rep["l1"] - 1.0) < 1e-14
+    assert abs(rep["log_l1"]) < 1e-14
 
 
 def test_measure_report_bipartite_names():
     out = csum_output("strange", 1.0)
     rep = measure_report(out, ["mutual_mana", "mutual_information", "mutual_l1", "mutual_sre2"])
-    assert abs(rep.values["mutual_mana"] - math.log(5 / 3)) < 1e-12
+    assert abs(rep["mutual_mana"] - math.log(5 / 3)) < 1e-12
     with pytest.raises(ValueError):
         measure_report(out, ["nonsense"])
 
 
-def test_measure_report_holds_only_values():
-    assert [f.name for f in dataclasses.fields(MeasureReport)] == ["values"]
+@pytest.mark.parametrize(
+    "name, floor, message",
+    [("mana", -1e-10, "mana invariant violated"), ("mutual_information", -1e-8, "mutual information invariant violated")],
+)
+def test_measure_report_refuses_a_negative_mana_or_mutual_information(monkeypatch, name, floor, message):
+    # both are nonnegative; a value down to the roundoff floor passes, one below it raises
+    rho = maximally_mixed(3)
+    monkeypatch.setitem(measures.MEASURES, name, (lambda rho: floor, True))
+    assert measure_report(rho, [name]) == {name: floor}
+    monkeypatch.setitem(measures.MEASURES, name, (lambda rho: 2 * floor, True))
+    with pytest.raises(ValueError, match=re.escape(f"{message}: {2 * floor}")):
+        measure_report(rho, [name])

@@ -226,8 +226,8 @@ def test_thresholds_by_bisection():
 
 
 def test_oracle_vs_numeric_record_fields():
-    rec = oracle_vs_numeric(OracleId("table1_cell", (0.5,), ("I", "T")), tol=1e-9)
-    assert rec.ok
+    rec = oracle_vs_numeric(OracleId("table1_cell", (0.5,), ("I", "T")))
+    assert rec.difference <= 1e-9
     assert rec.difference == abs(rec.oracle_value - rec.numeric_value)
     assert rec.note
 
@@ -280,13 +280,13 @@ def test_ids_from_equal_values_of_other_types_are_one_id():
     assert len(set(ids)) == 1
 
 
-RECORD = ComparisonRecord(OracleId("p_crit", (), ("T",)), 1.0, 2.0, 1.0, False)
+RECORD = ComparisonRecord(OracleId("p_crit", (), ("T",)), 1.0, 2.0, 1.0)
 
 
 @pytest.mark.parametrize(
     "record, field",
     [(RECORD.oracle_id, f) for f in ("name", "params", "labels")]
-    + [(RECORD, f) for f in ("oracle_id", "oracle_value", "numeric_value", "difference", "ok", "note")],
+    + [(RECORD, f) for f in ("oracle_id", "oracle_value", "numeric_value", "difference", "note")],
 )
 def test_record_fields_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):
@@ -302,14 +302,14 @@ def test_the_record_types_keep_their_fields_defaults_and_repr():
     assert _fields(OracleId) == [("name", empty), ("params", ()), ("labels", ())]
     assert _fields(ComparisonRecord) == [
         ("oracle_id", empty), ("oracle_value", empty), ("numeric_value", empty),
-        ("difference", empty), ("ok", empty), ("note", ""),
+        ("difference", empty), ("note", ""),
     ]
     assert OracleId("ml1_h") == OracleId("ml1_h", (), ())
     assert RECORD.note == ""
     assert repr(OracleId("p_crit", (), ("T",))) == "OracleId(name='p_crit', params=(), labels=('T',))"
     assert repr(RECORD) == (
         "ComparisonRecord(oracle_id=OracleId(name='p_crit', params=(), labels=('T',)), "
-        "oracle_value=1.0, numeric_value=2.0, difference=1.0, ok=False, note='')"
+        "oracle_value=1.0, numeric_value=2.0, difference=1.0, note='')"
     )
 
 

@@ -315,6 +315,12 @@ def test_wigner_table_takes_integral_dims():
         assert table.dims == (3,) and type(table.dims[0]) is int
 
 
+@pytest.mark.parametrize("dims", [(-1, -3), (0,), (3, 0), (-3,)])
+def test_wigner_table_refuses_dims_below_1(dims):
+    with pytest.raises(ValueError, match=re.escape(f"dims entries must be at least 1, got {dims}")):
+        WignerTable(dims, np.ones((3, 3)) / 9)
+
+
 @pytest.mark.parametrize("bad", [1.7, True, np.True_, "1", None, float("nan")])
 def test_phase_points_refuse_non_integer_indices(bad):
     # an index is not truncated (1.7 read as 1) nor taken as a boolean mask (True)

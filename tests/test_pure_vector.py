@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,3 +97,21 @@ def test_amplitudes_are_one_row_of_dim_entries(shape):
     # a (1, d) or (d, 1) array is not flattened into d amplitudes
     with pytest.raises(ValueError, match=r"expected 3 amplitudes, got \(" + ", ".join(map(str, shape)) + r"\)"):
         PureVector(3, np.eye(3, dtype=complex)[0].reshape(shape))
+
+
+@pytest.mark.parametrize("dim, message", [
+    (True, "dims entries must be integers, got True"),
+    (0, "dims entries must be at least 1, got (0,)"),
+    (-3, "dims entries must be at least 1, got (-3,)"),
+    (3.5, "dims entries must be integers, got 3.5"),
+])
+def test_dim_takes_the_dims_entries_rule(dim, message):
+    # True == 1 and a one-entry vector of norm 1 would make a 1-level state
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PureVector(dim, np.array([1.0]))
+
+
+def test_dim_is_an_int():
+    for dim in (3, 3.0, np.int64(3)):
+        psi = PureVector(dim, np.eye(3, dtype=complex)[0])
+        assert psi.dim == 3 and type(psi.dim) is int

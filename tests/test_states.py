@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from manalab import (
 )
 from manalab import states
 from manalab.circuits import csum_spec
-from manalab.cli import LAMBDA_AXIS, THETA_AXIS
+from manalab.oracles import LAMBDA_AXIS, THETA_AXIS
 from manalab.errors import (
     BadParamCount,
     DimensionTooLarge,
@@ -365,6 +366,14 @@ def test_density_state_takes_integral_dims():
         assert rho.dims == (3,) and type(rho.dims[0]) is int
     with pytest.raises(ValueError, match="dims"):
         wigner(DensityState((3.5,), np.eye(3) / 3, validate=False))
+
+
+@pytest.mark.parametrize("dims", [(-1, -3), (0,), (3, 0), (-3,)])
+@pytest.mark.parametrize("validate", [True, False])
+def test_density_state_refuses_dims_below_1(dims, validate):
+    # (-1, -3) multiplies to 3, so the shape check alone would take it
+    with pytest.raises(ValueError, match=re.escape(f"dims entries must be at least 1, got {dims}")):
+        DensityState(dims, np.eye(3) / 3, validate=validate)
 
 
 def test_density_state_dims_multiply_exactly():

@@ -162,6 +162,35 @@ MUTANTS = {
         "if dim > MAX_DIM",
         ("tests/test_fast_paths.py",),
     ),
+    # the checks with one owner each: the local-dimension cap, the dims rule,
+    # the beta*delta hypothesis and measure_report's invariants
+    "cap-includes-its-bound": Mutant(
+        "phasespace.py",
+        "if d > DIM_CAP:",
+        "if d >= DIM_CAP:",
+        ("tests/test_cli.py::test_measure_takes_a_local_dimension_of_7",),
+    ),
+    "dims-take-zero": Mutant(
+        "phasespace.py",
+        "if any(d < 1 for d in dims):",
+        "if any(d < 0 for d in dims):",
+        ("tests/test_states.py::test_density_state_refuses_dims_below_1",),
+    ),
+    "beta-delta-unchecked": Mutant(
+        "circuits.py",
+        "if (spec.beta * spec.delta) % spec.dim == 0:",
+        "if False:",
+        (
+            "tests/test_search.py::test_beta_delta_guard",
+            "tests/test_circuits.py::test_prop3_rejects_beta_delta_zero",
+        ),
+    ),
+    "mana-invariant-weakened": Mutant(
+        "measures.py",
+        'if values.get("mana", 0.0) < -1e-10:',
+        'if values.get("mana", 0.0) < -1e-6:',
+        ("tests/test_measures.py::test_measure_report_refuses_a_negative_mana_or_mutual_information",),
+    ),
     # state validation and the coherent amplitudes
     "point-truncates": Mutant(  # a non-integral index, dimension or G entry is cut to an int
         "phasespace.py",
@@ -190,17 +219,17 @@ MUTANTS = {
     "pure-vector-aliases-amplitudes": Mutant(  # with its next line: NoisyRows makes the same np.array call
         "states.py",
         """amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):""",
+        if amps.shape != (dim,):""",
         """amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):""",
+        if amps.shape != (dim,):""",
         ("tests/test_pure_vector.py::test_amplitudes_are_a_read_only_copy",),
     ),
     "pure-vector-flattens": Mutant(
         "states.py",
         """amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):""",
+        if amps.shape != (dim,):""",
         """amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (self.dim,):""",
+        if amps.shape != (dim,):""",
         ("tests/test_pure_vector.py::test_amplitudes_are_one_row_of_dim_entries",),
     ),
     "density-state-aliases-matrix": Mutant(
