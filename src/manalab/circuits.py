@@ -239,6 +239,7 @@ def prop3_expectation(rho: DensityState, spec: BeamsplitterSpec, side: str, pt) 
 
 def prop3_index(spec: BeamsplitterSpec, side: str, k: int) -> int:
     """Predicted diagonal index j0/j1 for the vacuum-ancilla expectation."""
+    check_beta_delta(spec)
     d = spec.dim
     if side == "a":
         return (k * mod_inverse(spec.delta, d) * spec.det) % d

@@ -163,7 +163,8 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     if lo < EIG_FLOOR:
         raise NegativeEigenvalue(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
     eigs = np.clip(eigs, 0.0, None)
-    return -(eigs * np.log(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)
+    # 0.0 - s, not -s: a pure state's entropy is +0.0, and every other value keeps its bits
+    return 0.0 - (eigs * np.log(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)
 
 
 def mutual_information(rho_ab: DensityState) -> float:
@@ -472,11 +473,10 @@ def nonlocal_mana_upper(
     # exits, nor after it
     exits = np.flatnonzero(values <= EXIT_TOL)
     runs = _lockstep(objective, starts[: exits[0] if exits.size else len(starts)], maxfev)
-    for val0, run in zip(values, runs + [None]):
-        best = min(best, val0)
-        if best <= EXIT_TOL:
-            break
-        best = min(best, run[0])
+    # the sequential loop's order: each start's value, then its run's result
+    tried = ((val0,) if run is None else (val0, run[0]) for val0, run in zip(values, runs + [None]))
+    for value in itertools.chain.from_iterable(tried):
+        best = min(best, value)
         if best <= EXIT_TOL:
             break
     return float(best)

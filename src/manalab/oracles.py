@@ -394,10 +394,6 @@ def closed_form(oid: OracleId) -> float:
             form, params, labels = example6, ("theta",), ("measure",)
         case "table1_cell":
             form, params, labels = table1_cell, ("p",), ("measure", "state")
-        case "ml1_h":
-            form, params, labels = ml1_h, ("p",), ()
-        case "msre2_h":
-            form, params, labels = msre2_h, ("p",), ()
         case "p_crit":
             form, params, labels = p_crit, (), ("state",)
         case _:
@@ -440,11 +436,6 @@ def _row_name(measure: str) -> str:
     return TABLE_ROW_MEASURES[measure]
 
 
-def row_measure(measure: str):
-    """The registry function a table row's closed forms are paired with."""
-    return mz.MEASURES[_row_name(measure)][0]
-
-
 def csum_output(psi: str, p: float, params=()) -> DensityState:
     """Noisy named input state, pushed through the qutrit controlled-SUM."""
     return beamsplitter_output(TABLE_SPEC, noisy_mix(named_state(psi, params), p))
@@ -484,9 +475,6 @@ def _numeric_input(oid: OracleId) -> tuple[str, str, tuple[float, ...], float | 
         case "table1_cell":
             (measure, column), params, p = oid.labels, (), params[0]
             state = _table_state_name(measure, column)
-        case "ml1_h" | "msre2_h":
-            measure = "m_l1" if oid.name == "ml1_h" else "m_sre2"
-            state, params, p = _table_state_name(measure, "H"), (), params[0]
         case "p_crit":
             state = _table_state_name("m_mana", oid.labels[0])
             return "m_mana", state, (), None, f"bisection threshold ({state})"

@@ -94,8 +94,10 @@ def capped(d: int, what: str) -> int:
 
 
 def _integer_dims(dims) -> tuple[int, ...]:
-    """Subsystem dimensions as ints, by _integer's rule, each at least 1, else ValueError."""
+    """Subsystem dimensions as ints, by _integer's rule, at least one of them, each at least 1, else ValueError."""
     dims = tuple(_integer(d, "dims entries") for d in dims)
+    if not dims:
+        raise ValueError("dims must list at least one subsystem")
     if any(d < 1 for d in dims):
         raise ValueError(f"dims entries must be at least 1, got {dims}")
     return dims

@@ -115,9 +115,6 @@ class _CoherentObjective:
         self.kernel = point_kernel(d)
         self.evaluations = 0
 
-    def value(self, thetas: np.ndarray) -> float:
-        return float(self.batch(np.asarray(thetas, dtype=float)[None, :])[0])
-
     def batch(self, theta_block: np.ndarray) -> np.ndarray:
         """Values for a block of phase vectors, shape (N, d-1), evaluated by _by_rows."""
         self.evaluations += len(theta_block)
@@ -228,13 +225,12 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray):
         left = fc > fd
         a = np.where(left, a, c)
         b = np.where(left, d_, b)
-        kept, fkept = np.where(left, c, d_), np.where(left, fc, fd)
         width = b - a
         step = GOLDEN * width
         new = np.where(left, b - step, a + step)
         fnew = f(idx, new)
-        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
-        d_, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
+        c, d_ = np.where(left, new, d_), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
         run = np.abs(width) > GOLDEN_TOL
         if not run.all():
             done = idx[~run]
@@ -344,15 +340,15 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     return SearchResult(best, argmax, obj.evaluations, grid, int(sweeps.max()))
 
 
-def mutual_mana_coherent_equals_mana(dim, theta: PhaseVector, spec) -> tuple[float, float]:
+def mutual_mana_coherent_equals_mana(theta: PhaseVector, spec) -> tuple[float, float]:
     """(mutual mana of the beamsplitter output, mana of the coherent input).
 
     The beamsplitter conserves total magic and, for beta*delta != 0 with a
     vacuum ancilla, leaves both output marginals maximally mixed, so the two
-    numbers agree for every theta.
+    numbers agree for every theta.  The dimension is theta's, and spec.dim
+    must match it.
     """
-    d = _dim(dim)
     check_beta_delta(spec)
-    psi = PureVector(d, theta.amplitudes())
+    psi = PureVector(theta.dim, theta.amplitudes())
     rho_in = psi.density()
     return mutual_mana(beamsplitter_output(spec, rho_in)), mana(rho_in)

@@ -401,8 +401,6 @@ def state_from_json(text: str) -> DensityState:
         dims = _integer_dims(doc["dims"])
     except TypeError as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
-    if not dims:
-        raise ValueError("state file 'dims' must list at least one subsystem")
     pairs = np.asarray(doc["data"])  # ragged or too deeply nested data raises ValueError
     if pairs.dtype.kind not in "biuf":  # strings, null, objects and integers beyond 64 bits are not numeric here
         raise ValueError("state data holds a value that is not a number, or an integer beyond 64 bits")

@@ -171,7 +171,7 @@ def suite_prop5(trials, seed, tol):
     rng = np.random.default_rng(seed)
     spec = csum_spec(3)
     thetas = [PhaseVector(3, rng.uniform(0.0, 2.0 * math.pi, size=2)) for _ in range(trials)]
-    pairs = [mutual_mana_coherent_equals_mana(3, theta, spec) for theta in thetas]
+    pairs = [mutual_mana_coherent_equals_mana(theta, spec) for theta in thetas]
     equal = (abs(out_mm - in_mana) for out_mm, in_mana in pairs)
     below = (out_mm - 0.5 * math.log(3.0) for out_mm, _ in pairs)
     return [

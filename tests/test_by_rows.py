@@ -68,7 +68,7 @@ def test_search_product_gives_each_row_its_own_bits(block, d, seed):
         budget(mp, rows_per_piece, d * d)
         values = obj.batch(thetas)
     assert values.tolist() == one_by_one(obj.batch, thetas).tolist()
-    assert values.tolist() == [obj.value(t) for t in thetas]
+    assert values.tolist() == [obj.batch(t[None])[0] for t in thetas]
     assert obj.evaluations == 3 * n  # a doubled row counts once
 
 

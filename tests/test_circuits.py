@@ -271,6 +271,24 @@ def test_prop3_rejects_beta_delta_zero():
     rho = DensityState((3,), np.eye(3) / 3)
     with pytest.raises(BetaDeltaZero):
         prop3_expectation(rho, spec, "a", (0, 0))
+    # prop3_index gave an index on side a and a bare ZeroDivisionError on side b
+    for side in ("a", "b"):
+        with pytest.raises(BetaDeltaZero, match=re.escape("beta*delta = 0*1 = 0 mod 3")):
+            prop3_index(spec, side, 1)
+
+
+@pytest.mark.parametrize("g", [((1, 2), (0, 1), (0, 0)), ((1, 2, 0), (0, 1))], ids=["three-rows", "three-entry-row"])
+def test_spec_refuses_a_g_matrix_that_is_not_2x2(g):
+    with pytest.raises(ValueError, match="^g_matrix must be 2x2$"):
+        BeamsplitterSpec(3, g)
+
+
+def test_pullback_and_index_take_only_side_a_or_b():
+    spec = csum_spec(3)
+    with pytest.raises(ValueError, match="^side must be 'a' or 'b'$"):
+        heisenberg_pullback(spec, "c", (0, 0))
+    with pytest.raises(ValueError, match="^side must be 'a' or 'b'$"):
+        prop3_index(spec, "c", 1)
 
 
 def test_prop3_rejects_a_state_that_is_not_single_d_level():

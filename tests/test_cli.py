@@ -303,7 +303,12 @@ def test_measure_state_file_without_subsystems(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
     code, out, err = run(capsys, "measure", "--state-file", str(path))
-    assert code == 2 and out == "" and "error:" in err and "dims" in err
+    assert code == 2 and out == "" and err == "error: dims must list at least one subsystem\n"
+
+
+def test_measure_entropy_of_a_pure_state_prints_positive_zero(capsys):
+    code, out, _ = run(capsys, "measure", "--state", "basis", "--params", "0", "--measures", "entropy")
+    assert code == 0 and out == "entropy = 0.00000000\n"
 
 
 def test_measure_nan_parameter_fails_validation(capsys):

@@ -41,8 +41,8 @@ MIXED = [
     OracleId("ex5_set", (0.3,), ("m_l1",)),
     OracleId("ex6_set", (0.9,), ("I",)),
     OracleId("table1_cell", (0.45,), ("m_sre2", "H")),
-    OracleId("ml1_h", (0.6,)),
-    OracleId("msre2_h", (0.25,)),
+    OracleId("table1_cell", (0.6,), ("m_l1", "H")),
+    OracleId("table1_cell", (0.25,), ("m_sre2", "H")),
     OracleId("p_crit", (), ("S",)),
     OracleId("table1_cell", (0.3,), ("m_mana", "N")),
     OracleId("ex5_set", (0.65,), ("m_sre2",)),
@@ -126,11 +126,11 @@ def test_a_bad_id_raises_what_the_sequential_loop_raises(bad):
 REPEATED = [
     OracleId("table1_cell", (0.2,), ("m_mana", "H")),
     OracleId("table1_cell", (0.2,), ("m_l1", "H")),
-    OracleId("ml1_h", (0.3,)),
+    OracleId("table1_cell", (0.3,), ("m_l1", "H")),
     OracleId("table1_cell", (0.7,), ("m_mana", "H")),
-    OracleId("msre2_h", (0.2,)),
+    OracleId("table1_cell", (0.2,), ("m_sre2", "H")),
     OracleId("table1_cell", (0.9,), ("m_l1", "H")),
-    OracleId("ml1_h", (0.8,)),
+    OracleId("table1_cell", (0.8,), ("m_l1", "H")),
     OracleId("p_crit", (), ("H",)),
     OracleId("table1_cell", (0.3,), ("I", "H")),
     OracleId("table1_cell", (0.3,), ("I", "S")),
@@ -331,7 +331,7 @@ def test_example3_still_rejects_nan():
         (OracleId("ex4", (0.1, 0.2, 0.3)), "theta, p"),
         (OracleId("ex5_set", (0.1,)), "measure"),
         (OracleId("table1_cell", (0.5,), ("I",)), "measure, state"),
-        (OracleId("ml1_h", ()), "p"),
+        (OracleId("table1_cell", (), ("m_l1", "H")), "p"),
         (OracleId("p_crit", (0.5,), ("S",)), "state"),
     ],
 )

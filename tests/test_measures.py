@@ -128,6 +128,12 @@ def test_mutual_mana_requires_bipartite():
         mutual_mana(maximally_mixed(3))
 
 
+def test_nonlocal_bound_requires_an_even_split():
+    three_qutrits = DensityState((3, 3, 3), np.eye(27) / 27)
+    with pytest.raises(NotBipartite, match="^cannot bipartition 3 subsystems evenly$"):
+        nonlocal_mana_upper(three_qutrits)
+
+
 def test_full_conversion_strange():
     out = csum_output("strange", 1.0)
     assert abs(mutual_mana(out) - math.log(5 / 3)) < 1e-12
@@ -274,6 +280,8 @@ def test_entropy_pure_zero_and_mixed():
     psi = random_pure(3, np.random.default_rng(2))
     assert abs(von_neumann_entropy(psi.density())) < 1e-10
     assert abs(von_neumann_entropy(maximally_mixed(3)) - math.log(3)) < 1e-12
+    # an eigenvalue of exactly 1 gave -(1 * log 1) = -0.0, printed as -0.00000000
+    assert math.copysign(1.0, von_neumann_entropy(named_state("basis", [0]).density())) == 1.0
 
 
 def test_entropy_rejects_bad_matrix():

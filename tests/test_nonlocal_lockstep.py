@@ -233,6 +233,15 @@ def test_lockstep_drops_the_runs_after_one_that_exits():
     assert runs[2:] == [None, None]
 
 
+def test_a_run_that_exits_ends_the_bound_before_the_next_start(monkeypatch):
+    # the sequential loop stops on the run's 5e-13 and never reads the next
+    # start's lower value 1e-13, though that start is the first that exits
+    start_values = np.array([0.5, 1e-13, 0.7])
+    monkeypatch.setattr(measures, "_orbit_objective", lambda mat, dims: lambda thetas: start_values[: len(thetas)])
+    monkeypatch.setattr(measures, "_lockstep", lambda objective, starts, maxfev: [(5e-13, 1, None, None)] * len(starts))
+    assert nonlocal_mana_upper(csum_output("strange", 0.8), restarts=2) == 5e-13
+
+
 # --- the diagonalizing start --------------------------------------------------------
 
 

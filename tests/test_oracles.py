@@ -176,9 +176,9 @@ def test_h_column_closed_forms_match_printed_state():
     # ML1H and MSRE2H belong to the printed h vector (the one carrying the
     # stray ninth-root phase); both match its numerics to high precision
     for p in (0.0, 0.25, 0.6, 1.0):
-        rec = oracle_vs_numeric(OracleId("ml1_h", (p,)))
+        rec = oracle_vs_numeric(OracleId("table1_cell", (p,), ("m_l1", "H")))
         assert rec.difference < 1e-12, rec
-        rec = oracle_vs_numeric(OracleId("msre2_h", (p,)))
+        rec = oracle_vs_numeric(OracleId("table1_cell", (p,), ("m_sre2", "H")))
         assert rec.difference < 1e-12, rec
 
 
@@ -237,6 +237,13 @@ def test_unknown_oracle_rejected():
         closed_form(OracleId("ex9", ()))
     with pytest.raises(BadParams):
         table1_cell("m_mana", "Q", 0.5)
+
+
+def test_the_pure_output_curves_refuse_a_bad_lambda_or_measure():
+    with pytest.raises(BadParams, match=r"^lambda=0.8 outside \[0, 1/sqrt2\]$"):
+        example5("m_mana", 0.8)
+    with pytest.raises(BadParams, match="^unknown measure 'x'$"):
+        example6("x", 0.3)
 
 
 def test_ml1h_msre2h_p0():
@@ -304,7 +311,7 @@ def test_the_record_types_keep_their_fields_defaults_and_repr():
         ("oracle_id", empty), ("oracle_value", empty), ("numeric_value", empty),
         ("difference", empty), ("note", ""),
     ]
-    assert OracleId("ml1_h") == OracleId("ml1_h", (), ())
+    assert OracleId("p_crit") == OracleId("p_crit", (), ())
     assert RECORD.note == ""
     assert repr(OracleId("p_crit", (), ("T",))) == "OracleId(name='p_crit', params=(), labels=('T',))"
     assert repr(RECORD) == (
@@ -313,7 +320,7 @@ def test_the_record_types_keep_their_fields_defaults_and_repr():
     )
 
 
-# one valid id per closed form, with the form called directly
+# one valid id per oracle name, with the form called directly
 DISPATCH = {
     "ex1": (OracleId("ex1", (0.6, 0.0, 0.8, 0.35)), lambda: example1(0.6, 0.0, 0.8, 0.35)),
     "ex2": (OracleId("ex2", (0.4, 2.1, 0.7)), lambda: example2(0.4, 2.1, 0.7)),
@@ -322,8 +329,6 @@ DISPATCH = {
     "ex5_set": (OracleId("ex5_set", (0.3,), ("m_l1",)), lambda: example5("m_l1", 0.3)),
     "ex6_set": (OracleId("ex6_set", (0.9,), ("I",)), lambda: example6("I", 0.9)),
     "table1_cell": (OracleId("table1_cell", (0.45,), ("m_sre2", "H")), lambda: table1_cell("m_sre2", "H", 0.45)),
-    "ml1_h": (OracleId("ml1_h", (0.6,)), lambda: ml1_h(0.6)),
-    "msre2_h": (OracleId("msre2_h", (0.25,)), lambda: msre2_h(0.25)),
     "p_crit": (OracleId("p_crit", (), ("H",)), lambda: p_crit("H")),
 }
 
@@ -341,7 +346,7 @@ def test_closed_form_calls_the_form_it_names(name):
         (OracleId("ex1", (0.6, 0.8, 0.35)),
          "ex1 takes parameters (mu0, mu1, mu2, p) and labels (), got 3 parameter(s) and 0 label(s)"),
         (OracleId("ex3", (0.3, 0.5, 0.7)), "ex3 takes parameters (lam, p) and labels (), got 3 parameter(s) and 0 label(s)"),
-        (OracleId("ml1_h", (0.5,), ("H",)), "ml1_h takes parameters (p) and labels (), got 1 parameter(s) and 1 label(s)"),
+        (OracleId("ex4", (0.5, 0.2), ("H",)), "ex4 takes parameters (theta, p) and labels (), got 2 parameter(s) and 1 label(s)"),
         (OracleId("table1_cell", (0.5,), ("I",)),
          "table1_cell takes parameters (p) and labels (measure, state), got 1 parameter(s) and 1 label(s)"),
         (OracleId("table1_cell", (0.5,), ("I", "S", "T")),

@@ -29,7 +29,7 @@ from manalab.circuits import beamsplitter_output, phase_permutation, prop3_expec
 from manalab.cli import FIGURES, figure_rows
 from manalab.errors import ImaginaryResidue, NegativeEigenvalue, ParamOutOfRange
 from manalab.measures import MEASURES, OUTPUT_MEASURES, _output_table, output_measures
-from manalab.oracles import csum_output, row_measure
+from manalab.oracles import TABLE_ROW_MEASURES, csum_output
 from manalab.phasespace import _char_values, _from_wigner, _wigner_values, char_function
 from manalab.search import PhaseVector, mutual_mana_coherent_equals_mana
 from manalab.states import noisy_matrices
@@ -219,7 +219,7 @@ def test_figure_rows_match_dense_path(figure_id, step):
         params = (coords[fig.family[0]],) if fig.family else ()
         for m in fig.measures:
             state = oracles._table_state_name(m, fig.state) if fig.state in oracles.TABLE_STATES else fig.state
-            dense = row_measure(m)(csum_output(state, coords.get("p", 1.0), params=params))
+            dense = MEASURES[TABLE_ROW_MEASURES[m]][0](csum_output(state, coords.get("p", 1.0), params=params))
             assert abs(coords[m] - dense) < 1e-12, (figure_id, m, coords)
 
 
@@ -286,7 +286,7 @@ def test_wrong_dimension_input_is_named():
     with pytest.raises(ValueError, match=r"d=3 .*shape \(1, 9, 9\)"):
         output_measures(csum_spec(3), two_qutrit.matrix[None], ["mutual_mana"])
     with pytest.raises(ValueError, match=r"d=5 .*dims \(3,\)"):
-        mutual_mana_coherent_equals_mana(3, PhaseVector(3, (0.1, 0.2)), csum_spec(5))
+        mutual_mana_coherent_equals_mana(PhaseVector(3, (0.1, 0.2)), csum_spec(5))
 
 
 def test_empty_block_gives_empty_values():

@@ -10,6 +10,7 @@ from manalab.cli import FIGURES, build_parser, figure_rows
 from manalab.measures import MEASURES
 from manalab.oracles import (
     TABLE_MEASURES,
+    TABLE_ROW_MEASURES,
     OracleId,
     compare,
     csum_output,
@@ -17,7 +18,6 @@ from manalab.oracles import (
     example4,
     example5,
     example6,
-    row_measure,
     table1_cell,
 )
 
@@ -57,10 +57,10 @@ def test_registry_wrappers_match_their_definitions():
 
 def test_table_rows_pair_with_registry_entries():
     # the m_sre2 row is the GLOBAL sre2 of the output, not its mutual composition
-    assert row_measure("m_sre2") is MEASURES["sre2"][0]
-    assert row_measure("I") is MEASURES["mutual_information"][0]
-    assert row_measure("m_mana") is MEASURES["mutual_mana"][0]
-    assert row_measure("m_l1") is MEASURES["mutual_l1"][0]
+    assert MEASURES[TABLE_ROW_MEASURES["m_sre2"]][0] is MEASURES["sre2"][0]
+    assert MEASURES[TABLE_ROW_MEASURES["I"]][0] is MEASURES["mutual_information"][0]
+    assert MEASURES[TABLE_ROW_MEASURES["m_mana"]][0] is MEASURES["mutual_mana"][0]
+    assert MEASURES[TABLE_ROW_MEASURES["m_l1"]][0] is MEASURES["mutual_l1"][0]
     assert set(TABLE_MEASURES) == {"I", "m_mana", "m_l1", "m_sre2"}
 
 

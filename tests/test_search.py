@@ -56,7 +56,7 @@ def test_d3_argmax_orbit(d3_result):
 def test_d3_refined_values_reproducible(d3_result):
     obj = _CoherentObjective(3)
     for pv in d3_result.argmax:
-        assert abs(obj.value(np.array(pv.thetas)) - d3_result.best_value) < 1e-8
+        assert abs(obj.batch(np.array(pv.thetas)[None])[0] - d3_result.best_value) < 1e-8
 
 
 def test_grid_monotonicity_nested():
@@ -89,7 +89,7 @@ def test_pair_equality_random_thetas():
     rng = np.random.default_rng(40)
     for _ in range(25):
         theta = PhaseVector(3, rng.uniform(0, 2 * math.pi, size=2))
-        out_mm, in_mana = mutual_mana_coherent_equals_mana(3, theta, spec)
+        out_mm, in_mana = mutual_mana_coherent_equals_mana(theta, spec)
         assert abs(out_mm - in_mana) < 1e-10
         assert out_mm <= 0.5 * math.log(3.0) + 1e-9
 
@@ -117,7 +117,7 @@ def test_pair_equality_at_stabilizer_lattice_points():
     # but both sides vanish exactly
     spec = csum_spec(3)
     for claimed in ((2 * math.pi / 3, 0.0), (0.0, 2 * math.pi / 3), (4 * math.pi / 3, 4 * math.pi / 3)):
-        out_mm, in_mana = mutual_mana_coherent_equals_mana(3, PhaseVector(3, claimed), spec)
+        out_mm, in_mana = mutual_mana_coherent_equals_mana(PhaseVector(3, claimed), spec)
         assert abs(out_mm - in_mana) < 1e-12
         assert abs(in_mana) < 1e-12
 
@@ -125,7 +125,7 @@ def test_pair_equality_at_stabilizer_lattice_points():
 def test_pair_equality_d5_lattice_vector_is_stabilizer():
     spec = csum_spec(5)
     theta = PhaseVector(5, (6 * math.pi / 5, 4 * math.pi / 5, 4 * math.pi / 5, 6 * math.pi / 5))
-    out_mm, in_mana = mutual_mana_coherent_equals_mana(5, theta, spec)
+    out_mm, in_mana = mutual_mana_coherent_equals_mana(theta, spec)
     assert abs(out_mm - in_mana) < 1e-10
     assert abs(in_mana) < 1e-12
 
@@ -135,7 +135,7 @@ def test_beta_delta_guard():
 
     bad = BeamsplitterSpec(3, ((1, 0), (2, 1)))  # beta = 0
     with pytest.raises(BetaDeltaZero):
-        mutual_mana_coherent_equals_mana(3, PhaseVector(3, (0.1, 0.2)), bad)
+        mutual_mana_coherent_equals_mana(PhaseVector(3, (0.1, 0.2)), bad)
 
 
 def test_t_state_is_coherent_optimum():
@@ -158,7 +158,7 @@ def test_d5_search_small_grid():
     assert result.best_value > 0.6  # clearly magic, clearly below the bound
     obj = _CoherentObjective(5)
     best = result.argmax[0]
-    assert abs(obj.value(np.array(best.thetas)) - result.best_value) < 1e-6
+    assert abs(obj.batch(np.array(best.thetas)[None])[0] - result.best_value) < 1e-6
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -33,7 +33,7 @@ def scalar_golden_max(f, lo, hi, tol=1e-11):
 def scalar_refine(obj, start, step, max_sweeps):
     """Reference: coordinate-wise golden-section ascent of one start vector."""
     x = np.array(start, dtype=float)
-    best = obj.value(x)
+    best = obj.batch(x[None])[0]
     sweeps = 0
     for sweep in range(max_sweeps):
         improved = 0.0
@@ -41,7 +41,7 @@ def scalar_refine(obj, start, step, max_sweeps):
             def line(t, i=i):
                 y = x.copy()
                 y[i] = t
-                return obj.value(y)
+                return obj.batch(y[None])[0]
 
             xi, vi = scalar_golden_max(line, x[i] - step, x[i] + step)
             if vi > best:
@@ -108,22 +108,13 @@ def test_lockstep_refine_matches_scalar_reference(monkeypatch, dim, grid, iters)
     assert result.refine_sweeps == sweeps.max()
 
 
-def test_refinement_never_calls_scalar_value(monkeypatch):
-    def scalar(self, thetas):
-        raise AssertionError("refinement evaluated a single phase vector")
-
-    monkeypatch.setattr(_CoherentObjective, "value", scalar)
-    result = max_mana_coherent(3, grid=16, refine_iters=5)
-    assert result.refine_sweeps >= 1
-
-
 def test_value_does_not_depend_on_the_batch():
     # the lockstep search is step-for-step the one-candidate search only if
     # a row's value is the same bits in any batch, a batch of one included
     obj = _CoherentObjective(5)
     thetas = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=(40, 4))
     rows = obj.batch(thetas)
-    assert [obj.value(t) for t in thetas] == rows.tolist()
+    assert [obj.batch(t[None])[0] for t in thetas] == rows.tolist()
     assert obj.batch(thetas[7:9]).tolist() == rows[7:9].tolist()
     assert obj.evaluations == 40 + 40 + 2
 

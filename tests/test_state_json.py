@@ -135,3 +135,16 @@ def test_state_file_with_an_integer_too_large_for_a_float_exits_2(tmp_path, caps
     code = main(["measure", "--state-file", str(path), "--measures", "mana"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "error:" in captured.err
+
+
+def test_only_a_state_serializes():
+    with pytest.raises(TypeError, match="^cannot serialize <class 'object'>$"):
+        state_to_json(object())
+
+
+def test_state_file_of_an_unknown_kind_exits_2(tmp_path, capsys):
+    path = tmp_path / "ket.json"
+    path.write_text('{"dims": [3], "kind": "ket", "data": [[1, 0], [0, 0], [0, 0]]}')
+    code = main(["measure", "--state-file", str(path), "--measures", "mana"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == "error: unknown state kind 'ket'\n"

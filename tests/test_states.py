@@ -36,6 +36,7 @@ from manalab.errors import (
     UnknownState,
 )
 from manalab.measures import OUTPUT_MEASURES, output_measures
+from manalab.phasespace import WignerTable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -374,6 +375,15 @@ def test_density_state_refuses_dims_below_1(dims, validate):
     # (-1, -3) multiplies to 3, so the shape check alone would take it
     with pytest.raises(ValueError, match=re.escape(f"dims entries must be at least 1, got {dims}")):
         DensityState(dims, np.eye(3) / 3, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_density_state_and_wigner_table_refuse_empty_dims(validate):
+    # DensityState((), np.eye(1)) was a zero-subsystem state with mana 0.0
+    with pytest.raises(ValueError, match="^dims must list at least one subsystem$"):
+        DensityState((), np.eye(1), validate=validate)
+    with pytest.raises(ValueError, match="^dims must list at least one subsystem$"):
+        WignerTable((), np.ones(()))
 
 
 def test_density_state_dims_multiply_exactly():

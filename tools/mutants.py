@@ -137,6 +137,20 @@ MUTANTS = {
         "ua, ub = u[1::2], u[0::2]",
         ("tests/test_kernel_bits.py", "tests/test_nonlocal_lockstep.py"),
     ),
+    "bound-reads-the-start-after-an-exit": Mutant(  # the loop tests the exit only after each start's value
+        "measures.py",
+        """tried = ((val0,) if run is None else (val0, run[0]) for val0, run in zip(values, runs + [None]))
+    for value in itertools.chain.from_iterable(tried):
+        best = min(best, value)
+        if best <= EXIT_TOL:
+            break""",
+        """for val0, run in zip(values, runs + [None]):
+        best = min(best, val0)
+        if best <= EXIT_TOL:
+            break
+        best = min(best, run[0])""",
+        ("tests/test_nonlocal_lockstep.py::test_a_run_that_exits_ends_the_bound_before_the_next_start",),
+    ),
     "nelder-mead-stop-or": Mutant(
         "measures.py",
         "<= 1e-9 and np.abs(sim[1:] - sim[0]).max()",
@@ -184,6 +198,22 @@ MUTANTS = {
             "tests/test_search.py::test_beta_delta_guard",
             "tests/test_circuits.py::test_prop3_rejects_beta_delta_zero",
         ),
+    ),
+    "dims-take-empty": Mutant(
+        "phasespace.py",
+        "if not dims:",
+        "if False:",
+        (
+            "tests/test_states.py::test_density_state_and_wigner_table_refuse_empty_dims",
+            "tests/test_cli.py::test_measure_state_file_without_subsystems",
+        ),
+    ),
+    "prop3-index-unchecked": Mutant(
+        "circuits.py",
+        '''"""Predicted diagonal index j0/j1 for the vacuum-ancilla expectation."""
+    check_beta_delta(spec)''',
+        '''"""Predicted diagonal index j0/j1 for the vacuum-ancilla expectation."""''',
+        ("tests/test_circuits.py::test_prop3_rejects_beta_delta_zero",),
     ),
     "mana-invariant-weakened": Mutant(
         "measures.py",
@@ -374,6 +404,12 @@ MUTANTS = {
         "done = np.flatnonzero(~run)",
         ("tests/test_search_bits.py",),
     ),
+    "golden-swap-crossed": Mutant(
+        "search.py",
+        "c, d_ = np.where(left, new, d_), np.where(left, c, new)",
+        "c, d_ = np.where(left, c, new), np.where(left, new, d_)",
+        ("tests/test_search_bits.py", "tests/test_search_lockstep.py"),
+    ),
     "golden-new-point-side": Mutant(
         "search.py",
         "new = np.where(left, b - step, a + step)",
@@ -452,6 +488,16 @@ MUTANTS = {
         "_angular_distance(x, unique[:count])",
         "_angular_distance(x, unique[max(count - 1, 0) : count])",
         ("tests/test_search_bits.py", "tests/test_search.py"),
+    ),
+    # the sign of a zero entropy
+    "entropy-negative-zero": Mutant(
+        "measures.py",
+        "return 0.0 - (eigs * np.log(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)",
+        "return -(eigs * np.log(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)",
+        (
+            "tests/test_measures.py::test_entropy_pure_zero_and_mixed",
+            "tests/test_cli.py::test_measure_entropy_of_a_pure_state_prints_positive_zero",
+        ),
     ),
     # the measure report's log base
     "log-factor-on-raw-measures": Mutant(  # l1 is a sum, not a logarithm: base 2 would scale it too
