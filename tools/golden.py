@@ -41,6 +41,15 @@ COMMANDS = [
     ["verify", "prop3"],
     *(["verify", "appg", "--seed", str(seed)] for seed in (1, 2, 3)),
     *(["maximize", "--dim", str(d), "--json", f"{TMP}/maximize_d{d}.json"] for d in (3, 5)),
+    *(
+        ["verify", suite]
+        for suite in ("prop1", "prop2", "prop4", "prop5", "thm1", "wigner-axioms", "clifford-invariance", "additivity")
+    ),
+    *(["measure", "--state", state] for state in ("strange", "norrell", "t", "h", "h_fourier", "maxmixed")),
+    ["measure", "--state", "phi_lambda", "--params", "0.4"],
+    ["measure", "--state", "psi_theta", "--params", "0.3"],
+    ["measure", "--state", "max_coherent", "--params", "0.5,1.5"],
+    ["measure", "--state", "basis", "--params", "1", "--dim", "5"],
 ]
 
 
