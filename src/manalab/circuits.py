@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BetaDeltaZero, SingularG, UnknownGate
-from .phasespace import PhasePoint, _cached, _dim, _integer, _point, omega_power, tau_power, weyl_stack
+from .phasespace import PhasePoint, _dim, _integer, _point, omega_power, tau_power, weyl_stack
 from .states import DensityState, conjugate, named_state, tensor
 
 
@@ -169,21 +169,7 @@ def phase_permutation(spec: BeamsplitterSpec) -> np.ndarray:
     B_G is a Clifford permutation commuting with parity, so it maps D(p) to
     D(Sp) and A(p) to A(Sp): an output table is its input table moved by
     this map, out[perm] = in (Gross, J. Math. Phys. 47, 122107 (2006)).
-    Built once per spec and read-only (phasespace._cached).
     """
-    if len(_PERMUTATION_CACHE) >= _PERMUTATION_CACHE_SIZE:
-        _PERMUTATION_CACHE.clear()
-    return _cached(_PERMUTATION_CACHE, spec, _build_phase_permutation)
-
-
-# The cache holds at most this many specs: kept whole, a sweep over every
-# invertible G at d = 7 (2,016 maps of 19 KB) would hold 39 MB for the life
-# of the process, and one at d = 11 (13,200 maps) about 1.5 GB.
-_PERMUTATION_CACHE_SIZE = 64
-_PERMUTATION_CACHE: dict[BeamsplitterSpec, np.ndarray] = {}
-
-
-def _build_phase_permutation(spec: BeamsplitterSpec) -> np.ndarray:
     d = spec.dim
     k1, l1, k2, l2 = _weyl_image(spec, *np.indices((d, d, d, d)))
     return (((k1 * d + l1) * d + k2) * d + l2).ravel()

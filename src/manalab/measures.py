@@ -53,16 +53,18 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 
 import numpy as np
 
 from .circuits import BeamsplitterSpec, phase_permutation
 from .errors import AlphaOne, NegativeEigenvalue, NotBipartite
 from .phasespace import (
-    _cached,
     _char_values,
+    _dim,
     _from_wigner,
     _kernel_transform,
+    _table,
     _wigner_values,
     char_function,
     point_kernel,
@@ -178,21 +180,15 @@ def mutual_information(rho_ab: DensityState) -> float:
 # --- nonlocal mana ----------------------------------------------------------
 
 
-_HERMITIAN_CACHE: dict[int, np.ndarray] = {}
-
-
+@_table(operator.index)
 def hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) Hermitian basis of n x n matrices, shape (n^2, n, n).
 
     The identity, then for each i < j in row-major order the real symmetric
     and the imaginary antisymmetric pair on (i, j), then for k = 1 .. n-1
     the traceless diagonal (1, ..., 1, -k, 0, ..., 0) with k ones.  Built
-    once per n and read-only (phasespace._cached).
+    once per n and read-only (phasespace._table).
     """
-    return _cached(_HERMITIAN_CACHE, n, _build_hermitian_basis)
-
-
-def _build_hermitian_basis(n: int) -> np.ndarray:
     i, j = np.triu_indices(n, 1)
     sym = 1 + 2 * np.arange(len(i))  # the symmetric matrices; each antisymmetric one follows its pair
     k, t = np.arange(1, n)[:, None], np.arange(n)
@@ -529,22 +525,22 @@ def _log_abs_sum(values: np.ndarray, axes) -> np.ndarray:
     return np.log(np.abs(values).sum(axis=axes))
 
 
-_VACUUM_CACHE: dict[tuple[int, str], np.ndarray] = {}
+def _vacuum_kind(kind: str) -> str:
+    """kind, if it names a vacuum table ("wigner" or "char"), else ValueError."""
+    if kind not in ("wigner", "char"):
+        raise ValueError(f"the vacuum's table is 'wigner' or 'char', got {kind!r}")
+    return kind
 
 
-def _build_vacuum_table(key: tuple[int, str]) -> np.ndarray:
-    d, kind = key
-    vacuum = named_state("basis", [0], dim=d).density().matrix
-    return (_wigner_values if kind == "wigner" else _char_values)(vacuum, (d,))
-
-
+@_table(_dim, _vacuum_kind)
 def _vacuum_table(d: int, kind: str) -> np.ndarray:
     """The vacuum |0><0|'s single-qudit table: kind "wigner" or "char", built once per d, read-only.
 
     It is the transform itself (_wigner_values or _char_values), not a
     closed form, so its bits are those of transforming the vacuum afresh.
     """
-    return _cached(_VACUUM_CACHE, (d, kind), _build_vacuum_table)
+    vacuum = named_state("basis", [0], dim=d).density().matrix
+    return (_wigner_values if kind == "wigner" else _char_values)(vacuum, (d,))
 
 
 def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray]:

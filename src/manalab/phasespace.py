@@ -25,6 +25,7 @@ exponentiated once, so operator identities hold to machine epsilon.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -143,48 +144,53 @@ def weyl(dim, pt) -> np.ndarray:
     return weyl_stack(d)[k, l].copy()
 
 
-# Per-dimension operator caches.  dict.setdefault makes first-writer-wins
-# initialization safe under concurrent first use.
-_WEYL_CACHE: dict[int, np.ndarray] = {}
-_POINT_CACHE: dict[int, np.ndarray] = {}
-_WEYL_KERNEL_CACHE: dict[int, np.ndarray] = {}
-_POINT_KERNEL_CACHE: dict[int, np.ndarray] = {}
-_CACHE_LOCK = threading.Lock()
+_TABLE_LOCK = threading.Lock()
 
 
-def _cached(cache: dict, key, build) -> np.ndarray:
-    stack = cache.get(key)
-    if stack is None:
-        fresh = build(key)
-        fresh.setflags(write=False)
-        with _CACHE_LOCK:
-            stack = cache.setdefault(key, fresh)
-    return stack
+def _table(*rules):
+    """Memoize a table formula, evaluated once per key on the key; one rule per argument makes the key.
+
+    The rules run before the lookup, so a call raises what they raise
+    whatever is cached.  Each array is read-only, and dict.setdefault makes
+    the first writer win under concurrent first use.
+    """
+
+    def memo(formula):
+        tables = {}
+
+        @functools.wraps(formula)
+        def table(*args):
+            key = tuple(rule(arg) for rule, arg in zip(rules, args, strict=True))
+            found = tables.get(key)
+            if found is None:
+                fresh = formula(*key)
+                fresh.setflags(write=False)
+                with _TABLE_LOCK:
+                    found = tables.setdefault(key, fresh)
+            return found
+
+        return table
+
+    return memo
 
 
-def _build_weyl_stack(d: int) -> np.ndarray:
+@_table(_dim)
+def weyl_stack(d: int) -> np.ndarray:
+    """All d^2 displacement operators as an array of shape (d, d, d, d).
+
+    Entry [k, l] is D(k,l); D(k,l)[(j+k) mod d, j] = tau^(k*l + 2*l*j).
+    """
     k, l, j = np.indices((d, d, d))
     stack = np.zeros((d, d, d, d), dtype=complex)
     stack[k, l, (j + k) % d, j] = tau_power(d, k * l + 2 * l * j)
     return stack
 
 
-def _build_phase_point_stack(d: int) -> np.ndarray:
-    k, l, m, n = np.indices((d, d, d, d))
-    return np.einsum("klmn,mnij->klij", omega_power(d, l * m - k * n), weyl_stack(d)) / d
-
-
-def weyl_stack(d: int) -> np.ndarray:
-    """All d^2 displacement operators as an array of shape (d, d, d, d).
-
-    Entry [k, l] is D(k,l); D(k,l)[(j+k) mod d, j] = tau^(k*l + 2*l*j).
-    """
-    return _cached(_WEYL_CACHE, _dim(d), _build_weyl_stack)
-
-
+@_table(_dim)
 def phase_point_stack(d: int) -> np.ndarray:
     """All d^2 phase-space point operators, shape (d, d, d, d), entry [k, l]."""
-    return _cached(_POINT_CACHE, _dim(d), _build_phase_point_stack)
+    k, l, m, n = np.indices((d, d, d, d))
+    return np.einsum("klmn,mnij->klij", omega_power(d, l * m - k * n), weyl_stack(d)) / d
 
 
 def _kernel(stack: np.ndarray) -> np.ndarray:
@@ -198,14 +204,16 @@ def _kernel(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.reshape(d * d, d, d).transpose(2, 1, 0).reshape(d * d, d * d))
 
 
+@_table(_dim)
 def weyl_kernel(d: int) -> np.ndarray:
     """The displacement operators as one (d^2, d^2) matrix, K[(i, j), p] = D_p[j, i]."""
-    return _cached(_WEYL_KERNEL_CACHE, _dim(d), lambda d: _kernel(weyl_stack(d)))
+    return _kernel(weyl_stack(d))
 
 
+@_table(_dim)
 def point_kernel(d: int) -> np.ndarray:
     """The phase-space point operators as one (d^2, d^2) matrix, K[(i, j), p] = A_p[j, i]."""
-    return _cached(_POINT_KERNEL_CACHE, _dim(d), lambda d: _kernel(phase_point_stack(d)))
+    return _kernel(phase_point_stack(d))
 
 
 def phase_point_operator(dim, pt) -> np.ndarray:

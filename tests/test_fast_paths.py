@@ -2,9 +2,9 @@
 
 - point_kernel, weyl_kernel, phase_point_stack and weyl_stack validate d
   through _dim on every lookup, so 3.0, 3+0j and True (which hash like 3)
-  still raise;
-- phase_permutation is built once per spec, not once per dimension, and
-  the cache of specs stays bounded;
+  still raise; hermitian_basis and the vacuum's tables check their
+  arguments the same way whatever is cached;
+- phase_permutation is built for each spec, not once per dimension;
 - check_density names the first bad trace, as a loop over the traces did.
 """
 
@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manalab import BeamsplitterSpec, circuits, qutrit_specs, random_density
+from manalab import BeamsplitterSpec, qutrit_specs, random_density
 from manalab.circuits import _weyl_image, phase_permutation
 from manalab.errors import NegativeEigenvalue
-from manalab.phasespace import phase_point_stack, point_kernel, weyl_kernel, weyl_stack
+from manalab.measures import _vacuum_table, hermitian_basis
+from manalab.phasespace import _char_values, _wigner_values, phase_point_stack, point_kernel, weyl_kernel, weyl_stack
 from manalab.states import EIG_FLOOR, HERM_TOL, check_density
 
 LOOKUPS = [point_kernel, weyl_kernel, phase_point_stack, weyl_stack]
@@ -43,6 +44,28 @@ def test_numpy_integer_gets_the_cached_table(lookup):
     assert not table.flags.writeable
 
 
+def test_a_lookup_raises_whatever_is_cached():
+    hermitian_basis(3)
+    _vacuum_table(3, "wigner")  # the d = 3 tables are cached
+    with pytest.raises(TypeError):
+        hermitian_basis(3.0)
+    with pytest.raises(ValueError, match="odd prime"):
+        _vacuum_table(3.0, "wigner")
+    with pytest.raises(ValueError, match="'wigner' or 'char'"):
+        _vacuum_table(3, "Wigner")
+
+
+@pytest.mark.parametrize("kind, transform", [("wigner", _wigner_values), ("char", _char_values)])
+def test_the_vacuum_table_is_its_fresh_transform_built_once(kind, transform):
+    table = _vacuum_table(3, kind)
+    assert _vacuum_table(np.int64(3), kind) is table
+    assert not table.flags.writeable
+    vacuum = np.zeros((3, 3), dtype=complex)
+    vacuum[0, 0] = 1.0
+    fresh = transform(vacuum, (3,))
+    assert (table.dtype, table.shape, table.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+
 # --- the beamsplitter's phase-space permutation -------------------------------
 
 
@@ -52,14 +75,10 @@ def _fresh_permutation(spec):
     return (((k1 * d + l1) * d + k2) * d + l2).ravel()
 
 
-def test_permutation_is_read_only_and_shared_by_equal_specs():
-    g = ((1, 2), (0, 1))
-    perm = phase_permutation(BeamsplitterSpec(3, g))
-    assert not perm.flags.writeable
-    with pytest.raises(ValueError):
-        perm[0] = 1
+def test_equal_specs_get_equal_maps():
+    perm = phase_permutation(BeamsplitterSpec(3, ((1, 2), (0, 1))))
     # an equal spec, with G given by other residues
-    assert phase_permutation(BeamsplitterSpec(3, ((4, -1), (3, 1)))) is perm
+    assert np.array_equal(phase_permutation(BeamsplitterSpec(3, ((4, -1), (3, 1)))), perm)
 
 
 def test_each_g_at_one_dimension_gets_its_own_map():
@@ -70,13 +89,12 @@ def test_each_g_at_one_dimension_gets_its_own_map():
     assert len({perm.tobytes() for perm in maps}) == len(specs)
 
 
-def test_a_sweep_over_every_g_keeps_the_cache_bounded():
+def test_a_sweep_over_every_g_gets_each_map():
     d = 7
     for a, b, c, dl in itertools.product(range(d), repeat=4):
         if (a * dl - b * c) % d:
             spec = BeamsplitterSpec(d, ((a, b), (c, dl)))
             assert np.array_equal(phase_permutation(spec), _fresh_permutation(spec))
-            assert len(circuits._PERMUTATION_CACHE) <= circuits._PERMUTATION_CACHE_SIZE
 
 
 # --- the trace check ----------------------------------------------------------

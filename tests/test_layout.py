@@ -118,13 +118,12 @@ def test_the_numeric_description_builds_nothing():
 # (a comprehension over the array, not over range) is not an index loop.
 INDEX_ARRAY_BUILDERS = {
     "phasespace": (
-        "weyl_stack", "phase_point_stack", "_build_weyl_stack", "_build_phase_point_stack", "_cached",
-        "_kernel", "point_kernel", "weyl_kernel",
+        "_table", "weyl_stack", "phase_point_stack", "_kernel", "point_kernel", "weyl_kernel",
     ),
     "circuits": ("beamsplitter", "clifford_gate"),
     "states": ("enumerate_stabilizer_pure", "coherent_amplitudes"),
     "search": ("PhaseVector.amplitudes", "_CoherentObjective.batch"),
-    "measures": ("hermitian_basis", "_build_hermitian_basis"),
+    "measures": ("hermitian_basis", "_vacuum_table"),
 }
 
 

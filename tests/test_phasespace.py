@@ -1,6 +1,7 @@
 """Displacement operators, point operators, and Wigner transforms."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from manalab import (
     wigner,
 )
 from manalab.errors import ImaginaryResidue
-from manalab.phasespace import _dim, omega_power, phase_point_stack, tau_power, weyl_stack
+from manalab.phasespace import _dim, _table, omega_power, phase_point_stack, tau_power, weyl_stack
 
 DIMS = (3, 5, 7)
 
@@ -249,24 +250,23 @@ def test_omega_tau_exactness():
 
 
 def test_cache_concurrent_first_use():
-    # first-writer-wins initialization: all threads must see one array object
-    import threading
+    # four threads all miss before any of them stores: the first writer's array is every caller's
+    barrier = threading.Barrier(4, timeout=30)
 
-    import manalab.phasespace as ps
+    @_table(int)
+    def table(n):
+        barrier.wait()
+        return np.arange(n)
 
-    ps._POINT_CACHE.pop(7, None)
-    ps._WEYL_CACHE.pop(7, None)
     results = []
-
-    def grab():
-        results.append(id(ps.phase_point_stack(7)))
-
-    threads = [threading.Thread(target=grab) for _ in range(8)]
+    threads = [threading.Thread(target=lambda: results.append(table(5))) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert len(set(results)) == 1
+    assert len(results) == 4
+    assert len({id(r) for r in results}) == 1
+    assert table(5) is results[0] and not results[0].flags.writeable
 
 
 def _scalar_tau_power(d, exponent):

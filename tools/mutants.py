@@ -75,17 +75,27 @@ MUTANTS = {
         '_vacuum_table(d, "wigner")',
         ("tests/test_output_measures.py",),
     ),
-    "permutation-cache-by-dim": Mutant(
-        "circuits.py",
-        "_cached(_PERMUTATION_CACHE, spec, _build_phase_permutation)",
-        "_cached(_PERMUTATION_CACHE, spec.dim, lambda d: _build_phase_permutation(spec))",
-        ("tests/test_fast_paths.py",),
+    # the one memo behind every operator table
+    "table-writable": Mutant(
+        "phasespace.py",
+        "                fresh.setflags(write=False)\n",
+        "",
+        ("tests/test_fast_paths.py", "tests/test_phasespace.py::test_cache_concurrent_first_use"),
     ),
-    "permutation-cache-unbounded": Mutant(
-        "circuits.py",
-        "if len(_PERMUTATION_CACHE) >= _PERMUTATION_CACHE_SIZE:",
-        "if False:",
-        ("tests/test_fast_paths.py",),
+    "table-last-writer-wins": Mutant(
+        "phasespace.py",
+        "found = tables.setdefault(key, fresh)",
+        "tables[key] = found = fresh",
+        ("tests/test_phasespace.py::test_cache_concurrent_first_use",),
+    ),
+    "table-key-after-lookup": Mutant(  # the lookup takes the raw arguments, so 3.0 finds the table of 3
+        "phasespace.py",
+        "            key = tuple(rule(arg) for rule, arg in zip(rules, args, strict=True))\n"
+        "            found = tables.get(key)\n",
+        "            found = tables.get(args)\n"
+        "            key = args if found is not None else "
+        "tuple(rule(arg) for rule, arg in zip(rules, args, strict=True))\n",
+        ("tests/test_fast_paths.py::test_a_lookup_raises_whatever_is_cached",),
     ),
     # the block rule
     "no-one-row-doubling": Mutant(
