@@ -263,7 +263,8 @@ def test_cache_concurrent_first_use():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     assert len(results) == 4
     assert len({id(r) for r in results}) == 1
     assert table(5) is results[0] and not results[0].flags.writeable
