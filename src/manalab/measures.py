@@ -29,7 +29,17 @@ and reports this split.
 output_measures evaluates mutual mana, mutual L1, SRE2 and I of beamsplitter
 outputs B_G (rho x |0><0|) B_G^dag for a block of inputs from permuted
 single-qudit tables, without forming the output state; the per-state
-functions above are its reference.
+functions above are its reference.  Each piece's output tables are laid
+out component-major, as C-order (d^2, d^2, rows) arrays with the rows
+last, so each marginal sum and abs-sum is a few long vector operations
+rather than one short numpy inner loop per row.  _numpy_sum replays the
+order numpy 2.4 sums the row-major (rows, d^2, d^2) tables in: pairwise
+over a contiguous axis (8 accumulators, blocks of at most 128, longer
+sums split at half the length rounded down to a multiple of 8), in
+sequence over the strided p_a axis, from +0.0.  Every value keeps the
+row-major bits.  figure fig1's one call (10,201 rows in 13 pieces) takes
+5.9-6.6 ms warm against 11.1-11.5 ms row-major, and its peak traced
+allocation is unchanged at 2.9 MiB (2-core VM).
 
 nonlocal_mana_upper certifies upper bounds on the minimum of mana over
 local-unitary orbits by seeded random-restart Nelder-Mead descent over
@@ -136,11 +146,11 @@ def sre_alpha(rho: DensityState, alpha: float) -> float:
     return float(_sre(char_function(rho), math.prod(rho.dims), alpha))
 
 
-def _sre(chi: np.ndarray, total: float, alpha: float, axes=None) -> np.ndarray:
-    """SRE_alpha from characteristic values chi, reduced over `axes` (all by default)."""
+def _sre(chi: np.ndarray, total: float, alpha: float, summed=np.sum) -> np.ndarray:
+    """SRE_alpha from characteristic values chi, each sum taken by `summed` (over all of chi by default)."""
     xi = np.abs(chi) ** 2 / total
-    s1 = xi.sum(axis=axes)  # equals tr rho^2
-    s_alpha = (xi**alpha).sum(axis=axes)
+    s1 = summed(xi)  # equals tr rho^2
+    s_alpha = summed(xi**alpha)
     return (np.log(s_alpha) - np.log(s1)) / (1.0 - alpha) - math.log(total)
 
 
@@ -512,17 +522,69 @@ OUTPUT_MEASURES = ("mutual_mana", "mutual_l1", "sre2", "mutual_information")
 def _output_table(perm: np.ndarray, table: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
     """Two-qudit table of B_G (rho x |0><0|) B_G^dag: the product table moved by perm.
 
-    table has shape (n, d^2), vacuum (d^2,); the result (n, d^2, d^2) is
-    indexed [p_a, p_b] with p = k*d + l.
+    table has shape (n, d^2), vacuum (d^2,).  The table is written
+    component-major, into a C-order (d^2, d^2, n) array with the rows last;
+    the result is its (n, d^2, d^2) transposed view, indexed [row, p_a, p_b]
+    with p = k*d + l.
     """
     n, dd = table.shape
-    out = np.empty((n, dd * dd), dtype=table.dtype)
-    out[:, perm] = (table[:, :, None] * vacuum).reshape(n, dd * dd)
-    return out.reshape(n, dd, dd)
+    source = np.empty_like(perm)
+    source[perm] = np.arange(dd * dd)  # the product entry each output entry is moved from
+    out = np.empty((dd * dd, n), dtype=table.dtype)
+    np.take(table.T, source // dd, axis=0, out=out, mode="clip")  # "clip": unbuffered; no index is out of range
+    out *= vacuum[source % dd, None]
+    return out.reshape(dd, dd, n).transpose(2, 0, 1)
 
 
-def _log_abs_sum(values: np.ndarray, axes) -> np.ndarray:
-    return np.log(np.abs(values).sum(axis=axes))
+def _numpy_sum(table: np.ndarray, contiguous: bool = True) -> np.ndarray:
+    """table.sum(axis=0) of a real component-major table, with the bits numpy 2.4 gives that sum row-major.
+
+    A component-major table has the summed axis first and the rows after
+    it.  numpy sums a row-major table's contiguous axis pairwise (its
+    pairwise_sum, replayed by _pairwise) and a strided axis in sequence;
+    `contiguous` names the order to replay.  Either replay adds whole
+    components, one long vector operation each, and starts from numpy's
+    +0.0, so a sum of -0.0 terms is +0.0.
+    """
+    if contiguous:
+        return 0.0 + _pairwise(table)
+    total = np.zeros(table.shape[1:])
+    for component in table:
+        total += component
+    return total
+
+
+def _pairwise(table: np.ndarray) -> np.ndarray:
+    """numpy's pairwise_sum of the m >= 8 components of table, without its +0.0 start.
+
+    Up to 128 terms go to 8 accumulators, term i to accumulator i % 8, up
+    to the last multiple of 8; the accumulators are joined
+    ((0+1)+(2+3))+((4+5)+(6+7)) and the rest added in sequence.  More than
+    128 terms are split at m // 2 rounded down to a multiple of 8, and the
+    two parts' sums added.  (numpy adds fewer than 8 terms in sequence;
+    output_measures sums at least d^2 = 9.)
+    """
+    m = len(table)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise(table[:half]) + _pairwise(table[half:])
+    end = m - m % 8
+    blocks = table[:end].reshape((end // 8, 8) + table.shape[1:])
+    acc = blocks[0]
+    if len(blocks) > 1:
+        acc = acc + blocks[1]  # a new array: table itself is not written
+        for block in blocks[2:]:
+            acc += block
+    pairs = acc[0::2] + acc[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for component in table[end:]:
+        total += component
+    return total
+
+
+def _log_abs_sum(values: np.ndarray) -> np.ndarray:
+    """log sum |values| over axis 0, summed as numpy sums a contiguous axis."""
+    return np.log(_numpy_sum(np.abs(values)))
 
 
 def _vacuum_kind(kind: str) -> str:
@@ -552,7 +614,10 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     their sums over the other subsystem, marginal characteristic functions
     the D(0) slices [:, 0] and [0, :].  For I, S(ab) = S(rho) because B_G is
     unitary and the vacuum pure, and the marginal matrices are rebuilt from
-    the marginal Wigner tables.
+    the marginal Wigner tables.  Each _by_rows piece's tables are
+    component-major (d^2, d^2, rows) arrays, summed by _numpy_sum in the
+    order numpy sums the row-major tables (see the module docstring), so
+    each value has the row-major bits.
 
     rhos is a raw (n, d, d) stack or a states.NoisyRows of n rows.  A raw
     stack gets DensityState's checks (states.check_density).  A NoisyRows
@@ -579,19 +644,20 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
 
     def evaluate(rows):
         values = {}
+        # the output tables component-major, C-order (d^2, d^2, rows) indexed [p_a, p_b, row]
         if {"mutual_mana", "mutual_information"} & set(names):
-            w = _output_table(perm, _wigner_values(rows, (d,)), _vacuum_table(d, "wigner"))
-            w_a, w_b = w.sum(axis=2), w.sum(axis=1)
-            values["mutual_mana"] = _log_abs_sum(w, (1, 2)) - _log_abs_sum(w_a, 1) - _log_abs_sum(w_b, 1)
+            w = _output_table(perm, _wigner_values(rows, (d,)), _vacuum_table(d, "wigner")).transpose(1, 2, 0)
+            w_a, w_b = _numpy_sum(w.transpose(1, 0, 2)), _numpy_sum(w, contiguous=False)
+            values["mutual_mana"] = _log_abs_sum(w.reshape(d**4, -1)) - _log_abs_sum(w_a) - _log_abs_sum(w_b)
         if {"mutual_l1", "sre2"} & set(names):
-            chi = _output_table(perm, _char_values(rows, (d,)), _vacuum_table(d, "char"))
-            values["mutual_l1"] = (
-                _log_abs_sum(chi, (1, 2)) - _log_abs_sum(chi[:, :, 0], 1) - _log_abs_sum(chi[:, 0, :], 1)
-            )
-            values["sre2"] = _sre(chi, float(d * d), 2.0, (1, 2))
+            chi = _output_table(perm, _char_values(rows, (d,)), _vacuum_table(d, "char")).transpose(1, 2, 0)
+            values["mutual_l1"] = _log_abs_sum(chi.reshape(d**4, -1)) - _log_abs_sum(chi[:, 0]) - _log_abs_sum(chi[0])
+            values["sre2"] = _sre(chi.reshape(d**4, -1), float(d * d), 2.0, _numpy_sum)
         if "mutual_information" in names:
-            marginals = _entropies(_from_wigner(np.stack([w_a, w_b]), (d,)))
-            values["mutual_information"] = marginals.sum(axis=0) - _entropies(rows)
+            # a C-order stack, as np.stack made of the row-major marginals: np.dot sees the same operand
+            marginals = np.empty((2, len(rows), d * d))
+            marginals[0], marginals[1] = w_a.T, w_b.T
+            values["mutual_information"] = _entropies(_from_wigner(marginals, (d,))).sum(axis=0) - _entropies(rows)
         return np.array([values[name] for name in names]).T  # (rows, names)
 
     # one d^2 x d^2 output table per row

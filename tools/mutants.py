@@ -45,21 +45,61 @@ MUTANTS = {
     ),
     "unpermuted-table": Mutant(
         "measures.py",
-        "out[:, perm] = (table[:, :, None] * vacuum).reshape(n, dd * dd)",
-        "out[:, :] = (table[:, :, None] * vacuum).reshape(n, dd * dd)",
+        "source[perm] = np.arange(dd * dd)",
+        "source[:] = np.arange(dd * dd)",
         ("tests/test_output_measures.py",),
     ),
     "inverse-permutation": Mutant(
         "measures.py",
-        "out[:, perm] = (table[:, :, None] * vacuum).reshape(n, dd * dd)",
-        "out[:] = (table[:, :, None] * vacuum).reshape(n, dd * dd)[:, perm]",
+        "source[perm] = np.arange(dd * dd)",
+        "source[:] = perm",
         ("tests/test_output_measures.py",),
     ),
     "chi-marginal-slice": Mutant(
         "measures.py",
-        "_log_abs_sum(chi[:, 0, :], 1)",
-        "_log_abs_sum(chi[:, 1, :], 1)",
+        "_log_abs_sum(chi[0])",
+        "_log_abs_sum(chi[1])",
         ("tests/test_output_measures.py",),
+    ),
+    # the component-major tables' sums, which replay numpy's summation order
+    "pairwise-tree-pair-swapped": Mutant(
+        "measures.py",
+        "pairs = acc[0::2] + acc[1::2]",
+        "pairs = acc[:4] + acc[4:]",
+        (
+            "tests/test_component_major.py::test_numpy_sum_replays_numpy_add_reduce",
+            "tests/test_component_major.py::test_output_measures_have_the_bits_of_the_row_major_formulas",
+        ),
+    ),
+    "pairwise-remainder-row-dropped": Mutant(
+        "measures.py",
+        "for component in table[end:]:",
+        "for component in table[end + 1 :]:",
+        (
+            "tests/test_component_major.py::test_numpy_sum_replays_numpy_add_reduce",
+            "tests/test_component_major.py::test_output_measures_have_the_bits_of_the_row_major_formulas",
+        ),
+    ),
+    "pairwise-split-not-multiple-of-8": Mutant(
+        "measures.py",
+        "half = m // 2 - m // 2 % 8",
+        "half = m // 2",
+        (
+            "tests/test_component_major.py::test_numpy_sum_replays_numpy_add_reduce",
+            "tests/test_component_major.py::test_output_measures_have_the_bits_of_the_row_major_formulas",
+        ),
+    ),
+    "p-a-marginal-summed-pairwise": Mutant(
+        "measures.py",
+        "_numpy_sum(w, contiguous=False)",
+        "_numpy_sum(w)",
+        ("tests/test_component_major.py::test_output_measures_have_the_bits_of_the_row_major_formulas",),
+    ),
+    "sum-starts-from-negative-zero": Mutant(
+        "measures.py",
+        "return 0.0 + _pairwise(table)",
+        "return _pairwise(table)",
+        ("tests/test_component_major.py::test_numpy_sum_replays_numpy_add_reduce",),
     ),
     # the vacuum's 1 moved off the diagonal: another basis index would only
     # shift the output by a local Weyl operator, which no measure sees
