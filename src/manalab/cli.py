@@ -12,6 +12,7 @@ and '\\n' line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,8 +58,8 @@ def write_figure_csv(figure_id: str, path: str | None):
     # and 0.0 stay apart, then one % pass over the rows
     cells = np.empty(rows.shape, dtype=object)
     for j, column in enumerate(rows.T):
-        _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-        cells[:, j] = np.array(["%.17g" % x for x in column[first].tolist()], dtype=object)[inverse]
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        cells[:, j] = np.array(["%.17g" % x for x in keys.view(float).tolist()], dtype=object)[inverse]
     line = ",".join(["%s"] * rows.shape[1]) + "\n"
     _write_text(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(cells.ravel().tolist()))
 
@@ -184,31 +185,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None, help="depolarizing weight p")
     p.add_argument("--state-file", default=None, help="JSON state file")
     p.add_argument("--measures", default=None, help="comma-separated measure names")
-    p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     for flag, kind in (("tol", _tolerance), ("seed", _nonnegative_int), ("trials", _positive_int)):
         p.add_argument(f"--{flag}", type=kind, default=None, help=f"default {VERIFY_DEFAULTS[flag]}")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("figure", parents=[output], help="emit figure data as CSV")
     p.add_argument("figure", choices=list(FIGURES))
-    p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("maximize", parents=[values], help="search coherent phases for maximal mana")
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--refine", type=_nonnegative_int, default=200)
     p.add_argument("--json", default=None, help="also write the result as JSON")
-    p.set_defaults(fn=cmd_maximize)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process; parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up on each call, so a wrapped or patched cmd_* runs
     try:
-        return args.fn(args)
+        return command(args)
     except (ManalabError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

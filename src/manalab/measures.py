@@ -624,8 +624,8 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     is evaluated on its matrices() unchecked: its constructor checked each
     amplitude row by PureVector's rule and p by check_noise, and that
     margin already makes each mixture Hermitian, unit-trace and positive.
-    names is a subset of OUTPUT_MEASURES; each value is an array of n
-    natural-log values equal to
+    names is a subset of OUTPUT_MEASURES, and only those measures are
+    evaluated; each value is an array of n natural-log values equal to
     MEASURES[name][0](beamsplitter_output(spec, rho)) up to rounding.
     """
     d = spec.dim
@@ -641,19 +641,24 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     if not noisy:
         check_density(mats)
     perm = phase_permutation(spec)
+    wanted = set(names)
 
     def evaluate(rows):
         values = {}
         # the output tables component-major, C-order (d^2, d^2, rows) indexed [p_a, p_b, row]
-        if {"mutual_mana", "mutual_information"} & set(names):
+        if wanted & {"mutual_mana", "mutual_information"}:
             w = _output_table(perm, _wigner_values(rows, (d,)), _vacuum_table(d, "wigner")).transpose(1, 2, 0)
             w_a, w_b = _numpy_sum(w.transpose(1, 0, 2)), _numpy_sum(w, contiguous=False)
-            values["mutual_mana"] = _log_abs_sum(w.reshape(d**4, -1)) - _log_abs_sum(w_a) - _log_abs_sum(w_b)
-        if {"mutual_l1", "sre2"} & set(names):
+            if "mutual_mana" in wanted:
+                values["mutual_mana"] = _log_abs_sum(w.reshape(d**4, -1)) - _log_abs_sum(w_a) - _log_abs_sum(w_b)
+        if wanted & {"mutual_l1", "sre2"}:
             chi = _output_table(perm, _char_values(rows, (d,)), _vacuum_table(d, "char")).transpose(1, 2, 0)
-            values["mutual_l1"] = _log_abs_sum(chi.reshape(d**4, -1)) - _log_abs_sum(chi[:, 0]) - _log_abs_sum(chi[0])
-            values["sre2"] = _sre(chi.reshape(d**4, -1), float(d * d), 2.0, _numpy_sum)
-        if "mutual_information" in names:
+            chi_ab = chi.reshape(d**4, -1)
+            if "mutual_l1" in wanted:
+                values["mutual_l1"] = _log_abs_sum(chi_ab) - _log_abs_sum(chi[:, 0]) - _log_abs_sum(chi[0])
+            if "sre2" in wanted:
+                values["sre2"] = _sre(chi_ab, float(d * d), 2.0, _numpy_sum)
+        if "mutual_information" in wanted:
             # a C-order stack, as np.stack made of the row-major marginals: np.dot sees the same operand
             marginals = np.empty((2, len(rows), d * d))
             marginals[0], marginals[1] = w_a.T, w_b.T

@@ -273,11 +273,22 @@ def noisy_matrices(amps: np.ndarray, p) -> np.ndarray:
     """p|psi><psi| + (1-p) 1/d for each amplitude row of amps, shape (..., d) -> (..., d, d).
 
     p is one noise value for every row or one per row, shape (...,); any
-    other shape raises ValueError.
+    other shape raises ValueError.  The mixtures are evaluated
+    component-major, in place in a C-order (d, d, ...) array with the rows
+    last, so each numpy loop runs over the rows rather than over d entries;
+    the result is its (..., d, d) transposed view.  Each entry has the bits
+    of the row-major formula p * (a a^dag) + (1 - p) * eye / d: the in-place
+    product and sum only swap the operands of commutative operations.
     """
-    p = _row_noise(amps, p)[..., None, None]
+    p = _row_noise(amps, p)
     d = amps.shape[-1]
-    return p * (amps[..., :, None] * amps[..., None, :].conj()) + (1.0 - p) * np.eye(d) / d
+    batch = tuple(range(amps.ndim - 1))
+    a = amps.transpose(-1, *batch)  # (d, ...)
+    eye = np.eye(d).reshape((d, d) + (1,) * len(batch))
+    mixed = np.multiply(a[:, None], a[None, :].conj(), order="C")
+    mixed *= p
+    mixed += (1.0 - p) * eye / d  # on every entry: an off-diagonal -0.0 part becomes +0.0
+    return mixed.transpose(*(axis + 2 for axis in batch), 0, 1)
 
 
 @dataclass(frozen=True)

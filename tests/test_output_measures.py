@@ -16,6 +16,7 @@ from manalab import (
     csum_spec,
     enumerate_stabilizer_pure,
     mana,
+    measures,
     named_state,
     noisy_mix,
     oracles,
@@ -32,7 +33,7 @@ from manalab.measures import MEASURES, OUTPUT_MEASURES, _output_table, output_me
 from manalab.oracles import TABLE_ROW_MEASURES, csum_output
 from manalab.phasespace import _char_values, _from_wigner, _wigner_values, char_function
 from manalab.search import PhaseVector, mutual_mana_coherent_equals_mana
-from manalab.states import noisy_matrices
+from manalab.states import NoisyRows, noisy_matrices
 
 SPECS = [*qutrit_specs().values(), csum_spec(5), swap_spec(7)]
 spec_ids = [f"d{s.dim}-{s.g_matrix}" for s in SPECS]
@@ -206,6 +207,29 @@ def test_names_pick_the_values_returned():
     assert list(got) == ["sre2", "mutual_mana"]
     with pytest.raises(ValueError, match="mana"):
         output_measures(csum_spec(3), rho.matrix[None], ["mana"])
+
+
+def test_only_the_requested_measures_are_evaluated(monkeypatch):
+    def unrequested(*args):
+        raise AssertionError("sre2 evaluated for a block that did not request it")
+
+    mats = noisy_matrices(np.stack([named_state(n).amplitudes for n in ("strange", "norrell", "t")]), 0.7)
+    want = output_measures(csum_spec(3), mats, ["mutual_l1"])
+    monkeypatch.setattr(measures, "_sre", unrequested)
+    got = output_measures(csum_spec(3), mats, ["mutual_l1"])
+    assert got["mutual_l1"].view(np.int64).tolist() == want["mutual_l1"].view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("spec", [csum_spec(3), csum_spec(5), swap_spec(7)], ids=lambda s: f"d{s.dim}")
+def test_a_measure_requested_alone_has_the_bits_it_has_among_all_four(spec):
+    rng = np.random.default_rng(spec.dim)
+    amps = rng.normal(size=(40, spec.dim)) + 1j * rng.normal(size=(40, spec.dim))
+    rhos = NoisyRows(amps / np.linalg.norm(amps, axis=1, keepdims=True), rng.uniform(size=40))
+    together = output_measures(spec, rhos, list(OUTPUT_MEASURES))
+    for name in OUTPUT_MEASURES:
+        alone = output_measures(spec, rhos, [name])
+        assert list(alone) == [name]
+        assert np.array_equal(alone[name].view(np.int64), together[name].view(np.int64)), name
 
 
 @pytest.mark.parametrize(

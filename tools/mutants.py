@@ -61,6 +61,12 @@ MUTANTS = {
         "_log_abs_sum(chi[1])",
         ("tests/test_output_measures.py",),
     ),
+    "sre2-for-every-chi-block": Mutant(
+        "measures.py",
+        'if "sre2" in wanted:',
+        "if True:",
+        ("tests/test_output_measures.py::test_only_the_requested_measures_are_evaluated",),
+    ),
     # the component-major tables' sums, which replay numpy's summation order
     "pairwise-tree-pair-swapped": Mutant(
         "measures.py",
@@ -348,6 +354,18 @@ MUTANTS = {
         "np.abs(row_traces - 1.0) <= HERM_TOL",
         ("tests/test_noisy_rows.py",),
     ),
+    "noisy-identity-on-diagonal-only": Mutant(
+        "states.py",
+        "mixed += (1.0 - p) * eye / d",
+        "mixed[range(d), range(d)] += ((1.0 - p) * eye / d)[range(d), range(d)]",
+        ("tests/test_noisy_matrices.py::test_noisy_matrices_have_the_bits_of_the_row_major_formula",),
+    ),
+    "noisy-transposed": Mutant(
+        "states.py",
+        "np.multiply(a[:, None], a[None, :].conj(),",
+        "np.multiply(a[:, None].conj(), a[None, :],",
+        ("tests/test_noisy_matrices.py::test_noisy_matrices_have_the_bits_of_the_row_major_formula",),
+    ),
     "amplitudes-np-empty": Mutant(
         "states.py",
         "amps = np.zeros(thetas.size, dtype=complex)",
@@ -580,6 +598,24 @@ MUTANTS = {
         "np.unique(column.view(np.int64),",
         "np.unique(column,",
         ("tests/test_figure_csv.py",),
+    ),
+    "parser-captures-commands": Mutant(
+        "cli.py",
+        """    return build_parser()
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]""",
+        """    parser = build_parser()
+    parser.set_defaults(table={name: globals()[f"cmd_{name}"] for name in ("measure", "verify", "figure", "maximize")})
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    command = args.table[args.command]""",
+        ("tests/test_cli_parser.py::test_a_cmd_patched_after_the_first_run_is_dispatched",),
     ),
     "tolerance-without-finiteness": Mutant(
         "cli.py",
