@@ -53,15 +53,14 @@ def _print_checks(checks: list[Check]) -> int:
 
 def write_figure_csv(figure_id: str, path: str | None):
     header, rows = figure_rows(figure_id)
-    # each column's distinct values formatted once ("%.17g" % x is
-    # format(x, ".17g") for every float), keyed on their bits so that -0.0
-    # and 0.0 stay apart, then one % pass over the rows
-    cells = np.empty(rows.shape, dtype=object)
-    for j, column in enumerate(rows.T):
-        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        cells[:, j] = np.array(["%.17g" % x for x in keys.view(float).tolist()], dtype=object)[inverse]
+    # each distinct value formatted once ("%.17g" % x is format(x, ".17g")
+    # for every float), keyed on its bits so that -0.0 and 0.0 stay apart,
+    # then one % pass over the rows; numpy 2.x releases disagree on the
+    # inverse's shape, so the indexed strings are raveled
+    keys, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    cells = np.array(["%.17g" % x for x in keys.view(float).tolist()], dtype=object)[inverse].ravel()
     line = ",".join(["%s"] * rows.shape[1]) + "\n"
-    _write_text(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(cells.ravel().tolist()))
+    _write_text(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(cells.tolist()))
 
 
 # --- commands -----------------------------------------------------------------

@@ -32,14 +32,11 @@ single-qudit tables, without forming the output state; the per-state
 functions above are its reference.  Each piece's output tables are laid
 out component-major, as C-order (d^2, d^2, rows) arrays with the rows
 last, so each marginal sum and abs-sum is a few long vector operations
-rather than one short numpy inner loop per row.  _numpy_sum replays the
-order numpy 2.4 sums the row-major (rows, d^2, d^2) tables in: pairwise
-over a contiguous axis (8 accumulators, blocks of at most 128, longer
-sums split at half the length rounded down to a multiple of 8), in
-sequence over the strided p_a axis, from +0.0.  Every value keeps the
-row-major bits.  figure fig1's one call (10,201 rows in 13 pieces) takes
-5.9-6.6 ms warm against 11.1-11.5 ms row-major, and its peak traced
-allocation is unchanged at 2.9 MiB (2-core VM).
+rather than one short numpy inner loop per row.  Every value keeps the
+bits numpy 2.4 gives the row-major (rows, d^2, d^2) tables: the sum over
+p_a, strided row-major, is numpy's own in-sequence np.add.reduce over the
+outer axis, and every sum over an axis that is contiguous row-major is
+_numpy_sum's replay of numpy's pairwise sum.
 
 nonlocal_mana_upper certifies upper bounds on the minimum of mana over
 local-unitary orbits by seeded random-restart Nelder-Mead descent over
@@ -522,10 +519,8 @@ OUTPUT_MEASURES = ("mutual_mana", "mutual_l1", "sre2", "mutual_information")
 def _output_table(perm: np.ndarray, table: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
     """Two-qudit table of B_G (rho x |0><0|) B_G^dag: the product table moved by perm.
 
-    table has shape (n, d^2), vacuum (d^2,).  The table is written
-    component-major, into a C-order (d^2, d^2, n) array with the rows last;
-    the result is its (n, d^2, d^2) transposed view, indexed [row, p_a, p_b]
-    with p = k*d + l.
+    table has shape (n, d^2), vacuum (d^2,).  The result is component-major,
+    a C-order (d^2, d^2, n) array indexed [p_a, p_b, row] with p = k*d + l.
     """
     n, dd = table.shape
     source = np.empty_like(perm)
@@ -533,41 +528,28 @@ def _output_table(perm: np.ndarray, table: np.ndarray, vacuum: np.ndarray) -> np
     out = np.empty((dd * dd, n), dtype=table.dtype)
     np.take(table.T, source // dd, axis=0, out=out, mode="clip")  # "clip": unbuffered; no index is out of range
     out *= vacuum[source % dd, None]
-    return out.reshape(dd, dd, n).transpose(2, 0, 1)
+    return out.reshape(dd, dd, n)
 
 
-def _numpy_sum(table: np.ndarray, contiguous: bool = True) -> np.ndarray:
+def _numpy_sum(table: np.ndarray) -> np.ndarray:
     """table.sum(axis=0) of a real component-major table, with the bits numpy 2.4 gives that sum row-major.
 
-    A component-major table has the summed axis first and the rows after
-    it.  numpy sums a row-major table's contiguous axis pairwise (its
-    pairwise_sum, replayed by _pairwise) and a strided axis in sequence;
-    `contiguous` names the order to replay.  Either replay adds whole
-    components, one long vector operation each, and starts from numpy's
-    +0.0, so a sum of -0.0 terms is +0.0.
-    """
-    if contiguous:
-        return 0.0 + _pairwise(table)
-    total = np.zeros(table.shape[1:])
-    for component in table:
-        total += component
-    return total
-
-
-def _pairwise(table: np.ndarray) -> np.ndarray:
-    """numpy's pairwise_sum of the m >= 8 components of table, without its +0.0 start.
-
-    Up to 128 terms go to 8 accumulators, term i to accumulator i % 8, up
-    to the last multiple of 8; the accumulators are joined
-    ((0+1)+(2+3))+((4+5)+(6+7)) and the rest added in sequence.  More than
-    128 terms are split at m // 2 rounded down to a multiple of 8, and the
-    two parts' sums added.  (numpy adds fewer than 8 terms in sequence;
-    output_measures sums at least d^2 = 9.)
+    The summed axis comes first and the rows after it; row-major it is
+    contiguous, and numpy's pairwise_sum is replayed one whole component at
+    a time.  Up to 128 terms go to 8 accumulators, term i to accumulator
+    i % 8, up to the last multiple of 8; the accumulators are joined
+    ((0+1)+(2+3))+((4+5)+(6+7)), added to +0.0, and the rest added in
+    sequence.  More than 128 terms are split at m // 2 rounded down to a
+    multiple of 8, and the two parts' sums added.  numpy adds +0.0 to the
+    whole sum only; adding it to each part can change only the sign of a
+    part's zero, not the total, which is +0.0 for -0.0 terms either way.
+    (numpy adds fewer than 8 terms in sequence; output_measures sums at
+    least d^2 = 9.)
     """
     m = len(table)
     if m > 128:
         half = m // 2 - m // 2 % 8
-        return _pairwise(table[:half]) + _pairwise(table[half:])
+        return _numpy_sum(table[:half]) + _numpy_sum(table[half:])
     end = m - m % 8
     blocks = table[:end].reshape((end // 8, 8) + table.shape[1:])
     acc = blocks[0]
@@ -576,7 +558,7 @@ def _pairwise(table: np.ndarray) -> np.ndarray:
         for block in blocks[2:]:
             acc += block
     pairs = acc[0::2] + acc[1::2]
-    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    total = 0.0 + ((pairs[0] + pairs[1]) + (pairs[2] + pairs[3]))
     for component in table[end:]:
         total += component
     return total
@@ -615,9 +597,9 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
     the D(0) slices [:, 0] and [0, :].  For I, S(ab) = S(rho) because B_G is
     unitary and the vacuum pure, and the marginal matrices are rebuilt from
     the marginal Wigner tables.  Each _by_rows piece's tables are
-    component-major (d^2, d^2, rows) arrays, summed by _numpy_sum in the
-    order numpy sums the row-major tables (see the module docstring), so
-    each value has the row-major bits.
+    component-major (d^2, d^2, rows) arrays, summed in the order numpy
+    sums the row-major tables (see the module docstring), so each value
+    has the row-major bits.
 
     rhos is a raw (n, d, d) stack or a states.NoisyRows of n rows.  A raw
     stack gets DensityState's checks (states.check_density).  A NoisyRows
@@ -647,12 +629,15 @@ def output_measures(spec: BeamsplitterSpec, rhos, names) -> dict[str, np.ndarray
         values = {}
         # the output tables component-major, C-order (d^2, d^2, rows) indexed [p_a, p_b, row]
         if wanted & {"mutual_mana", "mutual_information"}:
-            w = _output_table(perm, _wigner_values(rows, (d,)), _vacuum_table(d, "wigner")).transpose(1, 2, 0)
-            w_a, w_b = _numpy_sum(w.transpose(1, 0, 2)), _numpy_sum(w, contiguous=False)
+            w = _output_table(perm, _wigner_values(rows, (d,)), _vacuum_table(d, "wigner"))
+            # numpy adds the outer axis in sequence from +0.0, as it adds the
+            # row-major p_a axis, while the trailing size d^2 * rows >= 18
+            # (_by_rows passes at least 2 rows); it sums (m, 1) tables pairwise
+            w_a, w_b = _numpy_sum(w.transpose(1, 0, 2)), np.add.reduce(w, axis=0)
             if "mutual_mana" in wanted:
                 values["mutual_mana"] = _log_abs_sum(w.reshape(d**4, -1)) - _log_abs_sum(w_a) - _log_abs_sum(w_b)
         if wanted & {"mutual_l1", "sre2"}:
-            chi = _output_table(perm, _char_values(rows, (d,)), _vacuum_table(d, "char")).transpose(1, 2, 0)
+            chi = _output_table(perm, _char_values(rows, (d,)), _vacuum_table(d, "char"))
             chi_ab = chi.reshape(d**4, -1)
             if "mutual_l1" in wanted:
                 values["mutual_l1"] = _log_abs_sum(chi_ab) - _log_abs_sum(chi[:, 0]) - _log_abs_sum(chi[0])

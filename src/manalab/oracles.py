@@ -174,11 +174,17 @@ def example3(lam: float, p: float) -> float:
 
 
 def example4(theta: float, p: float) -> float:
-    """Piecewise mutual mana for the noisy two-level qutrit family."""
+    """Piecewise mutual mana for the noisy two-level qutrit family.
+
+    The closed form holds for sin 2 theta >= 0, theta in [0, pi/2] mod pi;
+    an angle with sin 2 theta below -1e-12 raises BadParams.
+    """
     _check_p(p)
     if not math.isfinite(theta):
         raise BadParams(f"theta={theta} is not finite")
     s = math.sin(2.0 * theta)
+    if s < -1e-12:
+        raise BadParams(f"theta={theta} outside [0, pi/2] mod pi: sin 2theta = {s}")
     if p <= 2.0 / (2.0 + 3.0 * s):
         return 0.0
     return math.log((5.0 + 4.0 * p + 6.0 * p * s) / 9.0)

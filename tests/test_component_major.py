@@ -1,10 +1,12 @@
 """output_measures' component-major tables keep the bits of the row-major formulas.
 
 output_measures writes each piece's output Wigner and characteristic tables
-as C-order (d^2, d^2, rows) arrays and sums them with measures._numpy_sum,
-which replays the order numpy sums a row-major table in.  The reference
-here is the row-major evaluation written out: (rows, d^2, d^2) tables and
-numpy's own .sum over their axes.  Every value is compared as int64 bits.
+as C-order (d^2, d^2, rows) arrays.  A sum over an axis that is contiguous
+row-major is measures._numpy_sum, which replays numpy's pairwise order; the
+sum over p_a, strided row-major, is numpy's own np.add.reduce over the
+outer axis.  The reference here is the row-major evaluation written out:
+(rows, d^2, d^2) tables and numpy's own .sum over their axes.  Every value
+is compared as int64 bits.
 """
 
 import math
@@ -50,9 +52,14 @@ def contiguous(x):
 
 
 def strided(x):
-    """numpy's sum over a strided axis, and the replay: x's rows as (12, 9) blocks, the middle axis summed."""
+    """numpy's sum over a strided axis, and over the outer axis of a component-major copy.
+
+    x's rows are (12, 9) blocks, and the middle axis of the C-order
+    (12, length, 9) array is summed.  The copy puts that axis first: a
+    transposed view would compare numpy with itself on the same memory.
+    """
     blocks = x.reshape(12, 9, -1).transpose(0, 2, 1).copy()  # (12, length, 9), C-order
-    return np.add.reduce(blocks, axis=1), _numpy_sum(blocks.transpose(1, 0, 2), contiguous=False)
+    return np.add.reduce(blocks, axis=1), np.add.reduce(np.ascontiguousarray(blocks.transpose(1, 0, 2)), axis=0)
 
 
 @pytest.mark.parametrize("order", [contiguous, strided])

@@ -100,6 +100,20 @@ def test_example4_continuous_at_branch_point(theta):
     assert abs(above) < 1e-8
 
 
+@pytest.mark.parametrize("theta, p", [(2.0, 0.5), (-0.4, 1.0), (3.0, 0.9), (math.asin(-2.0 / 3.0) / 2.0, 0.9)])
+def test_example4_refuses_a_negative_sin_2theta(theta, p):
+    # the closed form read -0.6434, -0.6505 and 0 where the output's mutual
+    # mana is 0.1320, 0.3909 and 0.1358, and divided by zero at the last angle
+    with pytest.raises(BadParams, match=f"theta={theta} outside"):
+        example4(theta, p)
+
+
+def test_example4_holds_on_zero_to_half_pi_mod_pi():
+    for theta in (0.0, math.pi / 2, math.pi, 0.6 + math.pi, 0.6 - math.pi):
+        assert example4(theta, 0.9) == pytest.approx(example4(theta % math.pi, 0.9), abs=1e-12)
+    assert oracle_vs_numeric(OracleId("ex4", (0.6 + math.pi, 0.9))).difference < 1e-10
+
+
 @pytest.mark.parametrize("measure", TABLE_MEASURES)
 def test_example5_curve_vs_numeric(measure):
     worst = 0.0

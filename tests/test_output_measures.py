@@ -46,13 +46,17 @@ def invertible_specs(d):
 
 
 def output_tables(spec, mats):
-    """(Wigner, characteristic) tables of B_G (rho x |0><0|) B_G^dag, shape (n, d^2, d^2)."""
+    """(Wigner, characteristic) tables of B_G (rho x |0><0|) B_G^dag, shape (n, d^2, d^2).
+
+    _output_table writes them component-major, (d^2, d^2, n); the row-indexed
+    asserts here read them through the transposed view.
+    """
     d = spec.dim
     vac = named_state("basis", [0], dim=d).density().matrix
     perm = phase_permutation(spec)
     return (
-        _output_table(perm, _wigner_values(mats, (d,)), _wigner_values(vac, (d,))),
-        _output_table(perm, _char_values(mats, (d,)), _char_values(vac, (d,))),
+        _output_table(perm, _wigner_values(mats, (d,)), _wigner_values(vac, (d,))).transpose(2, 0, 1),
+        _output_table(perm, _char_values(mats, (d,)), _char_values(vac, (d,))).transpose(2, 0, 1),
     )
 
 

@@ -97,14 +97,14 @@ MUTANTS = {
     ),
     "p-a-marginal-summed-pairwise": Mutant(
         "measures.py",
-        "_numpy_sum(w, contiguous=False)",
+        "np.add.reduce(w, axis=0)",
         "_numpy_sum(w)",
         ("tests/test_component_major.py::test_output_measures_have_the_bits_of_the_row_major_formulas",),
     ),
     "sum-starts-from-negative-zero": Mutant(
         "measures.py",
-        "return 0.0 + _pairwise(table)",
-        "return _pairwise(table)",
+        "total = 0.0 + ((pairs[0] + pairs[1]) + (pairs[2] + pairs[3]))",
+        "total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])",
         ("tests/test_component_major.py::test_numpy_sum_replays_numpy_add_reduce",),
     ),
     # the vacuum's 1 moved off the diagonal: another basis index would only
@@ -447,6 +447,12 @@ MUTANTS = {
         'form, params, labels = example4, ("lam", "p"), ()',
         ("tests/test_oracles.py::test_closed_form_calls_the_form_it_names",),
     ),
+    "ex4-domain-unchecked": Mutant(
+        "oracles.py",
+        "if s < -1e-12:",
+        "if False:",
+        ("tests/test_oracles.py::test_example4_refuses_a_negative_sin_2theta",),
+    ),
     "i-cell-without-h-global": Mutant(
         "oracles.py",
         "return 2 * shannon_entropy((1 - p) / 3.0, (2 + p) / 6.0, (2 + p) / 6.0) - h_global",
@@ -595,8 +601,8 @@ MUTANTS = {
     ),
     "csv-dedupe-by-float-value": Mutant(
         "cli.py",
-        "np.unique(column.view(np.int64),",
-        "np.unique(column,",
+        "np.unique(rows.view(np.int64),",
+        "np.unique(rows,",
         ("tests/test_figure_csv.py",),
     ),
     "parser-captures-commands": Mutant(
