@@ -11,12 +11,18 @@ forms no output state (`csum_output` is the dense reference), and returns
 a record of both values with their difference.  It gives no verdict: each
 caller judges the difference against its own tolerance (`verify` through
 `Check.worst`), and nothing auto-resolves a discrepancy.
-`oracle_vs_numeric(oid)` is compare of one id.  compare evaluates each
-closed form and checks each numeric input in list order.
-`_numeric_input` only describes an id's input (table row, state name,
-state parameters, noise p); compare builds and checks each distinct state
-(name and parameter bits) once per call (`verify table1` builds 5),
-stacks their amplitudes once, and checks every id's p.  Then it makes one
+`oracle_vs_numeric(oid)` is compare of one id.  compare resolves each
+group of ids (one name, labels and parameter count; `verify table1` has 16
+groups of 101 ids) once, at its first id: the closed form after its arity
+check (`_form`), the numeric description (`_numeric_input`: table row,
+state name, how the params split into state parameters and noise p, and
+the record's note), the row's block, and the state's slot when the state
+takes no parameters.  Per id it evaluates the closed form, then the
+numeric input, in list order: so an id's closed form raises before its
+input is described or built.  `_numeric_input` builds and checks nothing;
+compare builds and checks each distinct state (name and parameter bits)
+once per call (`verify table1` builds 5), stacks their amplitudes once,
+and checks every id's p.  Then it makes one
 output_measures call per table row, on all that row's inputs (gathered
 from the stack) with one noise value each, as one states.NoisyRows (it
 takes a p per row), which output_measures evaluates without
@@ -31,8 +37,11 @@ the same way.
 An id (`OracleId`: name, params, labels) and a `ComparisonRecord` are
 named tuples, immutable and compared and hashed by value (so each also
 equals a plain tuple of its fields); an id stores its params as floats and
-its labels as str, also through `_make` and `_replace`.  `closed_form`
-finds the form with one `match` on the name.
+its labels as str, also through `_make` and `_replace`.  `_form` finds
+the form with one `match` on the name, and `closed_form` evaluates it on
+one id.  The long H-column forms `ml1_h` and `msre2_h` read their
+p-independent terms from two tuples built once at import by closed-form
+helpers, so each call does only the arithmetic in p, in the same order.
 
 Two conventions behind the encoded closed forms matter when pairing them
 with numerics:
@@ -262,15 +271,49 @@ def example6(measure: str, theta: float) -> float:
 # --- comparison table --------------------------------------------------------
 
 
+def _ml1_h_terms() -> tuple[float, float, float, float, float]:
+    """The five p-independent moduli of ml1_h's closed form."""
+    e = cmath.exp
+    return (
+        abs((1 + SQRT3) * (1 + e(-2j * math.pi / 9)) + e(2j * math.pi / 9)),
+        abs((1 + SQRT3) * (1 + e(-8j * math.pi / 9)) + e(8j * math.pi / 9)),
+        abs((1 + SQRT3) * (1 + e(4j * math.pi / 9)) + e(-4j * math.pi / 9)),
+        abs((1 + SQRT3) * (e(2j * math.pi / 9) + e(2j * math.pi / 3)) + e(10j * math.pi / 9)),
+        abs((1 + SQRT3) * (e(2j * math.pi / 9) + e(4j * math.pi / 3)) + e(4j * math.pi / 9)),
+    )
+
+
+def _msre2_h_terms() -> tuple[float, float, float, float]:
+    """msre2_h's p-independent terms: its two moduli, then the trigonometric sums of its numerator and denominator."""
+    e = cmath.exp
+    a = abs((e(1j * math.pi / 9) - e(2j * math.pi / 3)) * (1 + SQRT3) - e(2j * math.pi / 9))
+    b = abs((e(5j * math.pi / 9) - e(2j * math.pi / 3)) * (1 + SQRT3) + e(7j * math.pi / 9))
+    num = (
+        18.0
+        + SQRT3
+        - 2.0 * SQRT3 * math.cos(math.pi / 9.0)
+        + (1.0 + 3.0 * SQRT3) * math.cos(2.0 * math.pi / 9.0)
+        + (3.0 * SQRT3 - 1.0) * math.sin(math.pi / 18.0)
+    )
+    den = (
+        1299.0
+        + 744.0 * SQRT3
+        - 2.0 * (146.0 + 85.0 * SQRT3) * math.cos(math.pi / 9.0)
+        + (478.0 + 278.0 * SQRT3) * math.cos(2.0 * math.pi / 9.0)
+        + (382.0 + 224.0 * SQRT3) * math.sin(math.pi / 18.0)
+    )
+    return a, b, num, den
+
+
+# evaluated once: the H forms' per-call arithmetic starts from these same values
+_ML1_H_TERMS = _ml1_h_terms()
+_MSRE2_H_TERMS = _msre2_h_terms()
+
+
 def ml1_h(p: float) -> float:
     """Mutual L1 magic of the noisy printed-H output (long closed form)."""
     _check_p(p)
-    e = cmath.exp
-    c1 = abs((1 + SQRT3) * (1 + e(-2j * math.pi / 9)) + e(2j * math.pi / 9))
-    c2 = abs((1 + SQRT3) * (1 + e(-8j * math.pi / 9)) + e(8j * math.pi / 9))
-    c3 = abs((1 + SQRT3) * (1 + e(4j * math.pi / 9)) + e(-4j * math.pi / 9))
-    c4 = abs((1 + SQRT3) * (e(2j * math.pi / 9) + e(2j * math.pi / 3)) + e(10j * math.pi / 9))
-    c5 = abs((1 + SQRT3) * (e(2j * math.pi / 9) + e(4j * math.pi / 3)) + e(4j * math.pi / 9))
+    c1, c2, c3, c4, c5 = _ML1_H_TERMS
     big = (
         3.0
         + 3.0 * (1 + SQRT3) * p / 2.0
@@ -284,42 +327,13 @@ def ml1_h(p: float) -> float:
 def msre2_h(p: float) -> float:
     """SRE2 of the noisy printed-H output (long closed form)."""
     _check_p(p)
-    e = cmath.exp
-    a = abs((e(1j * math.pi / 9) - e(2j * math.pi / 3)) * (1 + SQRT3) - e(2j * math.pi / 9))
-    b = abs((e(5j * math.pi / 9) - e(2j * math.pi / 3)) * (1 + SQRT3) + e(7j * math.pi / 9))
+    a, b, num_trig, den_trig = _MSRE2_H_TERMS
     num = (
         2.0
         * (3.0 + SQRT3) ** 4
-        * (
-            24.0
-            - (-2.0 + SQRT3) * a * a * p * p
-            - (-2.0 + SQRT3) * b * b * p * p
-            + 2.0
-            * (
-                18.0
-                + SQRT3
-                - 2.0 * SQRT3 * math.cos(math.pi / 9.0)
-                + (1.0 + 3.0 * SQRT3) * math.cos(2.0 * math.pi / 9.0)
-                + (3.0 * SQRT3 - 1.0) * math.sin(math.pi / 18.0)
-            )
-            * p
-            * p
-        )
+        * (24.0 - (-2.0 + SQRT3) * a * a * p * p - (-2.0 + SQRT3) * b * b * p * p + 2.0 * num_trig * p * p)
     )
-    den = 3.0 * (
-        576.0 * (7.0 + 4.0 * SQRT3)
-        + a**4 * p**4
-        + b**4 * p**4
-        + 2.0
-        * (
-            1299.0
-            + 744.0 * SQRT3
-            - 2.0 * (146.0 + 85.0 * SQRT3) * math.cos(math.pi / 9.0)
-            + (478.0 + 278.0 * SQRT3) * math.cos(2.0 * math.pi / 9.0)
-            + (382.0 + 224.0 * SQRT3) * math.sin(math.pi / 18.0)
-        )
-        * p**4
-    )
+    den = 3.0 * (576.0 * (7.0 + 4.0 * SQRT3) + a**4 * p**4 + b**4 * p**4 + 2.0 * den_trig * p**4)
     return math.log(num) - math.log(den)
 
 
@@ -382,10 +396,13 @@ def p_crit(state: str) -> float:
     raise BadParams(f"unknown state label {state!r}")
 
 
-def closed_form(oid: OracleId) -> float:
-    """Evaluate the literal closed form named by the id; no simulation."""
-    # the closed form, its parameter names and its label names; called as form(*labels, *params)
-    match oid.name:
+def _form(name: str, n_params: int, n_labels: int):
+    """The closed form `name` names, once it is checked to take n_params parameters and n_labels labels.
+
+    It is called as form(*labels, *params).
+    """
+    # the closed form, its parameter names and its label names
+    match name:
         case "ex1":
             form, params, labels = example1, ("mu0", "mu1", "mu2", "p"), ()
         case "ex2":
@@ -403,13 +420,18 @@ def closed_form(oid: OracleId) -> float:
         case "p_crit":
             form, params, labels = p_crit, (), ("state",)
         case _:
-            raise BadParams(f"unknown oracle {oid.name!r}")
-    if len(oid.params) != len(params) or len(oid.labels) != len(labels):
+            raise BadParams(f"unknown oracle {name!r}")
+    if n_params != len(params) or n_labels != len(labels):
         raise BadParams(
-            f"{oid.name} takes parameters ({', '.join(params)}) and labels ({', '.join(labels)}), "
-            f"got {len(oid.params)} parameter(s) and {len(oid.labels)} label(s)"
+            f"{name} takes parameters ({', '.join(params)}) and labels ({', '.join(labels)}), "
+            f"got {n_params} parameter(s) and {n_labels} label(s)"
         )
-    return form(*oid.labels, *oid.params)
+    return form
+
+
+def closed_form(oid: OracleId) -> float:
+    """Evaluate the literal closed form named by the id; no simulation."""
+    return _form(oid.name, len(oid.params), len(oid.labels))(*oid.labels, *oid.params)
 
 
 # --- numeric pairing ---------------------------------------------------------
@@ -456,41 +478,37 @@ def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
     return mz.output_measures(TABLE_SPEC, NoisyRows(amps, ps), [name])[name]
 
 
-def _numeric_input(oid: OracleId) -> tuple[str, str, tuple[float, ...], float | None, str]:
-    """What the numeric side of oid evaluates, (measure, state, params, p, note); it builds and checks nothing.
+def _numeric_input(oid: OracleId) -> tuple[str, str, bool, float | None, str]:
+    """What the numeric side of oid's group evaluates, (measure, state, noisy, p, note); it builds and checks nothing.
 
-    measure is a table row; state a named input state, or "" for ex1, whose
-    params are the amplitudes; params the state's parameters; p the noise,
-    None for a threshold, which is bisected over p; note the record's note.
-    closed_form has checked oid's arity.  The examples' last parameter is
-    their noise p; the pure-output curves are noiseless, p = 1.
+    A group is the ids of one name, labels and parameter count, and this
+    reads only those.  measure is a table row; state a named input state,
+    or "" for ex1, whose params are the amplitudes; noisy whether each id's
+    last parameter is its noise p and the others the state's parameters,
+    else the state takes every parameter and p is the group's noise: 1.0
+    for the noiseless pure-output curves, None for a threshold, which is
+    bisected over p; note the record's note.  _form has checked the arity.
     """
-    params = oid.params
     match oid.name:
         case "ex1":
-            measure, state, params, p = "m_mana", "", params[:-1], params[-1]
+            measure, state = "m_mana", ""
         case "ex2":
-            measure, state, params, p = "m_mana", "max_coherent", params[:-1], params[-1]
+            measure, state = "m_mana", "max_coherent"
         case "ex3":
-            measure, state, params, p = "m_mana", "phi_lambda", params[:-1], params[-1]
+            measure, state = "m_mana", "phi_lambda"
         case "ex4":
-            measure, state, params, p = "m_mana", "psi_theta", params[:-1], params[-1]
+            measure, state = "m_mana", "psi_theta"
         case "ex5_set" | "ex6_set":
-            measure, p = oid.labels[0], 1.0
+            measure = oid.labels[0]
             state = "phi_lambda" if oid.name == "ex5_set" else "psi_theta"
+            return measure, state, False, 1.0, _row_name(measure)
         case "table1_cell":
-            (measure, column), params, p = oid.labels, (), params[0]
+            measure, column = oid.labels
             state = _table_state_name(measure, column)
         case "p_crit":
             state = _table_state_name("m_mana", oid.labels[0])
-            return "m_mana", state, (), None, f"bisection threshold ({state})"
-    return measure, state, params, p, _row_name(measure)
-
-
-def _checked_noise(p: float | None) -> None:
-    """check_noise's ParamOutOfRange if p lies outside [0, 1] (NaN too); a threshold's None passes."""
-    if p is not None and not 0.0 <= p <= 1.0:
-        check_noise(p)
+            return "m_mana", state, False, None, f"bisection threshold ({state})"
+    return measure, state, True, None, _row_name(measure)
 
 
 def _bisect(mutual_mana, n: int) -> np.ndarray:
@@ -522,13 +540,18 @@ def oracle_vs_numeric(oid: OracleId) -> ComparisonRecord:
 def compare(oids) -> list[ComparisonRecord]:
     """oracle_vs_numeric for each id, its numeric side evaluated in blocks.
 
-    Each id's closed form, numeric input and noise p are checked in list
-    order, so the first bad id raises what oracle_vs_numeric raises on it.
-    Each distinct state (its name and its parameters' bits, so that -0.0
-    and 0.0 differ) is built and checked once per call, and every id's p
-    is checked.  Then each table row's ids make one _row_value block,
-    gathered from the distinct states' amplitudes stacked once, and the
-    thresholds one lockstep bisection.
+    The ids of one name, labels and parameter count form a group, resolved
+    at its first id: its closed form (after the arity check), its numeric
+    input (_numeric_input), its table row's block, and its state's slot
+    when the state takes no parameters.  Each id's checks run in list
+    order, its closed form's value first, then its numeric input (the
+    state built from its parameters, and its noise p), so the first bad id
+    raises what oracle_vs_numeric raises on it.  Each distinct state (its
+    name and its parameters' bits, so that -0.0 and 0.0 differ) is built
+    and checked once per call, and every id's p is checked.  Then each
+    table row's ids make one _row_value block, gathered from the distinct
+    states' amplitudes stacked once, and the thresholds one lockstep
+    bisection.
     """
     oids = list(oids)
     oracle_values, noises, notes, slots = [], [], [], []
@@ -536,22 +559,44 @@ def compare(oids) -> list[ComparisonRecord]:
     built: dict[tuple, int] = {}  # (state, params' bits) -> its slot in amps
     rows: dict[str, list[int]] = {}  # table row -> the positions of its ids
     thresholds = []
-    for i, oid in enumerate(oids):
-        oracle_values.append(closed_form(oid))
-        measure, state, params, p, note = _numeric_input(oid)
+    groups = {}  # (name, labels, parameter count) -> (form, state, noisy, p, note, block, slot)
+
+    def slot_of(state: str, params: tuple[float, ...]) -> int:
         key = state, tuple(map(float.hex, params))
         slot = built.get(key)
         if slot is None:
             amps.append((named_state(state, params) if state else PureVector(3, params)).amplitudes)
             slot = built[key] = len(amps) - 1
-        _checked_noise(p)
+        return slot
+
+    for i, oid in enumerate(oids):
+        name, params, labels = oid
+        key = name, labels, len(params)
+        try:
+            group = groups.get(key)
+        except TypeError:  # an unhashable name, which _form refuses as an unknown oracle
+            group = None
+        if group is None:
+            form = _form(name, len(params), len(labels))
+            oracle_values.append(form(*labels, *params))
+            measure, state, noisy, p, note = _numeric_input(oid)
+            block = thresholds if p is None and not noisy else rows.setdefault(measure, [])
+            state_params = params[:-1] if noisy else params
+            slot = None if state_params else slot_of(state, ())  # one slot for a state without parameters
+            group = groups[key] = form, state, noisy, p, note, block, slot
+        else:
+            oracle_values.append(group[0](*labels, *params))
+        _, state, noisy, p, note, block, slot = group
+        if slot is None:
+            slot = slot_of(state, params[:-1] if noisy else params)
+        if noisy:
+            p = params[-1]
+            if not 0.0 <= p <= 1.0:  # NaN too
+                check_noise(p)
         noises.append(p)
         notes.append(note)
         slots.append(slot)
-        if p is None:
-            thresholds.append(i)
-        else:
-            rows.setdefault(measure, []).append(i)
+        block.append(i)
     amps = np.array(amps)  # (len(built), 3); a block gathers its rows by slot
     numeric = np.empty(len(oids))
     for measure, block in rows.items():

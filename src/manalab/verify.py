@@ -356,7 +356,9 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None, seed: int | None, tol: float | None) -> list[Check]:
-    """The suite's checks; None marks an absent flag, and a flag the suite ignores raises ValueError."""
+    """The suite's checks; None marks an absent flag, and an unknown suite or a flag it ignores raises ValueError."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
     given = {"trials": trials, "seed": seed, "tol": tol}
     ignored = [f"--{flag}" for flag in IGNORED_FLAGS.get(name, ()) if given[flag] is not None]
     if ignored:

@@ -181,6 +181,126 @@ def test_a_cached_input_still_checks_its_noise():
     assert _raised(lambda: compare(oids)) == _raised(lambda: [oracle_vs_numeric(oid) for oid in oids])
 
 
+# --- groups: the ids of one name, labels and parameter count ------------------
+
+# table rows and ex5_set curves that differ only in a label, interleaved
+INTERLEAVED = [
+    OracleId("ex5_set", (0.3,), ("m_l1",)),
+    OracleId("table1_cell", (0.4,), ("m_l1", "S")),
+    OracleId("ex5_set", (0.3,), ("m_sre2",)),
+    OracleId("table1_cell", (0.4,), ("m_l1", "N")),
+    OracleId("ex5_set", (0.5,), ("m_mana",)),
+    OracleId("ex3", (0.31, 0.77)),
+    OracleId("table1_cell", (0.4,), ("m_sre2", "S")),
+    OracleId("ex5_set", (0.5,), ("m_l1",)),
+    OracleId("ex5_set", (0.3,), ("I",)),
+    OracleId("p_crit", (), ("N",)),
+    OracleId("table1_cell", (0.9,), ("m_l1", "S")),
+    OracleId("ex5_set", (0.5,), ("m_sre2",)),
+    OracleId("p_crit", (), ("S",)),
+    OracleId("ex3", (0.5, 0.2)),
+    OracleId("table1_cell", (0.9,), ("m_l1", "N")),
+    OracleId("ex5_set", (0.3,), ("m_mana",)),
+]
+
+
+def test_interleaved_groups_equal_the_per_id_records():
+    records = compare(INTERLEAVED)
+    assert records == [oracle_vs_numeric(oid) for oid in INTERLEAVED]
+    # the ex5_set curves at one lambda are four different measures of one output
+    at_03 = {r.oracle_id.labels[0]: r.numeric_value for r in records if r.oracle_id[:2] == ("ex5_set", (0.3,))}
+    assert len(set(at_03.values())) == 4
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [(("m_mana", "X"), "unknown table cell ('m_mana', 'X')"), (("X", "S"), "unknown table cell ('X', 'S')")],
+    ids=["column", "row"],
+)
+def test_an_unknown_table_cell_raises_the_closed_forms_error(labels, message):
+    # the closed form's value comes before the numeric input is described
+    bad = OracleId("table1_cell", (0.5,), labels)
+    for oids in ([bad], [OracleId("table1_cell", (0.5,), ("m_mana", "S")), bad]):
+        with pytest.raises(BadParams) as info:
+            compare(oids)
+        assert str(info.value) == message
+    assert _raised(lambda: oracle_vs_numeric(bad)) == _raised(lambda: closed_form(bad)) == (BadParams, message)
+
+
+def test_an_unhashable_name_raises_the_closed_forms_error():
+    bad = OracleId(["ex1"], (0.6, 0.0, 0.8, 0.3))
+    assert _raised(lambda: compare([MIXED[0], bad])) == _raised(lambda: closed_form(bad))
+    assert _raised(lambda: closed_form(bad)) == (BadParams, "unknown oracle ['ex1']")
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        OracleId("ex3", (0.3,)),
+        OracleId("ex3", (0.3, 0.5, 0.7)),
+        OracleId("ex5_set", (0.3, 0.5), ("m_l1",)),
+        OracleId("table1_cell", (), ("m_l1", "S")),
+        OracleId("p_crit", (0.5,), ("S",)),
+    ],
+    ids=["ex3-fewer", "ex3-more", "ex5-more", "table-none", "p-crit-one"],
+)
+def test_a_later_id_with_another_parameter_count_raises_its_own_error(later):
+    first = {
+        "ex3": OracleId("ex3", (0.3, 0.5)),
+        "ex5_set": OracleId("ex5_set", (0.3,), ("m_l1",)),
+        "table1_cell": OracleId("table1_cell", (0.5,), ("m_l1", "S")),
+        "p_crit": OracleId("p_crit", (), ("S",)),
+    }[later.name]
+    oids = [first, first, later]
+    expected = _raised(lambda: [oracle_vs_numeric(oid) for oid in oids])
+    assert expected[0] is BadParams and "takes parameters" in expected[1]
+    assert _raised(lambda: compare(oids)) == expected
+
+
+def test_a_later_id_of_a_group_checks_its_noise():
+    # the later id builds a state of its own; its p is inside example3's slack
+    oids = [OracleId("ex3", (0.3, 0.5)), OracleId("ex3", (0.4, 1.0 + 1e-13)), OracleId("ex9")]
+    with pytest.raises(ParamOutOfRange) as info:
+        compare(oids)
+    assert str(info.value) == f"p={1.0 + 1e-13} outside [0, 1]"
+    assert _raised(lambda: compare(oids)) == _raised(lambda: [oracle_vs_numeric(oid) for oid in oids])
+
+
+def _counted(monkeypatch, name) -> list:
+    """The arguments of each call compare makes to oracles.<name> from now on."""
+    calls = []
+    original = getattr(oracles, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracles, name, counting)
+    return calls
+
+
+def test_verify_table1_resolves_each_of_its_16_groups_once(monkeypatch):
+    forms, inputs = _counted(monkeypatch, "_form"), _counted(monkeypatch, "_numeric_input")
+    checks = manalab.verify.run_suite("table1", None, None, None)
+    assert len(checks) == 16 and all(check.ok for check in checks)
+    assert len(forms) == len(inputs) == 16
+    assert {oid.labels for (oid,) in inputs} == {(m, s) for m in oracles.TABLE_MEASURES for s in oracles.TABLE_STATES}
+
+
+def test_the_h_forms_call_no_exp_per_call(monkeypatch):
+    ps = [0.0, 0.3, 1.0]
+    expected = [(oracles.ml1_h(p), oracles.msre2_h(p)) for p in ps]
+
+    class NoExp:
+        def exp(self, z):
+            raise AssertionError("cmath.exp called")
+
+    monkeypatch.setattr(oracles, "cmath", NoExp())
+    assert [(oracles.ml1_h(p), oracles.msre2_h(p)) for p in ps] == expected
+    with pytest.raises(AssertionError, match="cmath.exp called"):
+        oracles._ml1_h_terms()
+
+
 def _counted_builds(monkeypatch) -> list:
     """The (name, params) of each named_state call compare makes from now on, params as float.hex."""
     calls = []

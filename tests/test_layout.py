@@ -26,10 +26,12 @@ def test_validate_false_only_inside_states():
 
 CLOSED_FORMS = {
     "shannon_entropy", "_check_p", "example1", "example2", "example3", "example4",
-    "_example5_f", "example5", "example6", "ml1_h", "msre2_h", "table1_cell", "p_crit",
-    "closed_form",
+    "_example5_f", "example5", "example6", "_ml1_h_terms", "_msre2_h_terms", "ml1_h", "msre2_h",
+    "table1_cell", "p_crit", "_form", "closed_form",
 }
-ALLOWED_GLOBALS = {"math", "cmath", "SQRT3", "BadParams", "OracleId"} | CLOSED_FORMS
+# the module-level values the closed forms read; each is assigned from math, cmath and closed forms
+CONSTANTS = {"SQRT3", "_ML1_H_TERMS", "_MSRE2_H_TERMS"}
+ALLOWED_GLOBALS = {"math", "cmath", "BadParams", "OracleId"} | CONSTANTS | CLOSED_FORMS
 
 
 def _free_names(func: ast.FunctionDef) -> set[str]:
@@ -51,6 +53,22 @@ def test_closed_forms_use_only_math():
     assert CLOSED_FORMS <= set(funcs)
     used = {name: _free_names(funcs[name]) - ALLOWED_GLOBALS for name in sorted(CLOSED_FORMS)}
     assert used == {name: set() for name in sorted(CLOSED_FORMS)}
+    # every module-level name a closed form reads takes its value(s) from math, cmath and closed forms only
+    values = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        values.setdefault(name.id, []).append(node.value)
+    read = set().union(*(_free_names(funcs[name]) for name in CLOSED_FORMS))
+    assert read & set(values) == CONSTANTS
+    sources = {
+        name: {node.id for value in values[name] for node in ast.walk(value) if isinstance(node, ast.Name)}
+        - {"math", "cmath"} - CLOSED_FORMS
+        for name in sorted(CONSTANTS)
+    }
+    assert sources == {name: set() for name in sorted(CONSTANTS)}
 
 
 def test_figure_rows_stay_off_the_dense_output_path():

@@ -93,3 +93,12 @@ def test_table1_writes_nothing_itself(capsys):
     assert capsys.readouterr().out == ""
     note = {c.name: c.detail for c in checks}["table cell m_sre2/S on 101-point grid"]
     assert "global=0.693147, mutual composition=0.117783, marginal offset=0.575364" in note
+
+
+@pytest.mark.parametrize("flags", [(None, None, None), (5, 1, 1e-9)])
+def test_an_unknown_suite_is_a_value_error_naming_the_known_ones(flags):
+    with pytest.raises(ValueError) as info:
+        verify.run_suite("nope", *flags)
+    message = str(info.value)
+    assert message.startswith("unknown suite 'nope'; the suites are ")
+    assert message.endswith(", ".join(verify.SUITES))

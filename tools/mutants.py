@@ -9,7 +9,9 @@ as a survivor when they pass.  The repository itself is never edited.
     python tools/mutants.py              # every mutant
     python tools/mutants.py NAME ...     # the named ones
 
-Exits 1 when a mutant survives that is not in KNOWN_SURVIVORS.  The tier-1
+Exits 1 when a mutant survives that is not in KNOWN_SURVIVORS, or when a
+mutant's tests run past TIME_LIMIT_S: their process group is then killed
+and the mutant is reported as TIMED OUT.  The tier-1
 suite only checks that each old text still occurs exactly once
 (tests/test_mutants.py); the full run is a separate command, like the
 benchmark.  A change that adds a fast path adds its mutants here.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,6 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIME_LIMIT_S = 300  # seconds one mutant's tests may run
 
 
 class Mutant(NamedTuple):
@@ -403,11 +407,58 @@ MUTANTS = {
         "key = state, params",
         ("tests/test_compare.py",),
     ),
-    "cached-input-skips-noise-check": Mutant(
+    "cached-input-skips-noise-check": Mutant(  # an id whose group holds its input's slot skips the check
         "oracles.py",
-        "            slot = built[key] = len(amps) - 1\n        _checked_noise(p)\n",
-        "            slot = built[key] = len(amps) - 1\n            _checked_noise(p)\n",
-        ("tests/test_compare.py",),
+        """        if slot is None:
+            slot = slot_of(state, params[:-1] if noisy else params)
+        if noisy:
+            p = params[-1]
+            if not 0.0 <= p <= 1.0:  # NaN too
+                check_noise(p)""",
+        """        if noisy:
+            p = params[-1]
+        if slot is None:
+            slot = slot_of(state, params[:-1] if noisy else params)
+            if noisy and not 0.0 <= p <= 1.0:  # NaN too
+                check_noise(p)""",
+        ("tests/test_compare.py::test_a_cached_input_still_checks_its_noise",),
+    ),
+    # the per-call groups: one form, numeric input, block and slot per (name, labels, parameter count)
+    "group-key-without-labels": Mutant(  # ex5_set's m_l1 and m_sre2 ids would share one table row
+        "oracles.py",
+        "key = name, labels, len(params)",
+        "key = name, len(params)",
+        ("tests/test_compare.py::test_interleaved_groups_equal_the_per_id_records",),
+    ),
+    "group-key-without-parameter-count": Mutant(  # a later id of another arity would skip the arity check
+        "oracles.py",
+        "key = name, labels, len(params)",
+        "key = name, labels",
+        ("tests/test_compare.py::test_a_later_id_with_another_parameter_count_raises_its_own_error",),
+    ),
+    "group-skips-later-noise-check": Mutant(  # only a group's first id has its noise checked
+        "oracles.py",
+        """            group = groups[key] = form, state, noisy, p, note, block, slot
+        else:
+            oracle_values.append(group[0](*labels, *params))
+        _, state, noisy, p, note, block, slot = group
+        if slot is None:
+            slot = slot_of(state, params[:-1] if noisy else params)
+        if noisy:
+            p = params[-1]
+            if not 0.0 <= p <= 1.0:  # NaN too
+                check_noise(p)""",
+        """            group = groups[key] = form, state, noisy, p, note, block, slot
+            if noisy and not 0.0 <= params[-1] <= 1.0:
+                check_noise(params[-1])
+        else:
+            oracle_values.append(group[0](*labels, *params))
+        _, state, noisy, p, note, block, slot = group
+        if slot is None:
+            slot = slot_of(state, params[:-1] if noisy else params)
+        if noisy:
+            p = params[-1]""",
+        ("tests/test_compare.py::test_a_later_id_of_a_group_checks_its_noise",),
     ),
     "ex5-family-swapped": Mutant(
         "oracles.py",
@@ -446,6 +497,12 @@ MUTANTS = {
         'form, params, labels = example3, ("lam", "p"), ()',
         'form, params, labels = example4, ("lam", "p"), ()',
         ("tests/test_oracles.py::test_closed_form_calls_the_form_it_names",),
+    ),
+    "h-terms-swapped": Mutant(  # c2 and c3 enter ml1_h as a sum, c1 on its own
+        "oracles.py",
+        "c1, c2, c3, c4, c5 = _ML1_H_TERMS",
+        "c2, c1, c3, c4, c5 = _ML1_H_TERMS",
+        ("tests/test_oracles.py::test_h_column_closed_forms_match_printed_state",),
     ),
     "ex4-domain-unchecked": Mutant(
         "oracles.py",
@@ -658,8 +715,12 @@ def apply(src: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
+class TimedOut(Exception):
+    """A mutant's tests ran past TIME_LIMIT_S."""
+
+
 def killed(mutant: Mutant) -> bool:
-    """Whether the mutant's tests fail against a mutated copy of src/."""
+    """Whether the mutant's tests fail against a mutated copy of src/; TimedOut past TIME_LIMIT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -667,7 +728,16 @@ def killed(mutant: Mutant) -> bool:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         tests = [str(ROOT / test) for test in mutant.tests]
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-        code = subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        # a session of its own, so that the kill reaches every process the tests start
+        proc = subprocess.Popen(
+            cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
+        )
+        try:
+            code = proc.wait(timeout=TIME_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise TimedOut(" ".join(mutant.tests)) from None
     if code not in (0, 1, 2):  # 1: a test failed, 2: collection failed (the mutant broke an import)
         raise RuntimeError(f"pytest exited {code} on {' '.join(mutant.tests)}")
     return code != 0
@@ -680,7 +750,13 @@ def main(argv: list[str]) -> int:
         return 2
     surprises = 0
     for name in argv or MUTANTS:
-        if killed(MUTANTS[name]):
+        try:
+            was_killed = killed(MUTANTS[name])
+        except TimedOut:
+            print(f"{name}: TIMED OUT", flush=True)
+            surprises += 1
+            continue
+        if was_killed:
             status = "killed (listed as a known survivor)" if name in KNOWN_SURVIVORS else "killed"
         elif name in KNOWN_SURVIVORS:
             status = f"survived (known: {KNOWN_SURVIVORS[name]})"
