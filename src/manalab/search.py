@@ -18,9 +18,9 @@ the best are kept, deduplicated by angular distance (each one compared with
 all those kept before it in one array expression), and returned sorted.
 
 Nearly every objective call is a block of at most 128 rows, so its fixed
-cost counts: the amplitudes and the 1/d scale are real multiplies on the
-complex arrays' float views, which give the bits of numpy's complex division
-by a real number.
+cost counts: the 1/d scale of W is a real multiply on its float view, which
+gives the bits of numpy's complex division by a real number.  The amplitudes
+are the plain complex expression e^{i theta}/sqrt(d).
 
 Neither the grid nor a line recomputes what it has.  The grid's phases take
 only `grid` values per axis, so each is exponentiated once, into one table,

@@ -44,6 +44,11 @@ HERM_TOL = 1e-10
 EIG_FLOOR = -1e-8
 
 
+def _projector_traces(amps: np.ndarray) -> np.ndarray:
+    """Tr |a><a| = sum_k a_k conj(a_k), complex, for each amplitude row a of amps (..., D)."""
+    return (amps * amps.conj()).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class PureVector:
     """A normalized state vector: dim amplitudes, its projector's trace within HERM_TOL / 2 of 1.
@@ -64,7 +69,7 @@ class PureVector:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got {amps.shape}")
-        trace = np.outer(amps, amps.conj()).trace()
+        trace = _projector_traces(amps)
         if not abs(trace - 1.0) <= HERM_TOL / 2:  # a NaN trace fails too
             norm = float(np.linalg.norm(amps))
             raise ValueError(f"vector norm {norm} deviates from 1: its projector's trace is {trace.real}")
@@ -145,17 +150,7 @@ def coherent_amplitudes(thetas) -> np.ndarray:
 
 def coherent_phases(thetas, d: int) -> np.ndarray:
     """e^{i theta} / sqrt(d) for each theta of an array of any shape: the entries 1.. of coherent_amplitudes."""
-    thetas = np.asarray(thetas, dtype=float)
-    amps = np.zeros(thetas.size, dtype=complex)
-    # the bits of exp(1j * thetas) / sqrt(d) without the complex temporaries:
-    # 1j * t has imaginary part 0 + t (so -0.0 becomes +0.0), and numpy
-    # divides by the real c = sqrt(d) as (re + im * 0, im - re * 0) * (1/c),
-    # which is both parts times 1/c: no cosine of a double is zero, and a
-    # zero sine is +0.0 here
-    np.add(thetas.ravel(), 0.0, out=amps.imag)
-    np.exp(amps, out=amps)
-    amps.view(float)[...] *= 1.0 / math.sqrt(d)
-    return amps.reshape(thetas.shape)
+    return np.exp(1j * np.asarray(thetas, dtype=float)) / math.sqrt(d)
 
 
 def phi_lambda_amplitudes(lams) -> np.ndarray:
@@ -308,7 +303,7 @@ class NoisyRows:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
-        row_traces = (amps * amps.conj()).sum(axis=-1).ravel()  # each projector's trace, PureVector's bits
+        row_traces = _projector_traces(amps).ravel()
         failed = np.flatnonzero(~(np.abs(row_traces - 1.0) <= HERM_TOL / 2))  # a NaN trace fails too
         if len(failed):
             row = failed[0]

@@ -1,13 +1,13 @@
 """The coherent search's arithmetic, bit for bit.
 
-coherent_amplitudes and the search objective scale complex arrays through
-their float views and exponentiate in place; each must give the bits of the
-plain complex expression kept here as the reference.  The lockstep golden
-section keeps its running rows in compact arrays; each row must still be
-the scalar search.  The grid and the golden-section lines form their rows
-their own way, from one amplitude table per axis and from a line's fixed
-rows; each must give the bits of batch on the same phase vectors.  The full
-searches are pinned to the values recorded in
+coherent_amplitudes is the plain complex expression, and the search
+objective scales its Wigner values through their float view; each must give
+the bits of the plain complex expression kept here as the reference.  The
+lockstep golden section keeps its running rows in compact arrays; each row
+must still be the scalar search.  The grid and the golden-section lines
+form their rows their own way, from one amplitude table per axis and from a
+line's fixed rows; each must give the bits of batch on the same phase
+vectors.  The full searches are pinned to the values recorded in
 tests/data/coherent_search_pins.json before those rewrites.
 """
 

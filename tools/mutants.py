@@ -370,22 +370,10 @@ MUTANTS = {
         "np.multiply(a[:, None].conj(), a[None, :],",
         ("tests/test_noisy_matrices.py::test_noisy_matrices_have_the_bits_of_the_row_major_formula",),
     ),
-    "amplitudes-np-empty": Mutant(
-        "states.py",
-        "amps = np.zeros(thetas.size, dtype=complex)",
-        "amps = np.empty(thetas.size, dtype=complex)",
-        ("tests/test_search_bits.py",),
-    ),
-    "phases-without-plus-zero": Mutant(
-        "states.py",
-        "np.add(thetas.ravel(), 0.0, out=amps.imag)",
-        "amps.imag[...] = thetas.ravel()",
-        ("tests/test_search_bits.py",),
-    ),
     "phases-over-d": Mutant(
         "states.py",
-        "amps.view(float)[...] *= 1.0 / math.sqrt(d)",
-        "amps.view(float)[...] *= 1.0 / d",
+        "return np.exp(1j * np.asarray(thetas, dtype=float)) / math.sqrt(d)",
+        "return np.exp(1j * np.asarray(thetas, dtype=float)) / d",
         ("tests/test_search_bits.py",),
     ),
     "phi-lambda-one-square": Mutant(
