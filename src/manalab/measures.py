@@ -82,9 +82,14 @@ from .states import EIG_FLOOR, DensityState, NoisyRows, check_density, named_sta
 LOG_BASE_FACTORS = {"e": 1.0, "2": 1.0 / math.log(2.0), "10": 1.0 / math.log(10.0)}
 
 
-def _abs_wigner_sum(mats: np.ndarray, dims) -> np.ndarray:
-    """sum_p |W(p)| of each matrix of a (k, D, D) stack: k sums."""
-    table = _kernel_transform(mats, tuple(dims), [point_kernel(d) for d in dims]) / math.prod(dims)
+def _abs_wigner_sum(mats: np.ndarray, dims, kernels=None) -> np.ndarray:
+    """sum_p |W(p)| of each matrix of a (k, D, D) stack: k sums.
+
+    kernels, optional, are point_kernel(d) for each d of dims, fetched once
+    by a caller that sums many stacks.
+    """
+    kernels = [point_kernel(d) for d in dims] if kernels is None else kernels
+    table = _kernel_transform(mats, tuple(dims), kernels) / math.prod(dims)
     return np.abs(table).reshape(len(mats), -1).sum(axis=1)
 
 
@@ -250,9 +255,10 @@ EXIT_TOL = 1e-12
 # an eigenvalue angle within this of -pi is taken as pi (see _params_from_unitary)
 BRANCH_TOL = 1e-12
 # array elements a batched evaluation forms at once (see _by_rows): each
-# complex array of a piece is 1 MB.  Pieces of 2**17 elements raised
-# maximize --dim 5's peak memory by 4 MB, and of 2**15 slowed --dim 7's grid
-# by their page faults
+# complex array of a piece is 1 MB.  Pieces of 2**17 elements raised the
+# traced peak of maximize --dim 5 from 6.0 to 9.1 MB, and pieces of 2**15
+# made its grid slower by their number (a fresh process's median 0.150 s
+# against 0.122 s)
 ROW_BUDGET = 1 << 16
 
 
@@ -260,23 +266,28 @@ def _by_rows(f, rows, row_size: int, out=None) -> np.ndarray:
     """f(rows) for a block, evaluated in pieces of at most max(2, ROW_BUDGET // row_size) rows.
 
     f maps a block of rows to one value (or one array of values) per row;
-    row_size is the number of elements f forms per row.  rows may be a
-    range, whose pieces are ranges.  numpy sends a one-row product to gemv,
-    which rounds unlike gemm, so a one-row piece is passed to f doubled (an
-    int array, for a range) and its first value kept: a row's value is then
-    the same bits whatever block it is evaluated in.  The pieces' values
-    are joined once, into out if it is given, and out is returned; without
-    out, a block of one piece and at least two rows is f(rows) itself, with
-    no joining copy.
+    row_size is the number of elements f forms per row.  rows holds at
+    least one row, and may be a range, whose pieces are ranges.  numpy
+    sends a one-row product to gemv, which rounds unlike gemm, so a one-row
+    piece is passed to f doubled (an int array, for a range) and its first
+    value kept: a row's value is then the same bits whatever block it is
+    evaluated in.  Each piece's values are written into their rows of out
+    as the piece is made, so no list of them is held, and out is returned.
+    Without out, a block of one piece and at least two rows is f(rows)
+    itself, with no copy; any other block gets an out of the first piece's
+    values' shape and dtype.
     """
     step = max(2, ROW_BUDGET // row_size)
     if out is None and 2 <= len(rows) <= step:
         return f(rows)
-    values = []
     for start in range(0, len(rows), step):
         piece = rows[start : start + step]
-        values.append(f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece))
-    return np.concatenate(values, out=out)
+        values = f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece)
+        if out is None:
+            out = np.empty((len(rows), *values.shape[1:]), dtype=values.dtype)
+        out[start : start + len(piece)] = values
+        del values  # so that the next piece is made without this one's values beside it
+    return out
 
 
 def _split_dims(dims):
@@ -291,11 +302,13 @@ def _orbit_objective(mat: np.ndarray, dims):
     """theta block (k, da^2 + db^2) -> mana((Ua x Ub) rho (Ua x Ub)^dag) for each row.
 
     The block is evaluated by _by_rows, one conjugated D x D state per row,
-    so each row's value is the same whatever block it is evaluated in.
+    so each row's value is the same whatever block it is evaluated in.  The
+    two halves' kernels are fetched once, for every block.
     """
     da, db = _split_dims(dims)
     basis_a, basis_b = hermitian_basis(da), hermitian_basis(db)
     na, total = da * da, da * db
+    kernels = [point_kernel(d) for d in dims]
 
     def abs_sums(thetas):
         k = len(thetas)
@@ -308,7 +321,7 @@ def _orbit_objective(mat: np.ndarray, dims):
             ua = _unitary_from_params(thetas[:, :na], basis_a)
             ub = _unitary_from_params(thetas[:, na:], basis_b)
         u = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(k, total, total)
-        return _abs_wigner_sum(u @ mat @ u.conj().swapaxes(1, 2), dims)
+        return _abs_wigner_sum(u @ mat @ u.conj().swapaxes(1, 2), dims, kernels)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
         return np.log(_by_rows(abs_sums, thetas, total * total))

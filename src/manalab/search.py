@@ -27,17 +27,22 @@ only `grid` values per axis, so each is exponentiated once, into one table,
 and each piece that _by_rows cuts from the range of the grid's flat indices
 gathers its amplitudes from that table; no (grid^(d-1), d-1) mesh of phases
 and no whole-grid index array is built.  The grid's output is allocated
-before any piece, so a grid too large for memory fails at once, and the
-pieces' values are joined into it once, at the end.
+before any piece, so a grid too large for memory fails at once, and
+_by_rows writes each piece's values into it as the piece is made.  The
+local grid maxima are found block by block of first-axis slices, into one
+boolean mask, so the values are the one grid-sized array the search holds.
 The objective keeps its amplitudes component-major, psi of shape (d, N), so
 that every elementwise loop runs over N contiguous rows rather than over d.
-Only a golden-section line keeps arrays from one call to the next.  Along a
-line on coordinate i only row i + 1 of psi moves, and only the row and
-column i + 1 of rho with it.  A line holds its base rows' psi, conj psi and
-rho; a step on all of them in order writes the one moving row of psi, and
-_from_psi recomputes 2d - 1 of rho's d^2 rows.  Any other set of rows is
-gathered.  A grid piece, a batch and a gathered set of rows get fresh
-arrays, and so do W and |W| everywhere.  All three ways of getting
+A golden-section line and a grid call keep their arrays from one
+evaluation to the next.  Along a line on coordinate i only row i + 1 of psi
+moves, and only the row and column i + 1 of rho with it.  A line holds its
+base rows' psi, conj psi and rho; a step on all of them in order writes the
+one moving row of psi, and _from_psi recomputes 2d - 1 of rho's d^2 rows.
+Any other set of rows is gathered.  A grid call allocates psi, conj psi,
+rho, W and |W| once, flat and sized by its first piece, the longest, and
+each piece works in views cut from their fronts, so the pieces reuse their
+pages rather than fault fresh ones in.  A batch and a gathered set of rows
+get fresh arrays, and so do a line's W and |W|.  All three ways of getting
 amplitudes end in the one tail, _from_psi, which forms |psi><psi| and its
 Wigner values, and every row keeps the bits and the evaluation count of
 batch.
@@ -131,15 +136,22 @@ class _CoherentObjective:
         # allocated before any piece, so a grid too large for memory fails at once
         out = np.empty(n)
         self.evaluations += n
+        buffers = []  # flat psi, conj psi, rho, W and |W|, sized by the first piece, the longest
 
         def values(piece):
             # a range of flat indices, or a lone row's doubled index array
             flat = np.arange(piece.start, piece.stop) if isinstance(piece, range) else piece
-            psi = np.empty((d, len(flat)), dtype=complex)
+            m = len(flat)
+            shapes = ((d, m), (d, m), (d, d, m), (m, d * d), (m, d * d))
+            if not buffers:
+                buffers.extend(np.empty(math.prod(s), dtype=complex) for s in shapes[:4])
+                buffers.append(np.empty(m * d * d))  # |W|
+            # each piece works in C-contiguous views cut from the buffers' fronts
+            psi, *work = (buf[: math.prod(s)].reshape(s) for buf, s in zip(buffers, shapes))
             psi[0] = 1.0 / math.sqrt(d)  # coherent_amplitudes' first entry
             for k, col in enumerate(np.unravel_index(flat, shape), start=1):
-                psi[k] = table[col]
-            return self._from_psi(psi)
+                np.take(table, col, out=psi[k], mode="clip")  # "clip": unbuffered; no index is out of range
+            return self._from_psi(psi, work)
 
         return _by_rows(values, range(n), d * d, out=out).reshape(shape)
 
@@ -153,7 +165,7 @@ class _CoherentObjective:
         """
         d, j, n = self.d, i + 1, len(base)
         psi = np.ascontiguousarray(coherent_amplitudes(base).T)
-        buffers = (np.empty_like(psi), np.empty((d, d, n), dtype=complex))
+        buffers = (np.empty_like(psi), np.empty((d, d, n), dtype=complex), None, None)
         every = np.arange(n)
         moved = None  # the first step on all rows fills all of rho
 
@@ -179,14 +191,17 @@ class _CoherentObjective:
     def _from_psi(self, psi: np.ndarray, buffers=None, moved=None) -> np.ndarray:
         """Values of amplitude columns psi, shape (d, N), at least two of them.
 
-        buffers, optional, are a golden line's conj psi (d, N) and rho
-        (d, d, N), C-contiguous, to write into.  With moved = j only row j
-        of psi differs from the call that filled them, so only conj[j] and
-        the row and column j of rho are recomputed: every element of rho is
-        the same product psi[a] * conj[b] as in a full pass.
+        buffers, optional, are conj psi (d, N), rho (d, d, N), W (N, d^2)
+        and |W| (N, d^2), C-contiguous, to write into; W and |W| may be
+        None, for fresh arrays.  A golden line keeps its conj psi and rho
+        from one call to the next, and a grid piece passes views of its
+        call's five buffers.  With moved = j only row j of psi differs from
+        the call that filled them, so only conj[j] and the row and column j
+        of rho are recomputed: every element of rho is the same product
+        psi[a] * conj[b] as in a full pass.
         """
         d, n = self.d, psi.shape[1]
-        conj, rho = buffers or (None, np.empty((d, d, n), dtype=complex))
+        conj, rho, w, w_abs = buffers or (None, np.empty((d, d, n), dtype=complex), None, None)
         if moved is None:
             np.multiply(psi[:, None, :], np.conjugate(psi, out=conj)[None, :, :], out=rho)
         else:
@@ -195,11 +210,11 @@ class _CoherentObjective:
             np.multiply(psi, conj[moved], out=rho[:, moved])
         # W = rho_flat @ K on the (N, d^2) transposed view: a C-order W, and
         # the bits of the row-major product
-        w = rho.reshape(d * d, n).T @ self.kernel
+        w = np.matmul(rho.reshape(d * d, n).T, self.kernel, out=w)
         # numpy divides by the real d as (re + im * 0) * (1/d); scaling both
         # parts by 1/d can differ only in the sign of a zero, which abs drops
         w.view(float)[...] *= 1.0 / d
-        return np.log(np.abs(w).sum(axis=1))
+        return np.log(np.abs(w, out=w_abs).sum(axis=1))
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray):
@@ -267,32 +282,56 @@ def _refine(obj: _CoherentObjective, starts: np.ndarray, step: float, max_sweeps
     return x % (2.0 * math.pi), best, sweeps
 
 
+def _box_max_rows(values: np.ndarray, rows) -> np.ndarray:
+    """The first-axis slices rows[0] to rows[-1] of _wrap_box_max(values), as a new array.
+
+    rows is a _by_rows piece: a range of slices, or a lone slice doubled.  A
+    box max is separable and a max is exact in any order, so the first axis
+    is taken first, each slice's max with its wrap-around neighbours read
+    from values, and then each inner axis in place, in four whole-block
+    operations: the max of each slice and the next into a second block,
+    then of each such pair and the one before it, wrapping at the ends.
+    The call holds those two blocks, and leaves values as it is.
+    """
+    lo, hi = rows[0], rows[-1] + 1
+    box = np.take(values, range(lo - 1, hi - 1), axis=0, mode="wrap")
+    pairs = np.take(values, range(lo + 1, hi + 1), axis=0, mode="wrap")  # the next slices, then the pairs
+    np.maximum(box, values[lo:hi], out=box)
+    np.maximum(box, pairs, out=box)
+    for axis in range(1, box.ndim):
+        o, p = np.moveaxis(box, axis, 0), np.moveaxis(pairs, axis, 0)
+        np.maximum(o[:-1], o[1:], out=p[:-1])
+        np.maximum(o[-1], o[0], out=p[-1])
+        np.maximum(p[:-1], p[1:], out=o[1:])
+        np.maximum(p[-1], p[0], out=o[0])
+    return box
+
+
 def _wrap_box_max(values: np.ndarray) -> np.ndarray:
     """Max over each point's 3 x ... x 3 neighbourhood on the torus.
 
-    A box max is separable, so each axis in turn is reduced over the
-    previous, the same and the next slice, wrapping at the ends; the result
-    equals scipy.ndimage.maximum_filter(values, size=3, mode="wrap").  The
-    output starts as a copy of values, which the call leaves as it is, and
-    every axis is reduced into it in place, one slice at a time: forwards
-    with the next slice, then backwards with the previous one.  Each pass
-    overwrites a slice that its last step still reads, so that slice is
-    kept first in a slice-sized buffer; the call holds one array of values'
-    size besides values.
+    The result equals scipy.ndimage.maximum_filter(values, size=3,
+    mode="wrap").  It is written block by block of first-axis slices, the
+    _by_rows pieces of a slice per row, so the call holds its output and a
+    few blocks besides values.  The search itself compares values with the
+    same blocks in _local_maxima and forms no whole box max.
     """
-    out = np.array(values)
-    for axis in range(out.ndim):
-        o = np.moveaxis(out, axis, 0)  # o[i, ...] is a view, 0-d for a 1-d array
-        n = len(o)
-        kept = np.array(o[0, ...])  # the first slice, the last one's next
-        for i in range(n - 1):
-            np.maximum(o[i, ...], o[i + 1, ...], out=o[i, ...])
-        np.maximum(o[-1, ...], kept, out=o[-1, ...])
-        np.copyto(kept, o[-1, ...])  # the last slice, the first one's previous
-        for i in reversed(range(1, n)):
-            np.maximum(o[i - 1, ...], o[i, ...], out=o[i, ...])
-        np.maximum(kept, o[0, ...], out=o[0, ...])
-    return out
+    out = np.empty_like(values)
+    return _by_rows(lambda rows: _box_max_rows(values, rows), range(len(values)), values[0].size, out=out)
+
+
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """values >= _wrap_box_max(values), block by block into one boolean mask.
+
+    The blocks are _wrap_box_max's, so the call holds the mask and a few
+    blocks besides values, not a second array of values' size.
+    """
+    mask = np.empty(values.shape, dtype=bool)
+
+    def block(rows):
+        return values[rows[0] : rows[-1] + 1] >= _box_max_rows(values, rows)
+
+    return _by_rows(block, range(len(values)), values[0].size, out=mask)
 
 
 def _angular_distance(a, b):
@@ -319,7 +358,7 @@ def max_mana_coherent(dim, grid: int | None = None, refine_iters: int = 200) -> 
     axis = 2.0 * math.pi * np.arange(grid) / grid
     values = obj.grid(axis)
 
-    local_max = values >= _wrap_box_max(values)
+    local_max = _local_maxima(values)
     cand_idx = np.argwhere(local_max)
     cand_vals = values[local_max]
     order = np.argsort(cand_vals)[::-1]

@@ -150,8 +150,8 @@ MUTANTS = {
     # the block rule
     "no-one-row-doubling": Mutant(
         "measures.py",
-        "values.append(f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece))",
-        "values.append(f(piece))",
+        "values = f(np.concatenate([piece, piece]))[:1] if len(piece) == 1 else f(piece)",
+        "values = f(piece)",
         ("tests/test_by_rows.py",),
     ),
     "lone-row-on-one-piece-path": Mutant(
@@ -160,11 +160,17 @@ MUTANTS = {
         "if out is None and 1 <= len(rows) <= step:",
         ("tests/test_by_rows.py",),
     ),
-    "pieces-joined-in-reverse": Mutant(
+    "pieces-joined-in-reverse": Mutant(  # each piece written where the reversed order puts it
         "measures.py",
-        "return np.concatenate(values, out=out)",
-        "return np.concatenate(values[::-1], out=out)",
+        "out[start : start + len(piece)] = values",
+        "out[len(rows) - start - len(piece) : len(rows) - start] = values",
         ("tests/test_by_rows.py", "tests/test_search_bits.py"),
+    ),
+    "piece-written-one-row-late": Mutant(
+        "measures.py",
+        "out[start : start + len(piece)] = values",
+        "out[start + 1 : start + 1 + len(piece)] = values[: len(rows) - start - 1]",
+        ("tests/test_search_blocks.py::test_by_rows_without_out_is_the_joined_pieces",),
     ),
     # the lockstep Nelder-Mead and its starts
     "shrink-one-row-fewer": Mutant(
@@ -578,6 +584,12 @@ MUTANTS = {
         "if len(rows) == n",
         ("tests/test_search_bits.py",),
     ),
+    "last-piece-takes-whole-buffer": Mutant(
+        "search.py",
+        "buf[: math.prod(s)].reshape(s)",
+        "buf.reshape(s)",
+        ("tests/test_search_bits.py::test_grid_pieces_of_any_length_are_batch",),
+    ),
     "grid-first-amplitude": Mutant(
         "search.py",
         "psi[0] = 1.0 / math.sqrt(d)",
@@ -592,15 +604,21 @@ MUTANTS = {
     ),
     "box-max-wrap-off-by-one": Mutant(
         "search.py",
-        "kept = np.array(o[0, ...])",
-        "kept = np.array(o[1, ...])",
+        "np.maximum(o[-1], o[0], out=p[-1])",
+        "np.maximum(o[-1], o[1], out=p[-1])",
         ("tests/test_numpy_runtime.py", "tests/test_kernel_bits.py"),
     ),
     "box-max-neighbour-overwritten": Mutant(
         "search.py",
-        "np.maximum(kept, o[0, ...], out=o[0, ...])",
-        "np.maximum(o[-1, ...], o[0, ...], out=o[0, ...])",
+        "np.maximum(p[-1], p[0], out=o[0])",
+        "np.maximum(o[-1], p[0], out=o[0])",
         ("tests/test_numpy_runtime.py", "tests/test_kernel_bits.py"),
+    ),
+    "local-max-halo-not-wrapped": Mutant(  # the first block's previous slice is its own first, not the last
+        "search.py",
+        'box = np.take(values, range(lo - 1, hi - 1), axis=0, mode="wrap")',
+        'box = np.take(values, range(lo - 1, hi - 1), axis=0, mode="clip")',
+        ("tests/test_search_blocks.py::test_local_maxima_are_the_whole_grid_test",),
     ),
     "dedup-last-kept-only": Mutant(
         "search.py",
