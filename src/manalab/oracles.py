@@ -37,11 +37,12 @@ the same way.
 An id (`OracleId`: name, params, labels) and a `ComparisonRecord` are
 named tuples, immutable and compared and hashed by value (so each also
 equals a plain tuple of its fields); an id stores its params as floats and
-its labels as str, also through `_make` and `_replace`.  `_form` finds
-the form with one `match` on the name, and `closed_form` evaluates it on
-one id.  The long H-column forms `ml1_h` and `msre2_h` read their
-p-independent terms from two tuples built once at import by closed-form
-helpers, so each call does only the arithmetic in p, in the same order.
+its labels as str, also through `_make` and `_replace`.  `ORACLES` has
+one row per oracle name: `_form` (so `closed_form`) takes the form from it
+after its arity check, and `_numeric_input` the numeric input.  The long
+H-column forms `ml1_h` and `msre2_h` read their p-independent terms from
+two tuples built once at import by closed-form helpers, so each call does
+only the arithmetic in p, in the same order.
 
 Two conventions behind the encoded closed forms matter when pairing them
 with numerics:
@@ -396,31 +397,29 @@ def p_crit(state: str) -> float:
     raise BadParams(f"unknown state label {state!r}")
 
 
+# name -> (closed form, its parameter names, its label names, the named input
+# state of the numeric side: "" for ex1, whose params are the amplitudes, None
+# where the "state" label, a table column, picks it)
+ORACLES = {
+    "ex1": (example1, ("mu0", "mu1", "mu2", "p"), (), ""),
+    "ex2": (example2, ("theta1", "theta2", "p"), (), "max_coherent"),
+    "ex3": (example3, ("lam", "p"), (), "phi_lambda"),
+    "ex4": (example4, ("theta", "p"), (), "psi_theta"),
+    "ex5_set": (example5, ("lam",), ("measure",), "phi_lambda"),
+    "ex6_set": (example6, ("theta",), ("measure",), "psi_theta"),
+    "table1_cell": (table1_cell, ("p",), ("measure", "state"), None),
+    "p_crit": (p_crit, (), ("state",), None),
+}
+
+
 def _form(name: str, n_params: int, n_labels: int):
     """The closed form `name` names, once it is checked to take n_params parameters and n_labels labels.
 
     It is called as form(*labels, *params).
     """
-    # the closed form, its parameter names and its label names
-    match name:
-        case "ex1":
-            form, params, labels = example1, ("mu0", "mu1", "mu2", "p"), ()
-        case "ex2":
-            form, params, labels = example2, ("theta1", "theta2", "p"), ()
-        case "ex3":
-            form, params, labels = example3, ("lam", "p"), ()
-        case "ex4":
-            form, params, labels = example4, ("theta", "p"), ()
-        case "ex5_set":
-            form, params, labels = example5, ("lam",), ("measure",)
-        case "ex6_set":
-            form, params, labels = example6, ("theta",), ("measure",)
-        case "table1_cell":
-            form, params, labels = table1_cell, ("p",), ("measure", "state")
-        case "p_crit":
-            form, params, labels = p_crit, (), ("state",)
-        case _:
-            raise BadParams(f"unknown oracle {name!r}")
+    if not isinstance(name, str) or name not in ORACLES:  # a name of another type may not hash
+        raise BadParams(f"unknown oracle {name!r}")
+    form, params, labels, _ = ORACLES[name]
     if n_params != len(params) or n_labels != len(labels):
         raise BadParams(
             f"{name} takes parameters ({', '.join(params)}) and labels ({', '.join(labels)}), "
@@ -458,12 +457,6 @@ def _table_state_name(measure: str, state: str) -> str:
     return COLUMN_STATES[state]
 
 
-def _row_name(measure: str) -> str:
-    if measure not in TABLE_ROW_MEASURES:
-        raise BadParams(f"unknown measure {measure!r}")
-    return TABLE_ROW_MEASURES[measure]
-
-
 def csum_output(psi: str, p: float, params=()) -> DensityState:
     """Noisy named input state, pushed through the qutrit controlled-SUM."""
     return beamsplitter_output(TABLE_SPEC, noisy_mix(named_state(psi, params), p))
@@ -474,41 +467,31 @@ THRESHOLD_LEVEL = 1e-9  # output mutual mana a p_crit threshold's bisection must
 
 def _row_value(measure: str, amps: np.ndarray, ps) -> np.ndarray:
     """Table row `measure` of the controlled-SUM output of each noisy input: amps (n, 3), ps (n,) -> (n,)."""
-    name = _row_name(measure)
+    name = TABLE_ROW_MEASURES[measure]
     return mz.output_measures(TABLE_SPEC, NoisyRows(amps, ps), [name])[name]
 
 
 def _numeric_input(oid: OracleId) -> tuple[str, str, bool, float | None, str]:
     """What the numeric side of oid's group evaluates, (measure, state, noisy, p, note); it builds and checks nothing.
 
-    A group is the ids of one name, labels and parameter count, and this
-    reads only those.  measure is a table row; state a named input state,
-    or "" for ex1, whose params are the amplitudes; noisy whether each id's
-    last parameter is its noise p and the others the state's parameters,
-    else the state takes every parameter and p is the group's noise: 1.0
-    for the noiseless pure-output curves, None for a threshold, which is
-    bisected over p; note the record's note.  _form has checked the arity.
+    A group is the ids of one name, labels and parameter count; this reads
+    only those and the name's ORACLES row.  measure is the "measure" label,
+    else m_mana; state the row's, else the one the "state" label picks;
+    noisy whether the form's last parameter is p: then each id's last
+    parameter is its p, else the state takes every parameter and p is 1.0
+    for the noiseless pure-output curves, None for a threshold (bisected
+    over p); note the record's note.  _form has checked the arity.
     """
-    match oid.name:
-        case "ex1":
-            measure, state = "m_mana", ""
-        case "ex2":
-            measure, state = "m_mana", "max_coherent"
-        case "ex3":
-            measure, state = "m_mana", "phi_lambda"
-        case "ex4":
-            measure, state = "m_mana", "psi_theta"
-        case "ex5_set" | "ex6_set":
-            measure = oid.labels[0]
-            state = "phi_lambda" if oid.name == "ex5_set" else "psi_theta"
-            return measure, state, False, 1.0, _row_name(measure)
-        case "table1_cell":
-            measure, column = oid.labels
-            state = _table_state_name(measure, column)
-        case "p_crit":
-            state = _table_state_name("m_mana", oid.labels[0])
-            return "m_mana", state, False, None, f"bisection threshold ({state})"
-    return measure, state, True, None, _row_name(measure)
+    _, params, labels, state = ORACLES[oid.name]
+    named = dict(zip(labels, oid.labels))
+    measure = named.get("measure", "m_mana")
+    if state is None:
+        state = _table_state_name(measure, named["state"])
+    if params[-1:] == ("p",):
+        return measure, state, True, None, TABLE_ROW_MEASURES[measure]
+    if params:
+        return measure, state, False, 1.0, TABLE_ROW_MEASURES[measure]
+    return measure, state, False, None, f"bisection threshold ({state})"
 
 
 def _bisect(mutual_mana, n: int) -> np.ndarray:
@@ -572,10 +555,7 @@ def compare(oids) -> list[ComparisonRecord]:
     for i, oid in enumerate(oids):
         name, params, labels = oid
         key = name, labels, len(params)
-        try:
-            group = groups.get(key)
-        except TypeError:  # an unhashable name, which _form refuses as an unknown oracle
-            group = None
+        group = groups.get(key) if isinstance(name, str) else None  # _form refuses any other name
         if group is None:
             form = _form(name, len(params), len(labels))
             oracle_values.append(form(*labels, *params))

@@ -213,14 +213,20 @@ def test_interleaved_groups_equal_the_per_id_records():
 
 
 @pytest.mark.parametrize(
-    "labels, message",
-    [(("m_mana", "X"), "unknown table cell ('m_mana', 'X')"), (("X", "S"), "unknown table cell ('X', 'S')")],
-    ids=["column", "row"],
+    "bad, message",
+    [
+        (OracleId("table1_cell", (0.5,), ("m_mana", "X")), "unknown table cell ('m_mana', 'X')"),
+        (OracleId("table1_cell", (0.5,), ("X", "S")), "unknown table cell ('X', 'S')"),
+        (OracleId("ex5_set", (0.3,), ("m_xyz",)), "unknown measure 'm_xyz'"),
+        (OracleId("ex6_set", (0.3,), ("m_xyz",)), "unknown measure 'm_xyz'"),
+    ],
+    ids=["column", "row", "ex5-measure", "ex6-measure"],
 )
-def test_an_unknown_table_cell_raises_the_closed_forms_error(labels, message):
-    # the closed form's value comes before the numeric input is described
-    bad = OracleId("table1_cell", (0.5,), labels)
-    for oids in ([bad], [OracleId("table1_cell", (0.5,), ("m_mana", "S")), bad]):
+def test_an_unknown_table_cell_raises_the_closed_forms_error(bad, message):
+    # the closed form's value comes before the numeric input is described,
+    # so a label the form refuses never reaches the table-row lookup
+    good = OracleId(bad.name, bad.params, ("m_mana", "S")[: len(bad.labels)])
+    for oids in ([bad], [good, bad]):
         with pytest.raises(BadParams) as info:
             compare(oids)
         assert str(info.value) == message

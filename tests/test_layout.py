@@ -30,7 +30,7 @@ CLOSED_FORMS = {
     "table1_cell", "p_crit", "_form", "closed_form",
 }
 # the module-level values the closed forms read; each is assigned from math, cmath and closed forms
-CONSTANTS = {"SQRT3", "_ML1_H_TERMS", "_MSRE2_H_TERMS"}
+CONSTANTS = {"SQRT3", "_ML1_H_TERMS", "_MSRE2_H_TERMS", "ORACLES"}
 ALLOWED_GLOBALS = {"math", "cmath", "BadParams", "OracleId"} | CONSTANTS | CLOSED_FORMS
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from manalab import OracleId, closed_form, oracle_vs_numeric, p_crit, table1_cell
 from manalab.errors import BadParams
 from manalab.oracles import (
+    ORACLES,
     TABLE_MEASURES,
     TABLE_STATES,
     ComparisonRecord,
@@ -352,6 +353,15 @@ def test_closed_form_calls_the_form_it_names(name):
     oid, direct = DISPATCH[name]
     assert oid.name == name
     assert closed_form(oid).hex() == direct().hex()
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_each_oracle_row_names_its_forms_own_arguments_in_order(name):
+    # the arity error texts print these names, so they are the form's own
+    form, params, labels, _ = ORACLES[name]
+    code = form.__code__
+    assert labels + params == code.co_varnames[: code.co_argcount]
+    assert list(ORACLES) == list(DISPATCH)
 
 
 @pytest.mark.parametrize(

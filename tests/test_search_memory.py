@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from manalab.cli import main
-from manalab.search import DEFAULT_GRIDS, _CoherentObjective, _wrap_box_max
+from manalab.search import _CoherentObjective, _wrap_box_max
 
 
 def traced_peak(call):
@@ -24,15 +24,6 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-
-
-def test_grid_holds_its_output_its_pieces_values_and_one_piece():
-    # a whole-grid int64 index array and pieces of 2**18 elements peaked at 16.1 MB
-    grid = DEFAULT_GRIDS[5]
-    axis = 2.0 * math.pi * np.arange(grid) / grid
-    values, peak = traced_peak(lambda: _CoherentObjective(5).grid(axis))
-    assert values.shape == (grid,) * 4
-    assert peak <= 2 * values.nbytes + 4 * 2**20
 
 
 @pytest.mark.parametrize("shape", [(24,) * 4, (12,) * 6])

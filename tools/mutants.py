@@ -456,9 +456,23 @@ MUTANTS = {
     ),
     "ex5-family-swapped": Mutant(
         "oracles.py",
-        'state = "phi_lambda" if oid.name == "ex5_set" else "psi_theta"',
-        'state = "psi_theta" if oid.name == "ex5_set" else "phi_lambda"',
+        """    "ex5_set": (example5, ("lam",), ("measure",), "phi_lambda"),
+    "ex6_set": (example6, ("theta",), ("measure",), "psi_theta"),""",
+        """    "ex5_set": (example5, ("lam",), ("measure",), "psi_theta"),
+    "ex6_set": (example6, ("theta",), ("measure",), "phi_lambda"),""",
         ("tests/test_compare.py",),
+    ),
+    "ex3-input-state-psi-theta": Mutant(  # the table's input-state column: ex3's noisy family read as psi_theta
+        "oracles.py",
+        '"ex3": (example3, ("lam", "p"), (), "phi_lambda"),',
+        '"ex3": (example3, ("lam", "p"), (), "psi_theta"),',
+        ("tests/test_oracles.py::test_example3_known_points",),
+    ),
+    "curves-read-as-noisy": Mutant(  # every form with a parameter read as noisy: ex5/ex6's lam/theta taken as p
+        "oracles.py",
+        'if params[-1:] == ("p",):',
+        "if params:",
+        ("tests/test_oracles.py::test_example5_curve_vs_numeric",),
     ),
     "gather-shifted-one-row": Mutant(
         "oracles.py",
@@ -488,8 +502,8 @@ MUTANTS = {
     ),
     "dispatch-ex3-to-example4": Mutant(
         "oracles.py",
-        'form, params, labels = example3, ("lam", "p"), ()',
-        'form, params, labels = example4, ("lam", "p"), ()',
+        '"ex3": (example3, ("lam", "p"), (), "phi_lambda"),',
+        '"ex3": (example4, ("lam", "p"), (), "phi_lambda"),',
         ("tests/test_oracles.py::test_closed_form_calls_the_form_it_names",),
     ),
     "h-terms-swapped": Mutant(  # c2 and c3 enter ml1_h as a sum, c1 on its own
